@@ -43,6 +43,7 @@ from repro.audit.generate import (
 )
 from repro.audit.oracle import (
     Violation,
+    audit_block_schedule,
     audit_expansion,
     audit_modulo_resources,
     audit_precedence,
@@ -57,6 +58,7 @@ __all__ = [
     "OptimalityReport",
     "ProgramConfig",
     "Violation",
+    "audit_block_schedule",
     "audit_expansion",
     "audit_modulo_resources",
     "audit_optimality",

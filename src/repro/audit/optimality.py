@@ -95,7 +95,7 @@ def audit_optimality(
     The exact backend runs with ``fallback=False`` — a silent fallback to
     the very scheduler under audit would make the oracle vacuous — and
     shares the heuristic's memoized preparation, so the symbolic closures
-    (and their per-interval dense matrices) are built once for both sides.
+    are built once for both sides.
     """
     from repro.exact import ExactBudget, ExactScheduler
 

@@ -1,6 +1,7 @@
 """Schedule oracles: independent re-derivation of the pipeline invariants.
 
-Each auditor takes a finished schedule (and, for expansion, its
+This module owns every schedule checker in the package.  Each auditor
+takes a finished schedule (and, for expansion, its
 :class:`~repro.core.mve.ExpansionPlan`) and rebuilds the constraint it
 checks from first principles — its own modulo table, its own flat window,
 its own lifetime arithmetic — sharing no bookkeeping with the scheduler it
@@ -19,7 +20,7 @@ from typing import Optional
 
 from repro.core.mve import MIN_REGISTERS, MIN_UNROLL, ExpansionPlan
 from repro.core.pipeliner import PipelineResult
-from repro.core.schedule import KernelSchedule
+from repro.core.schedule import BlockSchedule, KernelSchedule
 from repro.ir.operands import Reg
 from repro.obs import trace as obs
 
@@ -144,6 +145,34 @@ def audit_window(
         if amount > limit:
             _report(
                 violations, WINDOW_RESOURCE, f"flat cycle {cycle}",
+                f"{resource!r} used {amount}x but the machine has {limit}",
+            )
+    return violations
+
+
+def audit_block_schedule(schedule: BlockSchedule) -> list[Violation]:
+    """Check a straight-line block schedule: every same-iteration edge's
+    delay, and absolute per-cycle resource usage."""
+    violations: list[Violation] = []
+    for edge in schedule.graph.edges:
+        if edge.omega != 0:
+            continue
+        got = schedule.times[edge.dst.index] - schedule.times[edge.src.index]
+        if got < edge.delay:
+            _report(
+                violations, PRECEDENCE, repr(edge),
+                f"issue distance {got} < delay {edge.delay}",
+            )
+    usage: dict[tuple[int, str], int] = defaultdict(int)
+    for node in schedule.graph.nodes:
+        time = schedule.times[node.index]
+        for offset, resource, amount in node.reservation:
+            usage[time + offset, resource] += amount
+    for (cycle, resource), amount in sorted(usage.items()):
+        limit = schedule.machine.units(resource)
+        if amount > limit:
+            _report(
+                violations, RESOURCE, f"cycle {cycle}",
                 f"{resource!r} used {amount}x but the machine has {limit}",
             )
     return violations

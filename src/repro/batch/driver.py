@@ -171,7 +171,9 @@ class BatchReport:
         return self.results[index]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        """The batch summary; with per-program stats collected, also their
+        per-phase seconds and calls and their counters, summed."""
+        report: dict[str, Any] = {
             "programs": len(self.results),
             "ok": len(self.ok_results),
             "errors": [error.to_dict() for error in self.errors],
@@ -184,6 +186,24 @@ class BatchReport:
                 "hit_rate": round(self.cache_hit_rate, 4),
             },
         }
+        stats = [r.stats for r in self.results if r.stats is not None]
+        if stats:
+            seconds: dict[str, float] = {}
+            calls: dict[str, int] = {}
+            counters: dict[str, int] = {}
+            for entry in stats:
+                for name, phase in entry["phases"].items():
+                    seconds[name] = seconds.get(name, 0.0) + phase["seconds"]
+                    calls[name] = calls.get(name, 0) + phase["calls"]
+                for name, amount in entry["counters"].items():
+                    counters[name] = counters.get(name, 0) + amount
+            report["phases"] = {
+                name: {"seconds": round(seconds[name], 6),
+                       "calls": calls[name]}
+                for name in sorted(seconds)
+            }
+            report["counters"] = dict(sorted(counters.items()))
+        return report
 
     def summary(self) -> str:
         parts = [

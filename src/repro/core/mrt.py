@@ -6,22 +6,14 @@ different iterations, so resource usage at time ``t`` is accounted at row
 ``t mod s``.  The steady state is resource-feasible iff no row of the
 modulo table exceeds the machine's per-cycle resource limits.
 
-Two implementations share one contract:
-
-:class:`ModuloReservationTable`
-    The integer-packed default.  Each modulo row keeps one bitmask of its
-    occupied unit-capacity resources plus a flat usage-count array over
-    all interned resources; reservation patterns arrive pre-compiled (see
-    :class:`repro.machine.packed.PackedReservation`), so a feasibility
-    probe on an all-unit-capacity machine like WARP is a handful of
-    ``row_mask & pattern_mask`` tests and ``earliest_fit`` is a tight
-    scan over precomputed row masks (counted as
-    ``mrt_bitmask_fast_path`` by the ambient observer).
-:class:`DictModuloReservationTable`
-    The original name-keyed dict implementation, kept verbatim as the
-    behavioural reference the packed table is differentially tested
-    against (including the per-cell ``fits`` semantics and the
-    all-or-nothing ``remove`` validation).
+The table is integer-packed.  Each modulo row keeps one bitmask of its
+occupied unit-capacity resources plus a flat usage-count array over all
+interned resources; reservation patterns arrive pre-compiled (see
+:class:`repro.machine.packed.PackedReservation`), so a feasibility probe
+on an all-unit-capacity machine like WARP is a handful of
+``row_mask & pattern_mask`` tests and ``earliest_fit`` is a tight scan
+over precomputed row masks (counted as ``mrt_bitmask_fast_path`` by the
+ambient observer).
 """
 
 from __future__ import annotations
@@ -187,60 +179,3 @@ class ModuloReservationTable:
         )
         return f"MRT(s={self.s}, {rows})"
 
-
-class DictModuloReservationTable:
-    """The name-keyed reference implementation (pre-packing), retained as
-    the differential oracle for :class:`ModuloReservationTable`."""
-
-    def __init__(self, machine: MachineDescription, s: int) -> None:
-        if s < 1:
-            raise ValueError(f"initiation interval must be >= 1, got {s}")
-        self.machine = machine
-        self.s = s
-        self._rows: list[dict[str, int]] = [dict() for _ in range(s)]
-
-    def usage(self, row: int, resource: str) -> int:
-        return self._rows[row % self.s].get(resource, 0)
-
-    def fits(self, reservation: ReservationTable, time: int) -> bool:
-        for offset, resource, amount in reservation:
-            row = (time + offset) % self.s
-            used = self._rows[row].get(resource, 0)
-            if used + amount > self.machine.units(resource):
-                return False
-        return True
-
-    def place(self, reservation: ReservationTable, time: int) -> None:
-        if not self.fits(reservation, time):
-            raise ValueError(f"resource conflict placing pattern at time {time}")
-        for offset, resource, amount in reservation:
-            row = (time + offset) % self.s
-            self._rows[row][resource] = self._rows[row].get(resource, 0) + amount
-
-    def remove(self, reservation: ReservationTable, time: int) -> None:
-        needed: dict[tuple[int, str], int] = {}
-        for offset, resource, amount in reservation:
-            key = ((time + offset) % self.s, resource)
-            needed[key] = needed.get(key, 0) + amount
-        for (row, resource), amount in needed.items():
-            if self._rows[row].get(resource, 0) < amount:
-                raise ValueError("removing a pattern that was never placed")
-        for (row, resource), amount in needed.items():
-            self._rows[row][resource] -= amount
-
-    def earliest_fit(self, reservation: ReservationTable, earliest: int,
-                     latest: int | None = None) -> int | None:
-        cap = earliest + self.s - 1
-        if latest is not None:
-            cap = min(cap, latest)
-        for time in range(earliest, cap + 1):
-            if self.fits(reservation, time):
-                return time
-        return None
-
-    def __repr__(self) -> str:
-        rows = "; ".join(
-            f"{row}:" + ",".join(f"{r}x{a}" for r, a in sorted(cells.items()) if a)
-            for row, cells in enumerate(self._rows)
-        )
-        return f"MRT(s={self.s}, {rows})"

@@ -217,11 +217,10 @@ class ModuloScheduler:
         """The graph's interval-independent state and its MII bounds,
         memoized per graph object.
 
-        Sharing matters beyond avoiding rework: every consumer of the same
-        :class:`PreparedGraph` queries the same symbolic closures, so their
-        per-interval dense matrices are materialized once and then hit —
-        e.g. an exact-backend cross-check at the heuristic's chosen
-        interval reuses the matrices the search already built.
+        Every consumer of the same :class:`PreparedGraph` shares its SCC
+        condensation and symbolic closures, whose frontier tables are
+        built once — e.g. an exact-backend cross-check at the heuristic's
+        chosen interval reuses the closures the search already built.
         """
         cached = self._prepared.get(id(graph))
         if cached is not None and cached[0] is graph:

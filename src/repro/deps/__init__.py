@@ -9,13 +9,7 @@ satisfies ``sigma(v) - sigma(u) >= d - s * omega`` for every edge ``u -> v``.
 
 from repro.deps.graph import DefInfo, DepEdge, DepGraph, DepNode, MemAccess, UseInfo
 from repro.deps.scc import strongly_connected_components, condensation_order
-from repro.deps.paths import (
-    CyclicDependenceError,
-    SymbolicPaths,
-    longest_paths,
-    minimum_initiation_interval_for_cycles,
-    numeric_recurrence_bound,
-)
+from repro.deps.paths import CyclicDependenceError, SymbolicPaths
 from repro.deps.build import (
     DependenceOptions,
     build_loop_graph,
@@ -32,9 +26,6 @@ __all__ = [
     "strongly_connected_components",
     "condensation_order",
     "SymbolicPaths",
-    "longest_paths",
-    "minimum_initiation_interval_for_cycles",
-    "numeric_recurrence_bound",
     "CyclicDependenceError",
     "DependenceOptions",
     "build_loop_graph",

@@ -23,7 +23,7 @@ wrap-around is dominated on sight and no re-pruning pass is needed.
 The closure is built lazily, on the first frontier or dense query: callers
 that only want the bound (the MII computation, the ``closure``
 microbenchmark) never pay for it.  Cells are pruned with the value rule at
-``S = max(recurrence_bound, s_min)``: pair ``(d1, p1)`` dominates
+``S = max(1, recurrence_bound)``: pair ``(d1, p1)`` dominates
 ``(d2, p2)`` iff ``d1 - s*p1 >= d2 - s*p2`` for all ``s >= S``, i.e.
 ``p1 <= p2`` and ``d2 - d1 <= S * (p2 - p1)``.  Surviving frontiers are
 tiny and kept sorted by omega (and hence by delay and by value at ``S``,
@@ -34,53 +34,21 @@ with manual row strides, and — because the overwhelming majority of cells
 hold exactly one surviving pair — scalar cells live directly in parallel
 ``p``/``d``/``value`` arrays, with only the rare multi-pair cells spilled
 to sorted ``(p, d)`` lists (plain tuple comparison *is* the omega order,
-so the bisections need no key function).  The per-``s`` dense matrices are
-flat preallocated float rows materialized from a CSR view of the frontiers
-(pair arrays plus cell starts).  An optional numpy path (enabled by
-``REPRO_NUMPY=1`` when numpy is importable — the pure-python path stays
-the tested default) vectorizes that materialization with a segmented
-maximum.
-
-Per candidate initiation interval the scheduler asks for many entries of
-the same closure, so the first query at a given ``s`` materializes the
-dense matrix (:meth:`SymbolicPaths.dense`); repeat queries are flat O(1)
-array lookups, counted by the ambient observer's ``dense_cache_hits`` /
-``dense_cache_misses`` pair.  The per-closure cache keeps the first
-(lowest) intervals queried — the ones every replayed II climb asks for
-first — and serves overflow intervals from one scratch buffer recycled
-in place (``closure_buffer_reuses``), so a long linear search allocates
-a bounded number of matrices no matter how many intervals it climbs
-through.
+so the bisections need no key function).  Per candidate initiation
+interval the scheduler materializes the dense matrix once per component
+(:meth:`SymbolicPaths.dense`), a linear sweep over a CSR view of the
+frontiers (pair arrays plus cell starts); its O(n^2) range queries are
+then flat array lookups.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from typing import Optional, Sequence
 
 from repro.deps.graph import DepEdge, DepNode
-from repro.obs import trace as obs
 
 NEG_INF = float("-inf")
-
-_np = None
-if os.environ.get("REPRO_NUMPY", "").strip().lower() in ("1", "true", "on"):
-    try:  # pragma: no cover - exercised only where numpy is installed
-        import numpy as _np  # type: ignore[no-redef]
-    except ImportError:
-        _np = None
-
-#: Dense matrices kept per closure: the first intervals queried, which
-#: for the linear II search are the lowest — exactly the ones a repeat
-#: schedule (replaying the climb from ``s_min``) asks for first.
-#: Intervals past the window are served from a single reusable scratch
-#: buffer instead of evicting (see :meth:`SymbolicPaths.dense`): evicting
-#: the oldest would discard precisely the entries the replay needs and
-#: degenerate to all-miss thrash on climbs longer than the window.
-#: Matrices are n^2 floats with component n <= a few dozen, so the full
-#: window is a few tens of kilobytes per closure.
-_DENSE_CACHE_LIMIT = 24
 
 _ZERO_OMEGA_CYCLE = (
     "dependence cycle with zero iteration difference and positive delay"
@@ -106,86 +74,6 @@ def _local_edges(
     return out
 
 
-def longest_paths(
-    nodes: Sequence[DepNode],
-    edges: Sequence[DepEdge],
-    s: int,
-) -> Optional[list[list[float]]]:
-    """All-points longest paths with edge weight ``delay - s * omega``.
-
-    Returns the matrix (``NEG_INF`` where unreachable), or ``None`` if the
-    graph has a positive cycle at this ``s`` (the initiation interval is
-    infeasible for these recurrences).  The diagonal holds the longest
-    nonempty cycle length through each node (or ``NEG_INF``).
-    """
-    n = len(nodes)
-    dist = [[NEG_INF] * n for _ in range(n)]
-    for src, dst, delay, omega in _local_edges(nodes, edges):
-        weight = delay - s * omega
-        if weight > dist[src][dst]:
-            dist[src][dst] = weight
-    for k in range(n):
-        dist_k = dist[k]
-        for i in range(n):
-            d_ik = dist[i][k]
-            if d_ik == NEG_INF:
-                continue
-            row = dist[i]
-            for j in range(n):
-                via = d_ik + dist_k[j]
-                if via > row[j]:
-                    row[j] = via
-    for i in range(n):
-        if dist[i][i] > 0:
-            return None
-    return dist
-
-
-def numeric_recurrence_bound(
-    nodes: Sequence[DepNode],
-    edges: Sequence[DepEdge],
-    upper_bound: int = 1 << 20,
-) -> int:
-    """Reference implementation of the recurrence bound: binary search over
-    concrete intervals, each probed with a full numeric Floyd-Warshall pass
-    (the original algorithm, ~21 O(n^3) passes for the default range).
-
-    Kept as the oracle the direct cycle-ratio search is property-tested
-    against, and as the baseline of the ``closure`` microbenchmark.
-    """
-    if longest_paths(nodes, edges, upper_bound) is None:
-        raise CyclicDependenceError(_ZERO_OMEGA_CYCLE)
-    # Feasibility is monotone in s here (cycle weights d(c) - s*p(c) only
-    # decrease as s grows), so binary search is exact.
-    lo, hi = 0, upper_bound
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if longest_paths(nodes, edges, mid) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def minimum_initiation_interval_for_cycles(
-    nodes: Sequence[DepNode],
-    edges: Sequence[DepEdge],
-    upper_bound: int = 1 << 20,
-) -> int:
-    """Smallest integer ``s >= 0`` with no positive cycle, i.e. the
-    recurrence-constrained bound max over cycles of ceil(d(c) / p(c)).
-
-    Computed by :class:`SymbolicPaths`'s galloping Bellman-Ford search;
-    ``upper_bound`` is accepted for backward compatibility but plays no
-    role any more (a sharp bound is derived from the edge delays).
-
-    Raises :class:`CyclicDependenceError` if a cycle with total iteration
-    difference 0 has positive delay (infeasible at every ``s``).
-    """
-    del upper_bound
-    return SymbolicPaths(nodes, edges).recurrence_bound
-
-
 # -- symbolic closure --------------------------------------------------------
 
 #: A Pareto frontier of (delay, omega) path costs as exposed by
@@ -196,74 +84,14 @@ def minimum_initiation_interval_for_cycles(
 Frontier = tuple[tuple[int, int], ...]
 
 
-def _insert(
-    frontier: list[tuple[int, int]],
-    p: int,
-    d: int,
-    s_min: int,
-    p_cap: Optional[int] = None,
-) -> bool:
-    """Insert ``(p, d)`` into the frontier, pruning dominated pairs.
-
-    ``frontier`` is kept sorted by omega; pairs are stored ``(p, d)`` so
-    the sort order is native tuple order and the bisection probe is the
-    bare one-tuple ``(p,)`` (which sorts before every ``(p, d)``).
-    Because survivors are strictly increasing in value at ``s_min`` along
-    that order, the only possible dominator of a new pair is its immediate
-    predecessor (largest ``p1 <= p``), and the pairs it dominates form a
-    contiguous run starting at its insertion point — so one bisection plus
-    local scans suffice instead of a full frontier sweep.
-
-    With ``s_min = 0`` the rule degenerates to coordinate-wise domination
-    (``d1 >= d`` and ``p1 <= p``), which is valid for every ``s >= 0``;
-    ``p_cap`` bounds accumulated iteration differences so cycle-augmented
-    paths cannot wrap forever.
-
-    Returns True if the pair was actually added (i.e. it was not dominated).
-
-    This module-level function is the readable reference; the closure
-    build in :class:`SymbolicPaths` inlines the same logic over its
-    scalar-cell arrays (it runs a quarter-million times on a benchmark
-    pass, where call frames and keyed bisections dominated the profile).
-    """
-    if p_cap is not None and p > p_cap:
-        return False
-    value = d - s_min * p
-    size = len(frontier)
-    if not size:
-        frontier.append((p, d))
-        return True
-    i = bisect_left(frontier, (p,))
-    # The candidate dominator: the last pair with p1 <= p.  frontier[i]
-    # itself qualifies when it has equal omega.
-    j = i + 1 if i < size and frontier[i][0] == p else i
-    if j > 0:
-        p1, d1 = frontier[j - 1]
-        if d1 - s_min * p1 >= value:
-            return False
-    # Pairs dominated by (p, d): omega >= p and value <= ours — a
-    # contiguous run from the insertion point, by the sort invariant.
-    k = i
-    while k < size:
-        p1, d1 = frontier[k]
-        if d1 - s_min * p1 > value:
-            break
-        k += 1
-    frontier[i:k] = [(p, d)]
-    return True
-
-
 class SymbolicPaths:
     """All-points longest paths over one SCC with symbolic initiation
     interval, computed once and evaluated cheaply per candidate ``s``.
 
     The constructor computes only :attr:`recurrence_bound` (exact, via the
     galloping Bellman-Ford search); the Pareto frontier table is built on
-    the first :meth:`frontier`/:meth:`dense`/:meth:`evaluate` call.  With
-    ``s_min`` omitted (the fused mode used by the scheduler), queries are
-    valid for ``s >= max(1, recurrence_bound)``; an explicit ``s_min``
-    must lower-bound every ``s`` passed to :meth:`evaluate` (the legacy
-    contract).
+    the first :meth:`frontier`/:meth:`dense` call.  Queries are valid for
+    ``s >= s_min = max(1, recurrence_bound)``.
 
     The frontier table and the dense matrices :meth:`dense` returns are
     flat (``n * n`` cells, row stride :attr:`n`) — callers index with
@@ -274,7 +102,6 @@ class SymbolicPaths:
         self,
         nodes: Sequence[DepNode],
         edges: Sequence[DepEdge],
-        s_min: Optional[int] = None,
     ) -> None:
         self.nodes = list(nodes)
         self.edges = list(edges)
@@ -283,14 +110,12 @@ class SymbolicPaths:
         self.local = {node.index: i for i, node in enumerate(self.nodes)}
         self._local_edges = _local_edges(self.nodes, edges)
         self.recurrence_bound = self._search_recurrence_bound()
-        self.s_min = max(1, self.recurrence_bound if s_min is None else s_min)
+        self.s_min = max(1, self.recurrence_bound)
         self._sizes: Optional[list[int]] = None
         self._cp: list[int] = []
         self._cd: list[int] = []
         self._multi: dict[int, list[tuple[int, int]]] = {}
-        self._dense: dict[int, list[float]] = {}
-        self._scratch: Optional[list[float]] = None
-        self._csr: Optional[tuple] = None
+        self._csr: Optional[tuple[list[int], list[int], list[int]]] = None
 
     # -- the recurrence bound -------------------------------------------------
 
@@ -400,7 +225,7 @@ class SymbolicPaths:
         """The symbolic all-points closure, built once on first query.
 
         Pairs are pruned with the value rule at the *final* bound
-        ``S = max(recurrence_bound, s_min)`` from the very first
+        ``S = s_min`` from the very first
         insertion — the bound is already exact, so every extra wrap of a
         cycle is dominated on sight and no re-pruning pass is needed; the
         zero-omega-positive-cycle case was rejected by the bound search
@@ -416,8 +241,13 @@ class SymbolicPaths:
         spilled to sorted ``(p, d)`` lists in ``multi``.  The
         scalar x scalar -> scalar relaxation (the hot case of the
         Floyd-Warshall pass) is then pure integer adds and compares with
-        no tuple traffic — values are additive, ``v = v_ik + v_kj`` —
-        and the domination logic matches :func:`_insert` exactly.
+        no tuple traffic — values are additive, ``v = v_ik + v_kj``.
+
+        Inserting into a multi-pair cell bisects for the new pair's omega.
+        Survivors are strictly increasing in value at ``S`` along that
+        order, so the only possible dominator of a new pair is its
+        immediate predecessor, and the pairs it dominates form a
+        contiguous run from its insertion point.
         """
         n = self.n
         local_edges = self._local_edges
@@ -426,8 +256,7 @@ class SymbolicPaths:
             if omega > max_omega:
                 max_omega = omega
         p_cap = n * max_omega
-        bound = self.s_min if self.s_min > self.recurrence_bound \
-            else self.recurrence_bound
+        bound = self.s_min
         nn = n * n
         sizes = [0] * nn
         cp = [0] * nn
@@ -591,7 +420,7 @@ class SymbolicPaths:
             return ((self._cd[idx], self._cp[idx]),)
         return tuple((d, p) for p, d in self._multi[idx])
 
-    def _build_csr(self) -> tuple:
+    def _build_csr(self) -> tuple[list[int], list[int], list[int]]:
         """Flatten the frontier table into parallel pair arrays plus cell
         starts, so dense materialization is one linear sweep with no
         per-cell list dispatch.  Built lazily, like the table itself:
@@ -617,95 +446,36 @@ class SymbolicPaths:
                     ps.append(p)
                     ds.append(d)
             starts[c + 1] = total
-        if _np is not None:
-            nz_cells = [c for c in range(nn) if sizes[c]]
-            csr = (
-                starts,
-                _np.asarray(ds, dtype=_np.float64),
-                _np.asarray(ps, dtype=_np.float64),
-                _np.asarray(nz_cells, dtype=_np.intp),
-                _np.asarray(
-                    [starts[c] for c in nz_cells], dtype=_np.intp
-                ),
-            )
-        else:
-            csr = (starts, ds, ps, None, None)
-        self._csr = csr
-        return csr
+        self._csr = (starts, ds, ps)
+        return self._csr
 
     def dense(self, s: int) -> list[float]:
         """The flat longest-path matrix at initiation interval ``s`` in
-        local node order (row stride :attr:`n`), materialized on first use
-        and cached per ``s``.
+        local node order (row stride :attr:`n`), freshly materialized.
 
-        The scheduler's inner loop touches O(n^2) entries per attempt, so
-        after the one-time materialization every lookup is a flat array
-        index instead of a frontier scan.  The cache keeps the *first*
-        :data:`_DENSE_CACHE_LIMIT` intervals it sees: the access pattern
-        is a linear climb from ``s_min`` replayed from the bottom on every
-        repeat schedule, so keeping the lowest intervals is the Belady
-        choice (evicting the oldest would discard exactly the entries the
-        replay needs first, degenerating to all-miss thrash on climbs
-        longer than the window).  Past the window, one scratch buffer per
-        closure is overwritten in place for each overflow interval
-        (``closure_buffer_reuses``), so even an unbounded climb allocates
-        a bounded number of matrices.  A scratch-served matrix is valid
-        until the next over-window ``dense`` call on this closure — the
-        same lifetime evict-and-reuse gave, and longer than any caller
-        holds one.
+        The scheduler calls this once per component per II attempt; its
+        O(n^2) range computations are then flat array lookups instead of
+        frontier scans.
         """
         if s < self.s_min:
             raise ValueError(f"s={s} below the symbolic validity bound {self.s_min}")
-        cache = self._dense
-        cached = cache.get(s)
-        if cached is not None:
-            obs.count("dense_cache_hits")
-            return cached
-        obs.count("dense_cache_misses")
         csr = self._csr
         if csr is None:
             csr = self._build_csr()
-        starts, ds, ps, nz_cells, nz_starts = csr
+        starts, ds, ps = csr
         n2 = self.n * self.n
-        buf: Optional[list[float]] = None
-        overflow = len(cache) >= _DENSE_CACHE_LIMIT
-        if overflow:
-            buf = self._scratch
-            if buf is not None:
-                obs.count("closure_buffer_reuses")
-        if _np is not None and nz_cells is not None:
-            out = _np.full(n2, NEG_INF)
-            if len(nz_cells):
-                out[nz_cells] = _np.maximum.reduceat(ds - s * ps, nz_starts)
-            if buf is None:
-                buf = out.tolist()
-            else:
-                buf[:] = out.tolist()
-        else:
-            if buf is None:
-                buf = [NEG_INF] * n2
-            k = 0
-            for c in range(n2):
-                end = starts[c + 1]
-                if k == end:
-                    buf[c] = NEG_INF
-                    continue
-                best = ds[k] - s * ps[k]
+        out = [NEG_INF] * n2
+        k = 0
+        for c in range(n2):
+            end = starts[c + 1]
+            if k == end:
+                continue
+            best = ds[k] - s * ps[k]
+            k += 1
+            while k < end:
+                v = ds[k] - s * ps[k]
                 k += 1
-                while k < end:
-                    v = ds[k] - s * ps[k]
-                    k += 1
-                    if v > best:
-                        best = v
-                buf[c] = best
-        if overflow:
-            self._scratch = buf
-        else:
-            cache[s] = buf
-        return buf
-
-    def evaluate(self, src: DepNode, dst: DepNode, s: int) -> float:
-        """Longest path length src -> dst at initiation interval ``s``."""
-        return self.dense(s)[
-            self.local[src.index] * self.n + self.local[dst.index]
-        ]
+                if v > best:
+                    best = v
+            out[c] = best
+        return out

@@ -28,8 +28,7 @@ each tight edge adding at most ``max(delay - omega*s, 0) + s - 1``; hence
 an upper bound of ``s - 1`` plus the sum of the ``n - 1`` largest such edge
 terms.  Lower bounds come from the all-points longest paths at ``s``
 (warm-started from the heuristic's per-component symbolic closures when a
-:class:`~repro.core.pipeliner.PreparedGraph` is supplied, which is where
-the ``dense_cache_hits`` counter finally earns its keep).
+:class:`~repro.core.pipeliner.PreparedGraph` is supplied).
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ def _longest_paths_at(
     """All-points longest paths with weights ``delay - s * omega``.
 
     When the heuristic's :class:`PreparedGraph` is supplied, intra-component
-    distances are seeded from its symbolic closures' dense matrices (cache
-    hits whenever the heuristic already probed this ``s``) and the
-    Floyd-Warshall pass only has to fold in the cross-component edges.
+    distances are seeded from its symbolic closures' dense matrices and
+    the Floyd-Warshall pass only has to fold in the cross-component edges.
 
     Raises :class:`InfeasibleInterval` on a positive cycle.
     """

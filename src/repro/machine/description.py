@@ -31,7 +31,8 @@ class OpClass:
 
 #: Packed-reservation memo size per machine.  Op-class tables (a few
 #: dozen, shared across nodes) plus the working set of transient cluster
-#: aggregates fit comfortably; eviction is FIFO and merely costs a repack.
+#: aggregates fit comfortably; a full memo is cleared, which merely costs
+#: a repack.
 _PACKED_CACHE_LIMIT = 512
 
 
@@ -117,6 +118,11 @@ class MachineDescription:
         hits the same entry.  The strong table reference keeps ids from
         being recycled; the cache is bounded because cluster aggregates
         are transient (one per scheduled component per II attempt).
+
+        Thread workers share one machine, so the memo is only touched by
+        single dict operations: a full memo is emptied with one
+        ``clear()`` rather than evicted key by key, which two threads
+        could race on.
         """
         key = id(reservation)
         hit = self._packed.get(key)
@@ -124,7 +130,7 @@ class MachineDescription:
             return hit[1]
         packed = PackedReservation.compile(reservation, self)
         if len(self._packed) >= _PACKED_CACHE_LIMIT:
-            self._packed.pop(next(iter(self._packed)))
+            self._packed.clear()
         self._packed[key] = (reservation, packed)
         return packed
 

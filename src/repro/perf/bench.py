@@ -3,17 +3,15 @@
 Five benchmarks, all seeded and deterministic in the work they measure:
 
 ``closure``
-    The fused symbolic-closure recurrence bound against the numeric
-    binary-search baseline it replaced, over a corpus of random strongly
-    connected components.  The two are also cross-checked for equality on
-    every component, so the benchmark doubles as a differential test.
+    The symbolic closure's direct recurrence bound over a corpus of random
+    strongly connected components (the tier-1 tests hold it equal to a
+    numeric reference on the same corpus).
 ``scheduler``
     End-to-end modulo scheduling of random dependence graphs, each
-    scheduled twice on a shared scheduler so the prepared-graph memo and
-    dense-closure caches see service-shaped traffic: wall time, the
-    observability layer's counter deltas (II attempts, SCC schedules,
-    dense-cache hits/misses, MRT bitmask fast-path and closure buffer
-    reuses), and achieved-II-versus-MII gaps.
+    scheduled twice on a shared scheduler so the prepared-graph memo sees
+    service-shaped traffic: wall time, the observability layer's counter
+    deltas (II attempts, SCC schedules, backtracks, MRT bitmask fast
+    path), and achieved-II-versus-MII gaps.
 ``optimality``
     The optimality-gap audit: every scheduler-benchmark graph through the
     heuristic *and* the exact SAT backend, reporting how often the
@@ -59,7 +57,7 @@ from repro.batch.pool import WorkerPool
 from repro.core.mii import component_internal_edges
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.schedule import SchedulingFailure
-from repro.deps.paths import SymbolicPaths, numeric_recurrence_bound
+from repro.deps.paths import SymbolicPaths
 from repro.deps.scc import strongly_connected_components
 from repro.machine import WARP
 from repro.obs import trace as obs
@@ -101,10 +99,9 @@ class BenchReport:
         closure = self.benchmarks.get("closure")
         if closure:
             lines.append(
-                f"  closure: {closure['units']} SCCs,"
-                f" fused {closure['wall_seconds'] * 1e3:.1f} ms vs"
-                f" numeric {closure['numeric_seconds'] * 1e3:.1f} ms"
-                f" ({closure['speedup_vs_numeric']:.1f}x)"
+                f"  closure: {closure['units']} SCCs in"
+                f" {closure['wall_seconds'] * 1e3:.1f} ms"
+                f" ({closure['per_unit_seconds'] * 1e6:.1f} us/SCC)"
             )
         sched = self.benchmarks.get("scheduler")
         if sched:
@@ -184,33 +181,18 @@ def _scc_corpus(seed: int, graphs: int) -> list[tuple[list, list]]:
 
 
 def bench_closure(seed: int, graphs: int) -> dict[str, Any]:
-    """Fused symbolic recurrence bound vs. the numeric binary search."""
+    """The symbolic closure's recurrence bound, per component."""
     corpus = _scc_corpus(seed, graphs)
 
     t0 = time.perf_counter()
-    numeric = [
-        numeric_recurrence_bound(component, edges)
-        for component, edges in corpus
-    ]
-    numeric_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    fused = [
+    for component, edges in corpus:
         SymbolicPaths(component, edges).recurrence_bound
-        for component, edges in corpus
-    ]
-    fused_seconds = time.perf_counter() - t0
+    wall = time.perf_counter() - t0
 
-    mismatches = sum(1 for a, b in zip(numeric, fused) if a != b)
     return {
         "units": len(corpus),
-        "wall_seconds": round(fused_seconds, 6),
-        "per_unit_seconds": round(fused_seconds / max(1, len(corpus)), 9),
-        "numeric_seconds": round(numeric_seconds, 6),
-        "speedup_vs_numeric": round(
-            numeric_seconds / fused_seconds if fused_seconds else 0.0, 3
-        ),
-        "mismatches": mismatches,
+        "wall_seconds": round(wall, 6),
+        "per_unit_seconds": round(wall / max(1, len(corpus)), 9),
     }
 
 
@@ -223,18 +205,13 @@ _SCHED_COUNTERS = (
     "sccs",
     "scc_schedules",
     "backtracks",
-    "dense_cache_hits",
-    "dense_cache_misses",
     "mrt_bitmask_fast_path",
-    "closure_buffer_reuses",
 )
 
 #: Consecutive schedules of each scheduler-bench graph.  Real traffic
-#: (the compile service, the audit loop) re-schedules shared graphs, so
-#: the benchmark must exercise the scheduler's prepared-graph memo and
-#: the closures' dense caches — a single pass per graph never re-probes
-#: an interval and would keep ``dense_cache_hits`` pinned at zero, as an
-#: earlier committed baseline did.
+#: (the audit loop's exact cross-check) re-schedules shared graphs, so the
+#: repeat exercises :meth:`ModuloScheduler.prepare`'s memo: the second
+#: schedule reuses the first one's SCCs and symbolic closures.
 _SCHED_REPEATS = 2
 
 

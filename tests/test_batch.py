@@ -2,6 +2,8 @@
 must be isolated, and the report must account for every input.
 """
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,23 @@ class TestBatchReport:
             assert result.stats is not None
             assert "phases" in result.stats and "counters" in result.stats
             assert result.stats["counters"].get("loops", 0) >= 1
+
+    def test_to_dict_sums_stats(self):
+        batch = compile_many(SUITE[:3], WARP, collect_stats=True)
+        payload = batch.to_dict()
+        per_program = [r.stats for r in batch]
+        assert payload["counters"]["ii_attempts"] == sum(
+            s["counters"]["ii_attempts"] for s in per_program
+        ) > 0
+        assert payload["phases"]["emit"]["calls"] == sum(
+            s["phases"]["emit"]["calls"] for s in per_program
+        )
+        assert payload["phases"]["emit"]["seconds"] > 0
+        json.dumps(payload)
+
+    def test_to_dict_omits_stats_when_not_collected(self):
+        payload = compile_many(SUITE[:1], WARP).to_dict()
+        assert "phases" not in payload and "counters" not in payload
 
     def test_invalid_source_shape_rejected(self):
         with pytest.raises(TypeError):

@@ -21,7 +21,6 @@ from repro.core.pipeliner import (
     create_scheduler,
 )
 from repro.core.schedule import SchedulingFailure
-from repro.core.validate import check_kernel_schedule
 from repro.deps.graph import DepGraph, DepNode
 from repro.exact import (
     SAT,
@@ -191,7 +190,6 @@ class TestExactScheduler:
         )
         result = ExactScheduler(WARP).schedule(graph)
         assert audit_result(result) == []
-        check_kernel_schedule(result.schedule)
 
     def test_singleton_clusters_cover_all_nodes(self):
         graph = _graph("fadd", "load")
@@ -373,7 +371,6 @@ class TestExactProperties:
         if not outcome.optimal:
             return
         assert audit_result(outcome.result) == []
-        check_kernel_schedule(outcome.result.schedule)
 
     @given(seed=st.integers(0, 50_000))
     @_settings

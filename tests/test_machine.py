@@ -192,3 +192,41 @@ class TestMachineDescription:
         assert "fadd" in FLOP_OPCODES
         assert "flt" not in FLOP_OPCODES
         assert "load" not in FLOP_OPCODES
+
+
+class TestPackedMemo:
+    def test_concurrent_eviction_never_raises(self):
+        # Thread workers share one machine.  Two threads pushing fresh
+        # tables through packed() keep the memo at its limit, so both
+        # evict over and over; neither may see the other's eviction as an
+        # error.
+        import sys
+        import threading
+
+        from repro.machine.description import _PACKED_CACHE_LIMIT
+
+        machine = make_warp()
+        errors = []
+        start = threading.Barrier(2, timeout=10)
+
+        def drive():
+            try:
+                start.wait()
+                for _ in range(100 * _PACKED_CACHE_LIMIT):
+                    table = ReservationTable.single("alu")
+                    assert machine.packed(table).pure
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

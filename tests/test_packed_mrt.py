@@ -1,28 +1,29 @@
 """Differential tests for the integer-packed modulo reservation table.
 
 :class:`ModuloReservationTable` (bitmasks + flat counts over interned
-resources) must be behaviourally identical to
-:class:`DictModuloReservationTable`, the name-keyed reference it replaced
-— same fits verdicts, same placements, same all-or-nothing remove
+resources) must be behaviourally identical to the test-side
+:class:`reference.DictModuloReservationTable`, the name-keyed table it
+replaced — same fits verdicts, same placements, same all-or-nothing remove
 validation, same earliest-fit answers.  A hypothesis driver runs random
 interleavings of the full operation set against both side by side; the
 machines include multi-capacity resources so both the pure-bitmask and
 the counter paths are exercised.
 
-The new observability counters of the packed hot paths
-(``mrt_bitmask_fast_path``, ``closure_buffer_reuses``) get counter-based
-regression tests here too: if a refactor silently drops off the fast
-path, the counters pin it.
+The packed hot path's observability counter (``mrt_bitmask_fast_path``)
+gets counter-based regression tests here too: if a refactor silently
+drops off the fast path, the counter pins it.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.mrt import DictModuloReservationTable, ModuloReservationTable
+from repro.core.mrt import ModuloReservationTable
 from repro.machine import WARP, make_custom
 from repro.machine.resources import ReservationTable, ResourceUse
 from repro.obs import trace as obs
+
+from reference import DictModuloReservationTable
 
 # Two alus and two mem ports: patterns over these exercise the
 # counter-compare path, everything else the unit-capacity bitmask path.
@@ -173,31 +174,3 @@ class TestPackedCounters:
         with obs.observe() as observer:
             assert mrt.earliest_fit(pattern, 0) == 0
         assert "mrt_bitmask_fast_path" not in observer.counters
-
-    def test_dense_overflow_counts_buffer_reuses(self):
-        from repro.deps.paths import _DENSE_CACHE_LIMIT, SymbolicPaths
-        from tests.test_paths import _E, _nodes
-
-        nodes = _nodes(2)
-        edges = [
-            _E(nodes[0], nodes[1], 3, 0),
-            _E(nodes[1], nodes[0], 1, 1),
-        ]
-        paths = SymbolicPaths(nodes, edges)
-        with obs.observe() as observer:
-            for s in range(paths.s_min, paths.s_min + _DENSE_CACHE_LIMIT + 3):
-                paths.dense(s)
-        # The first over-window interval allocates the scratch buffer;
-        # every later one recycles it in place.
-        assert observer.counters["closure_buffer_reuses"] == 2
-        assert observer.counters["dense_cache_misses"] == _DENSE_CACHE_LIMIT + 3
-        assert "dense_cache_hits" not in observer.counters
-        # The recycled buffer serves the newest interval correctly (node
-        # 0 -> node 1 is the direct edge, value 3 at every s), and the
-        # kept window still hits: replaying the climb from the bottom is
-        # the access pattern the keep-first policy exists for.
-        last = paths.s_min + _DENSE_CACHE_LIMIT + 2
-        assert paths.evaluate(nodes[0], nodes[1], last) == 3
-        with obs.observe() as observer:
-            paths.dense(paths.s_min)
-        assert observer.counters.get("dense_cache_hits") == 1

@@ -1,20 +1,17 @@
-"""Longest-path machinery: concrete Floyd-Warshall, recurrence bound,
-symbolic Pareto closure (including a randomized cross-check)."""
+"""Longest-path machinery: the numeric Floyd-Warshall reference, the
+recurrence bound, and the symbolic Pareto closure (including randomized
+cross-checks against the reference)."""
 
 import random
 
 import pytest
 
 from repro.deps.graph import DepGraph, DepNode
-from repro.deps.paths import (
-    NEG_INF,
-    CyclicDependenceError,
-    SymbolicPaths,
-    longest_paths,
-    minimum_initiation_interval_for_cycles,
-)
+from repro.deps.paths import NEG_INF, CyclicDependenceError, SymbolicPaths
 from repro.ir import Opcode, Operation
 from repro.machine.resources import ReservationTable
+
+from reference import longest_paths, numeric_recurrence_bound
 
 
 def _nodes(count):
@@ -22,6 +19,16 @@ def _nodes(count):
         DepNode(i, ReservationTable.single("alu"), Operation(Opcode.NOP))
         for i in range(count)
     ]
+
+
+def _bound(nodes, edges):
+    return SymbolicPaths(nodes, edges).recurrence_bound
+
+
+def _at(paths, src, dst, s):
+    """Longest path ``src -> dst`` at interval ``s`` from the dense matrix."""
+    return paths.dense(s)[paths.local[src.index] * paths.n
+                          + paths.local[dst.index]]
 
 
 class _E:
@@ -72,12 +79,12 @@ class TestRecurrenceBound:
     def test_single_cycle(self):
         nodes = _nodes(2)
         edges = [_E(nodes[0], nodes[1], 7, 0), _E(nodes[1], nodes[0], 1, 1)]
-        assert minimum_initiation_interval_for_cycles(nodes, edges) == 8
+        assert _bound(nodes, edges) == 8
 
     def test_ratio_rounds_up(self):
         nodes = _nodes(2)
         edges = [_E(nodes[0], nodes[1], 7, 0), _E(nodes[1], nodes[0], 0, 2)]
-        assert minimum_initiation_interval_for_cycles(nodes, edges) == 4
+        assert _bound(nodes, edges) == 4
 
     def test_max_over_cycles(self):
         nodes = _nodes(3)
@@ -85,44 +92,45 @@ class TestRecurrenceBound:
             _E(nodes[0], nodes[1], 3, 0), _E(nodes[1], nodes[0], 0, 1),
             _E(nodes[1], nodes[2], 9, 0), _E(nodes[2], nodes[1], 0, 1),
         ]
-        assert minimum_initiation_interval_for_cycles(nodes, edges) == 9
+        assert _bound(nodes, edges) == 9
 
     def test_self_edge(self):
         nodes = _nodes(1)
         edges = [_E(nodes[0], nodes[0], 5, 1)]
-        assert minimum_initiation_interval_for_cycles(nodes, edges) == 5
+        assert _bound(nodes, edges) == 5
 
     def test_acyclic_is_zero(self):
         nodes = _nodes(2)
         edges = [_E(nodes[0], nodes[1], 5, 0)]
-        assert minimum_initiation_interval_for_cycles(nodes, edges) == 0
+        assert _bound(nodes, edges) == 0
 
     def test_illegal_zero_omega_cycle_raises(self):
         nodes = _nodes(2)
         edges = [_E(nodes[0], nodes[1], 1, 0), _E(nodes[1], nodes[0], 1, 0)]
         with pytest.raises(CyclicDependenceError):
-            minimum_initiation_interval_for_cycles(nodes, edges)
+            _bound(nodes, edges)
 
 
 class TestSymbolicPaths:
     def test_matches_concrete_on_simple_recurrence(self):
         nodes = _nodes(2)
         edges = [_E(nodes[0], nodes[1], 7, 0), _E(nodes[1], nodes[0], 1, 1)]
-        s_min = minimum_initiation_interval_for_cycles(nodes, edges)
-        symbolic = SymbolicPaths(nodes, edges, s_min)
-        for s in range(s_min, s_min + 6):
+        symbolic = SymbolicPaths(nodes, edges)
+        assert symbolic.s_min == 8
+        for s in range(symbolic.s_min, symbolic.s_min + 6):
             concrete = longest_paths(nodes, edges, s)
             for i in range(2):
                 for j in range(2):
-                    assert symbolic.evaluate(nodes[i], nodes[j], s) == \
+                    assert _at(symbolic, nodes[i], nodes[j], s) == \
                         concrete[i][j]
 
     def test_below_validity_bound_rejected(self):
         nodes = _nodes(2)
         edges = [_E(nodes[0], nodes[1], 7, 0), _E(nodes[1], nodes[0], 1, 1)]
-        symbolic = SymbolicPaths(nodes, edges, s_min=8)
+        symbolic = SymbolicPaths(nodes, edges)
+        assert symbolic.s_min == 8
         with pytest.raises(ValueError):
-            symbolic.evaluate(nodes[0], nodes[1], 7)
+            symbolic.dense(7)
 
     def test_frontier_keeps_incomparable_pairs(self):
         nodes = _nodes(2)
@@ -132,10 +140,11 @@ class TestSymbolicPaths:
             _E(nodes[0], nodes[1], 10, 1),
             _E(nodes[0], nodes[1], 2, 0),
         ]
-        symbolic = SymbolicPaths(nodes, edges, s_min=1)
+        symbolic = SymbolicPaths(nodes, edges)
+        assert symbolic.s_min == 1
         assert len(symbolic.frontier(nodes[0], nodes[1])) == 2
-        assert symbolic.evaluate(nodes[0], nodes[1], 1) == 9
-        assert symbolic.evaluate(nodes[0], nodes[1], 20) == 2
+        assert _at(symbolic, nodes[0], nodes[1], 1) == 9
+        assert _at(symbolic, nodes[0], nodes[1], 20) == 2
 
     def test_dominated_pair_pruned(self):
         nodes = _nodes(2)
@@ -143,7 +152,7 @@ class TestSymbolicPaths:
             _E(nodes[0], nodes[1], 10, 1),
             _E(nodes[0], nodes[1], 2, 1),  # strictly worse
         ]
-        symbolic = SymbolicPaths(nodes, edges, s_min=1)
+        symbolic = SymbolicPaths(nodes, edges)
         assert symbolic.frontier(nodes[0], nodes[1]) == ((10, 1),)
 
     def test_randomised_cross_check_against_concrete(self):
@@ -165,17 +174,16 @@ class TestSymbolicPaths:
                        rng.randrange(0, 3))
                 )
             try:
-                s_min = minimum_initiation_interval_for_cycles(nodes, edges)
+                symbolic = SymbolicPaths(nodes, edges)
             except CyclicDependenceError:
                 continue
-            s_min = max(1, s_min)
-            symbolic = SymbolicPaths(nodes, edges, s_min)
+            s_min = symbolic.s_min
             for s in (s_min, s_min + 1, s_min + 3, s_min + 10):
                 concrete = longest_paths(nodes, edges, s)
                 assert concrete is not None
                 for i in range(count):
                     for j in range(count):
-                        assert symbolic.evaluate(nodes[i], nodes[j], s) == \
+                        assert _at(symbolic, nodes[i], nodes[j], s) == \
                             concrete[i][j], (trial, s, i, j)
 
 
@@ -228,7 +236,7 @@ class TestFrontierInvariant:
             self._assert_sorted(paths)
 
 
-class TestDenseCache:
+class TestDense:
     def _paths(self):
         nodes = _nodes(2)
         edges = [
@@ -237,28 +245,14 @@ class TestDenseCache:
         ]
         return SymbolicPaths(nodes, edges)
 
-    def test_repeated_queries_hit(self):
-        from repro.obs import trace as obs
-
+    def test_each_call_materializes_a_fresh_matrix(self):
         paths = self._paths()
-        with obs.observe() as observer:
-            first = paths.dense(paths.s_min)
-            again = paths.dense(paths.s_min)
-        assert again is first
-        assert observer.counters["dense_cache_misses"] == 1
-        assert observer.counters["dense_cache_hits"] == 1
-
-    def test_distinct_intervals_are_distinct_entries(self):
-        from repro.obs import trace as obs
-
-        paths = self._paths()
-        with obs.observe() as observer:
-            paths.dense(paths.s_min)
-            paths.dense(paths.s_min + 1)
-            paths.dense(paths.s_min)
-            paths.dense(paths.s_min + 1)
-        assert observer.counters["dense_cache_misses"] == 2
-        assert observer.counters["dense_cache_hits"] == 2
+        first = paths.dense(paths.s_min)
+        again = paths.dense(paths.s_min)
+        assert again == first and again is not first
+        # Node 1 -> node 0 is the loop-carried edge: 2 - s.
+        assert paths.dense(paths.s_min + 1)[1 * paths.n + 0] == \
+            first[1 * paths.n + 0] - 1
 
     def test_below_s_min_rejected(self):
         paths = self._paths()
@@ -270,13 +264,23 @@ class TestFusedRecurrenceEquivalence:
     """The closure's fused recurrence bound must agree with the numeric
     binary search it replaced, per component and through compute_mii."""
 
+    def test_closure_bench_corpus_matches_numeric(self):
+        # The ``closure`` benchmark's own corpus at its default seed and
+        # full size: every component's bound equals the reference's.
+        from repro.perf.bench import _scc_corpus
+
+        corpus = _scc_corpus(2024, 400)
+        assert len(corpus) > 400
+        for component, internal in corpus:
+            assert SymbolicPaths(component, internal).recurrence_bound == \
+                numeric_recurrence_bound(component, internal)
+
     def test_property_fused_equals_numeric(self):
         from hypothesis import HealthCheck, given, settings
         from hypothesis import strategies as st
 
         from repro.audit.generate import GraphConfig, random_dep_graph
         from repro.core.mii import component_internal_edges, compute_mii
-        from repro.deps.paths import numeric_recurrence_bound
         from repro.deps.scc import strongly_connected_components
         from repro.machine import WARP
 

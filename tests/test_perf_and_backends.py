@@ -149,11 +149,6 @@ class TestBenchReport:
         assert gap["mean_gap"] >= 0.0
         assert gap["max_gap"] >= 0
 
-    def test_closure_agrees_and_beats_numeric(self, report):
-        closure = report.benchmarks["closure"]
-        assert closure["mismatches"] == 0
-        assert closure["speedup_vs_numeric"] > 1.0
-
     def test_backend_comparison_runs_all_three_legs(self, report):
         backends = report.benchmarks["backends"]
         assert backends["thread_seconds"] > 0

@@ -14,12 +14,12 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+from repro.audit.oracle import audit_modulo_resources, audit_precedence
 from repro.core.compile import CompilerPolicy, compile_program
 from repro.core.mve import plan_expansion
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.reduction import build_reduced_loop_graph
 from repro.core.schedule import SchedulingFailure
-from repro.core.validate import check_kernel_schedule
 from repro.ir import FLOAT, ProgramBuilder
 from repro.machine import SIMPLE, WARP, make_simple, make_warp
 from repro.simulator import run_and_check
@@ -98,7 +98,8 @@ def test_schedules_satisfy_all_constraints(program, machine):
     except SchedulingFailure:
         return
     schedule = result.schedule
-    check_kernel_schedule(schedule)
+    assert audit_modulo_resources(schedule) == []
+    assert audit_precedence(schedule) == []
     assert schedule.ii >= schedule.mii.mii
 
 

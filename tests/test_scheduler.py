@@ -2,16 +2,17 @@
 
 import pytest
 
+from repro.audit.oracle import (
+    PRECEDENCE,
+    audit_block_schedule,
+    audit_modulo_resources,
+    audit_precedence,
+)
 from repro.core.listsched import block_heights, list_schedule_block
 from repro.core.mii import compute_mii, recurrence_mii, resource_mii
 from repro.core.mrt import ModuloReservationTable
 from repro.core.pipeliner import ModuloScheduler, PipelinerPolicy
 from repro.core.schedule import SchedulingFailure
-from repro.core.validate import (
-    ScheduleViolation,
-    check_block_schedule,
-    check_kernel_schedule,
-)
 from repro.deps import DependenceOptions, build_block_graph, build_loop_graph
 from repro.core.reduction import build_reduced_loop_graph
 from repro.ir import Imm, Opcode, Operation, ProgramBuilder, Reg
@@ -22,13 +23,18 @@ from repro.obs import trace as obs
 
 def _acc_loop():
     """An accumulator loop: one nontrivial SCC, so prepare() builds a
-    symbolic closure whose dense matrices are cacheable per interval."""
+    symbolic closure."""
     pb = ProgramBuilder("acc")
     pb.array("a", 256)
     s = pb.fmov(0.0)
     with pb.loop("i", 0, 9) as body:
         body.fadd(s, body.load("a", body.var), dest=s)
     return build_reduced_loop_graph(pb.finish().body[-1], WARP)
+
+
+def _assert_valid(schedule):
+    assert audit_modulo_resources(schedule) == []
+    assert audit_precedence(schedule) == []
 
 
 def _vadd_loop(n=99):
@@ -169,7 +175,7 @@ class TestListScheduling:
         graph = build_block_graph(ops, WARP)
         schedule = list_schedule_block(graph, WARP)
         assert schedule.times[1] - schedule.times[0] >= 7
-        check_block_schedule(schedule)
+        assert audit_block_schedule(schedule) == []
 
     def test_packs_independent_ops_across_units(self):
         ops = [
@@ -215,7 +221,7 @@ class TestModuloScheduler:
         result = ModuloScheduler(WARP).schedule(lg.graph)
         assert result.schedule.ii == 2
         assert result.schedule.achieved_lower_bound
-        check_kernel_schedule(result.schedule)
+        _assert_valid(result.schedule)
 
     def test_branch_reservation_counted(self):
         # With only the sequencer contended, the branch still forces ii >= 1
@@ -224,7 +230,10 @@ class TestModuloScheduler:
         result = ModuloScheduler(
             WARP, PipelinerPolicy(reserve_branch=False)
         ).schedule(lg.graph)
-        check_kernel_schedule(result.schedule, reserved_branch=None)
+        assert audit_modulo_resources(
+            result.schedule, reserved_branch=None
+        ) == []
+        assert audit_precedence(result.schedule) == []
 
     def test_recurrence_constrains_ii(self):
         pb = ProgramBuilder("acc")
@@ -235,7 +244,7 @@ class TestModuloScheduler:
         lg = build_reduced_loop_graph(pb.finish().body[-1], WARP)
         result = ModuloScheduler(WARP).schedule(lg.graph)
         assert result.schedule.ii == 7
-        check_kernel_schedule(result.schedule)
+        _assert_valid(result.schedule)
 
     def test_linear_search_records_attempts(self):
         lg = build_reduced_loop_graph(_vadd_loop(), WARP)
@@ -247,7 +256,7 @@ class TestModuloScheduler:
         result = ModuloScheduler(
             WARP, PipelinerPolicy(search="binary")
         ).schedule(lg.graph)
-        check_kernel_schedule(result.schedule)
+        _assert_valid(result.schedule)
         assert result.schedule.ii >= result.schedule.mii.mii
 
     def test_unknown_search_policy_rejected(self):
@@ -268,7 +277,7 @@ class TestModuloScheduler:
         result = ModuloScheduler(WARP).schedule_at(lg.graph, 5)
         assert result is not None
         assert result.schedule.ii == 5
-        check_kernel_schedule(result.schedule)
+        _assert_valid(result.schedule)
 
     def test_failure_below_cap_raises(self):
         lg = build_reduced_loop_graph(_vadd_loop(), WARP)
@@ -289,7 +298,7 @@ class TestModuloScheduler:
         """The steady state of any found schedule never oversubscribes."""
         lg = build_reduced_loop_graph(_vadd_loop(), SIMPLE)
         result = ModuloScheduler(SIMPLE).schedule(lg.graph)
-        check_kernel_schedule(result.schedule)
+        _assert_valid(result.schedule)
 
     def test_validator_catches_broken_schedule(self):
         lg = build_reduced_loop_graph(_vadd_loop(), WARP)
@@ -299,29 +308,12 @@ class TestModuloScheduler:
             e for e in schedule.graph.edges if e.omega == 0 and e.delay > 0
         )
         schedule.times[edge.dst.index] = schedule.times[edge.src.index]
-        with pytest.raises(ScheduleViolation):
-            check_kernel_schedule(schedule)
+        assert [v.kind for v in audit_precedence(schedule)] == [PRECEDENCE]
 
 
 class TestPreparedSharing:
-    """The per-scheduler prepare() memo and the dense-matrix cache it
-    feeds.  Before the memo existed every schedule()/schedule_at() call
-    re-prepared the graph from scratch, so the per-interval dense cache
-    inside each symbolic closure was rebuilt and never hit — the
-    benchmark showed dense_cache_hits 0 against 1674 misses."""
-
-    def test_repeat_scheduling_hits_dense_cache(self):
-        # The regression test for the dead memoization: scheduling the
-        # same graph twice at the same interval must reuse the prepared
-        # closure, so the second pass hits the dense cache instead of
-        # rebuilding the matrices.  Fails on the old per-call prepare.
-        lg = _acc_loop()
-        scheduler = ModuloScheduler(WARP)
-        with obs.observe() as observer:
-            result = scheduler.schedule(lg.graph)
-            again = scheduler.schedule_at(lg.graph, result.ii)
-        assert again is not None and again.ii == result.ii
-        assert observer.counters.get("dense_cache_hits", 0) > 0
+    """The per-scheduler prepare() memo: repeat schedules of one graph
+    (the exact backend's cross-check) reuse its SCCs and closures."""
 
     def test_prepare_memoizes_by_graph_identity(self):
         lg = _acc_loop()
@@ -352,10 +344,9 @@ class TestPreparedSharing:
         lg = _acc_loop()
         scheduler = ModuloScheduler(WARP)
         with obs.observe() as observer:
-            scheduler.schedule(lg.graph)
-            scheduler.schedule(lg.graph)
-            counters = dict(observer.counters)
-        # Every dense matrix the first search built is reused by the
-        # second, and the second builds none of its own.
-        assert counters["dense_cache_misses"] > 0
-        assert counters["dense_cache_hits"] == counters["dense_cache_misses"]
+            first = scheduler.schedule(lg.graph)
+            again = scheduler.schedule(lg.graph)
+        assert again.ii == first.ii
+        # Preparation (SCCs, closures, MII) runs in the "mii" phase, and
+        # only the first search pays for it.
+        assert observer.phase_calls["mii"] == 1

@@ -11,7 +11,7 @@ from repro.core.acyclic import (
 from repro.core.cyclic import Cluster, _zero_omega_order, schedule_component
 from repro.core.mrt import ModuloReservationTable
 from repro.deps.graph import DepGraph, DepNode
-from repro.deps.paths import SymbolicPaths, minimum_initiation_interval_for_cycles
+from repro.deps.paths import SymbolicPaths
 from repro.ir import Opcode, Operation
 from repro.machine import WARP
 from repro.machine.resources import ReservationTable
@@ -87,21 +87,20 @@ def _scc(edge_specs):
 class TestComponentScheduling:
     def test_simple_recurrence_scheduled_within_bound(self):
         nodes, edges = _scc([(0, 1, 3, 0), (1, 0, 1, 1)])
-        s_min = minimum_initiation_interval_for_cycles(nodes, edges)
-        paths = SymbolicPaths(nodes, edges, s_min)
-        cluster = schedule_component(nodes, paths, s_min, WARP)
+        paths = SymbolicPaths(nodes, edges)
+        cluster = schedule_component(nodes, paths, paths.s_min, WARP)
         assert cluster is not None
         assert cluster.offset_of(nodes[1]) - cluster.offset_of(nodes[0]) >= 3
 
     def test_offsets_normalised_to_zero(self):
         nodes, edges = _scc([(0, 1, 3, 0), (1, 0, 1, 1)])
-        paths = SymbolicPaths(nodes, edges, 4)
+        paths = SymbolicPaths(nodes, edges)
         cluster = schedule_component(nodes, paths, 4, WARP)
         assert min(cluster.offsets.values()) == 0
 
     def test_cluster_reservation_aggregates_members(self):
         nodes, edges = _scc([(0, 1, 3, 0), (1, 0, 1, 1)])
-        paths = SymbolicPaths(nodes, edges, 4)
+        paths = SymbolicPaths(nodes, edges)
         cluster = schedule_component(nodes, paths, 4, WARP)
         assert cluster.reservation.total_use("alu") == 2
         assert cluster.span >= 4
@@ -113,15 +112,14 @@ class TestComponentScheduling:
         # resource-infeasible case instead: two ALU nodes pinned to the
         # same modulo slot at s=1.
         nodes, edges = _scc([(0, 1, 1, 0), (1, 0, 0, 1)])
-        s_min = minimum_initiation_interval_for_cycles(nodes, edges)
-        paths = SymbolicPaths(nodes, edges, max(1, s_min))
-        cluster = schedule_component(nodes, paths, max(1, s_min), WARP)
+        paths = SymbolicPaths(nodes, edges)
+        cluster = schedule_component(nodes, paths, paths.s_min, WARP)
         # s_min = 1: both nodes would need the single ALU in the same row.
         assert cluster is None
 
     def test_larger_interval_recovers(self):
         nodes, edges = _scc([(0, 1, 1, 0), (1, 0, 0, 1)])
-        paths = SymbolicPaths(nodes, edges, 1)
+        paths = SymbolicPaths(nodes, edges)
         cluster = schedule_component(nodes, paths, 2, WARP)
         assert cluster is not None
 
@@ -160,8 +158,7 @@ class TestZeroOmegaOrder:
         # End to end: the SCC with the index-decreasing intra-iteration
         # edge still schedules, and the precedence constraint holds.
         nodes, edges = _scc([(1, 0, 3, 0), (0, 1, 1, 1)])
-        s_min = minimum_initiation_interval_for_cycles(nodes, edges)
-        paths = SymbolicPaths(nodes, edges, s_min)
-        cluster = schedule_component(nodes, paths, s_min, WARP)
+        paths = SymbolicPaths(nodes, edges)
+        cluster = schedule_component(nodes, paths, paths.s_min, WARP)
         assert cluster is not None
         assert cluster.offset_of(nodes[0]) - cluster.offset_of(nodes[1]) >= 3

@@ -1,22 +1,26 @@
-"""The flat-schedule validator: prolog/epilog coverage of modulo schedules.
+"""The flat-window oracle: prolog/epilog coverage of modulo schedules.
 
-:func:`check_kernel_schedule` proves the steady state; the flat check
-(`check_flat_schedule`) expands a window of concrete iterations at
-``i * ii + sigma`` and re-checks every precedence edge between the
+:func:`audit_modulo_resources` and :func:`audit_precedence` prove the
+steady state; :func:`audit_window` expands a window of concrete iterations
+at ``i * ii + sigma`` and re-checks every precedence edge between the
 instances it actually connects, plus absolute per-cycle resource usage
-through the ramp-up and drain.  Valid schedules must always pass;
-deliberately corrupted ones must always raise :class:`ScheduleViolation`.
+through the ramp-up and drain.  Valid schedules must always come back
+clean; deliberately corrupted ones must always be reported, with the
+violation kind naming the broken constraint.
 """
 
 import pytest
 
+from repro.audit.oracle import (
+    RESOURCE,
+    WINDOW_PRECEDENCE,
+    WINDOW_RESOURCE,
+    audit_modulo_resources,
+    audit_precedence,
+    audit_window,
+)
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.reduction import build_reduced_loop_graph
-from repro.core.validate import (
-    ScheduleViolation,
-    check_flat_schedule,
-    check_kernel_schedule,
-)
 from repro.ir import ProgramBuilder
 from repro.machine import SIMPLE, WARP
 
@@ -34,6 +38,16 @@ def _vadd_schedule(machine=WARP):
     return ModuloScheduler(machine).schedule(lg.graph).schedule
 
 
+def _steady_state_clean(schedule):
+    return not audit_modulo_resources(schedule) and not audit_precedence(
+        schedule
+    )
+
+
+def _kinds(violations):
+    return {v.kind for v in violations}
+
+
 def _recurrence_schedule(machine=WARP):
     pb = ProgramBuilder("acc")
     pb.array("a", 256)
@@ -49,30 +63,30 @@ class TestValidSchedulesPass:
     @pytest.mark.parametrize("machine", [WARP, SIMPLE], ids=["warp", "simple"])
     def test_vadd(self, machine):
         schedule = _vadd_schedule(machine)
-        check_kernel_schedule(schedule)
-        check_flat_schedule(schedule)
+        assert _steady_state_clean(schedule)
+        assert audit_window(schedule) == []
 
     @pytest.mark.parametrize("machine", [WARP, SIMPLE], ids=["warp", "simple"])
     def test_recurrence(self, machine):
         schedule = _recurrence_schedule(machine)
-        check_kernel_schedule(schedule)
-        check_flat_schedule(schedule)
+        assert _steady_state_clean(schedule)
+        assert audit_window(schedule) == []
 
     def test_conditional_reduced_loop(self):
         loop = build_conditional().body[-1]
         lg = build_reduced_loop_graph(loop, WARP)
         schedule = ModuloScheduler(WARP).schedule(lg.graph).schedule
-        check_flat_schedule(schedule)
+        assert audit_window(schedule) == []
 
     def test_long_window(self):
         # A much longer window than the default must stay clean too: the
         # steady state repeats, so violations cannot appear later.
         schedule = _vadd_schedule()
-        check_flat_schedule(schedule, iterations=25)
+        assert audit_window(schedule, iterations=25) == []
 
     def test_zero_iterations_is_trivially_valid(self):
         schedule = _vadd_schedule()
-        check_flat_schedule(schedule, iterations=0)
+        assert audit_window(schedule, iterations=0) == []
 
 
 class TestCorruptedSchedulesFail:
@@ -84,8 +98,7 @@ class TestCorruptedSchedulesFail:
             e for e in schedule.graph.edges if e.omega == 0 and e.delay > 1
         )
         schedule.times[edge.dst.index] = schedule.times[edge.src.index]
-        with pytest.raises(ScheduleViolation, match="precedence"):
-            check_flat_schedule(schedule)
+        assert WINDOW_PRECEDENCE in _kinds(audit_window(schedule))
 
     def test_shifted_op_breaks_loop_carried_precedence(self):
         # A recurrence edge (omega >= 1) constrains *successive* instances;
@@ -106,8 +119,7 @@ class TestCorruptedSchedulesFail:
             - edge.delay
             + 1
         )
-        with pytest.raises(ScheduleViolation):
-            check_flat_schedule(schedule)
+        assert WINDOW_PRECEDENCE in _kinds(audit_window(schedule))
 
     def test_oversubscribed_resource(self):
         # vadd's load and store are WARP's only two mem ops and mem has a
@@ -120,21 +132,18 @@ class TestCorruptedSchedulesFail:
         ]
         assert len(nodes) >= 2
         first, second = nodes[:2]
-        # Break ties away from precedence: move the *later* op earlier
-        # could trip precedence first, so instead move the earlier op onto
-        # the later op's cycle (a pure resource clash for vadd's
-        # load -> store chain is impossible without precedence damage, so
-        # match on the resource message explicitly).
+        # Move the earlier op onto the later op's cycle.  For vadd's
+        # load -> store chain that also damages precedence, but the
+        # oracles report every violation, so the resource clash must be
+        # among them with or without the branch reservation.
         schedule.times[first.index] = schedule.times[second.index]
-        with pytest.raises(ScheduleViolation):
-            check_flat_schedule(schedule)
-        corrupted = schedule
-        try:
-            check_flat_schedule(corrupted, reserved_branch=None)
-        except ScheduleViolation:
-            pass
-        else:  # pragma: no cover - corruption must never go unnoticed
-            pytest.fail("oversubscription escaped the flat validator")
+        for branch in ("seq", None):
+            assert WINDOW_RESOURCE in _kinds(
+                audit_window(schedule, reserved_branch=branch)
+            )
+            assert RESOURCE in _kinds(
+                audit_modulo_resources(schedule, reserved_branch=branch)
+            )
 
     def test_pure_resource_clash_reports_resource(self):
         # Two *independent* loads (no edge between them) moved onto the
@@ -172,8 +181,9 @@ class TestCorruptedSchedulesFail:
         assert independent is not None, "expected two independent mem ops"
         a, b = independent
         schedule.times[a.index] = schedule.times[b.index]
-        with pytest.raises(ScheduleViolation, match="mem"):
-            check_flat_schedule(schedule)
+        violations = audit_window(schedule)
+        assert _kinds(violations) == {WINDOW_RESOURCE}
+        assert all("'mem'" in v.detail for v in violations)
 
     def test_branch_slot_is_accounted(self):
         # The loop branch claims one unit of the branch resource at cycle
@@ -181,7 +191,8 @@ class TestCorruptedSchedulesFail:
         # modulo rows, so pretending the branch issues on 'mem' must clash
         # while the real 'seq' reservation (and none at all) stay clean.
         schedule = _vadd_schedule()
-        check_flat_schedule(schedule, reserved_branch="seq")
-        check_flat_schedule(schedule, reserved_branch=None)
-        with pytest.raises(ScheduleViolation, match="mem"):
-            check_flat_schedule(schedule, reserved_branch="mem")
+        assert audit_window(schedule, reserved_branch="seq") == []
+        assert audit_window(schedule, reserved_branch=None) == []
+        violations = audit_window(schedule, reserved_branch="mem")
+        assert _kinds(violations) == {WINDOW_RESOURCE}
+        assert all("'mem'" in v.detail for v in violations)
