@@ -4,13 +4,30 @@ A compilation is a pure function of three inputs: the IR program, the
 machine description, and the compiler policy.  Each input is reduced to a
 stable fingerprint (the IR via the canonical printer, the machine via its
 latency/reservation tables, the policy via its field values), and the
-SHA-256 of the three together keys the cached :class:`CompiledProgram`.
+SHA-256 of the three together with the cache format and a hash of the
+compiler's own sources keys the cached :class:`CompiledProgram`.  Folding
+in the compiler fingerprint means a persisted cache can never serve
+output from a different compiler.
+
+Keys are two-level.  The IR key above is the source of truth: two
+sources that lower to the same IR share one entry.  In front of it sits
+an in-memory alias map from :func:`source_key` (SHA-256 of the format,
+compiler, machine and policy fingerprints and the raw source text) to
+the IR key, so a repeated request resolves with one hash and a dictionary
+probe instead of re-running the frontend.  The alias hashes the request
+policy, not the effective one: ``{$independent}`` directives in the
+source widen it, and the request policy plus the source text determine
+the result.  Aliases are never persisted.
 
 The cache has two layers: an in-process dictionary (always on) and an
 optional on-disk backend under ``.repro_cache/`` holding one pickle per
 key, sharded by the first two hex digits.  Writes are atomic
 (temp-file + rename), so concurrent batch workers may share a directory.
-Hit/miss counters feed the batch driver's ``--stats`` output.
+Hit/miss counters feed the batch driver's ``--stats`` output.  The
+in-memory entries and the aliases are each LRU-bounded by
+:data:`MEMORY_ENTRIES`, so a long-lived server does not grow without
+bound; an evicted entry still on disk is re-read on its next hit, and an
+alias whose entry is gone falls back to parsing and the IR key.
 
 The disk layer carries a sharded in-memory index of its keys, built by
 one directory walk at open and maintained on every ``put``: a ``get``
@@ -31,12 +48,14 @@ directory per task.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pickle
 import tempfile
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -47,16 +66,34 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.compile import CompiledProgram, CompilerPolicy
     from repro.ir.stmts import Program
 
-#: Bumped whenever the emitted-code format or the compiler's output
-#: changes incompatibly; invalidates every existing cache entry.
+#: Bumping it invalidates every existing cache entry.  A change to the
+#: ``repro`` sources already does (see :func:`compiler_fingerprint`), so
+#: a bump is only needed when something outside them changes the output.
 CACHE_FORMAT = 1
 
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+#: LRU bound, in entries, on the in-memory compiled programs and,
+#: separately, on the source aliases of one :class:`ScheduleCache`.
+MEMORY_ENTRIES = 4096
 
 #: Per-process registry backing :meth:`ScheduleCache.shared` (the
 #: unpickle target for process-pool workers), keyed by cache path.
 _SHARED_CACHES: dict[Optional[str], "ScheduleCache"] = {}
 _SHARED_LOCK = threading.Lock()
+
+
+@functools.cache
+def compiler_fingerprint() -> str:
+    """SHA-256 over the ``repro`` package's Python sources (relative path
+    and bytes, in path order), computed once per process on first use."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def fingerprint_program(program: "Program") -> str:
@@ -68,25 +105,8 @@ def fingerprint_program(program: "Program") -> str:
 
 def fingerprint_machine(machine: MachineDescription) -> str:
     """Stable fingerprint of everything scheduling-relevant in a machine
-    description: resources, op classes (latency + reservation rows),
-    register count, and clock."""
-    payload: dict[str, Any] = {
-        "name": machine.name,
-        "resources": dict(sorted(machine.resources.items())),
-        "num_registers": machine.num_registers,
-        "clock_mhz": machine.clock_mhz,
-        "flop_opcodes": sorted(machine.flop_opcodes),
-        "op_classes": {
-            name: {
-                "latency": cls.latency,
-                "reservation": list(cls.reservation),
-            }
-            for name, cls in sorted(machine.op_classes.items())
-        },
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
+    description, computed once when the description is built."""
+    return machine.fingerprint
 
 
 def fingerprint_policy(policy: "CompilerPolicy") -> str:
@@ -115,6 +135,7 @@ def cache_key(
     combined = "\n".join(
         (
             f"format={CACHE_FORMAT}",
+            compiler_fingerprint(),
             fingerprint_program(program),
             fingerprint_machine(machine),
             fingerprint_policy(policy),
@@ -123,8 +144,28 @@ def cache_key(
     return hashlib.sha256(combined.encode()).hexdigest()
 
 
+def source_key(
+    source: str,
+    machine: MachineDescription,
+    policy: "CompilerPolicy",
+) -> str:
+    """The alias of one request: the source text under the request's
+    machine and policy, before any pragma is applied."""
+    combined = "\n".join(
+        (
+            f"format={CACHE_FORMAT}",
+            compiler_fingerprint(),
+            fingerprint_machine(machine),
+            fingerprint_policy(policy),
+            source,
+        )
+    )
+    return hashlib.sha256(combined.encode()).hexdigest()
+
+
 class ScheduleCache:
-    """Two-layer (memory + optional disk) cache of compiled programs.
+    """Two-layer (memory + optional disk) cache of compiled programs, with
+    an in-memory source alias map in front of the IR key.
 
     ``path=None`` keeps the cache purely in-memory; otherwise entries are
     persisted under ``path`` and survive across processes, so re-running a
@@ -133,11 +174,15 @@ class ScheduleCache:
 
     def __init__(self, path: str | os.PathLike | None = DEFAULT_CACHE_DIR):
         self.path: Optional[Path] = Path(path) if path is not None else None
-        self._memory: dict[str, "CompiledProgram"] = {}
+        self._memory: OrderedDict[str, "CompiledProgram"] = OrderedDict()
+        self._aliases: OrderedDict[str, str] = OrderedDict()
         self._index: dict[str, set[str]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.source_hits = 0
+        self.evictions = 0
+        self.alias_evictions = 0
         if self.path is not None:
             self.refresh_index()
 
@@ -153,6 +198,15 @@ class ScheduleCache:
                 self.hits += 1
             else:
                 self.misses += 1
+
+    def _remember(self, key: str, compiled: "CompiledProgram") -> None:
+        """Insert into the memory layer, evicting least recently used
+        entries past :data:`MEMORY_ENTRIES`.  Caller holds the lock."""
+        self._memory[key] = compiled
+        self._memory.move_to_end(key)
+        while len(self._memory) > MEMORY_ENTRIES:
+            self._memory.popitem(last=False)
+            self.evictions += 1
 
     # -- the on-disk key index -----------------------------------------------
 
@@ -229,15 +283,15 @@ class ScheduleCache:
 
     # -- the cache protocol --------------------------------------------------
 
-    def get(self, key: str) -> Optional["CompiledProgram"]:
-        """The cached compilation for ``key``, or ``None`` (counted as a
-        miss).  A miss against the disk layer is an index probe — no
-        ``stat``/``open`` syscall per absent key."""
+    def _lookup(self, key: str) -> Optional["CompiledProgram"]:
+        """Memory, then disk: the compilation for ``key`` or ``None``,
+        uncounted.  A key missing from the disk layer is an index probe —
+        no ``stat``/``open`` syscall per absent key."""
         with self._lock:
             cached = self._memory.get(key)
-        if cached is not None:
-            self._record(hit=True)
-            return cached
+            if cached is not None:
+                self._memory.move_to_end(key)
+                return cached
         if self.path is not None and self._index_has(key):
             entry = self._entry_path(key)
             try:
@@ -250,15 +304,50 @@ class ScheduleCache:
                 self._index_discard(key)
             else:
                 with self._lock:
-                    self._memory[key] = compiled
-                self._record(hit=True)
+                    self._remember(key, compiled)
                 return compiled
-        self._record(hit=False)
         return None
+
+    def get(self, key: str) -> Optional["CompiledProgram"]:
+        """The cached compilation for ``key``, or ``None`` (counted as a
+        miss)."""
+        compiled = self._lookup(key)
+        self._record(hit=compiled is not None)
+        return compiled
+
+    def resolve(self, alias: str) -> Optional["CompiledProgram"]:
+        """The cached compilation behind a :func:`source_key` alias.
+
+        A resolved alias counts one hit (and one source hit).  An unknown
+        alias, or one whose entry has been evicted, counts nothing: the
+        caller falls back to parsing and :meth:`get` on the IR key, which
+        counts the miss.
+        """
+        with self._lock:
+            key = self._aliases.get(alias)
+            if key is None:
+                return None
+            self._aliases.move_to_end(alias)
+        compiled = self._lookup(key)
+        if compiled is not None:
+            with self._lock:
+                self.hits += 1
+                self.source_hits += 1
+        return compiled
+
+    def add_alias(self, alias: str, key: str) -> None:
+        """Point the source alias ``alias`` at the IR key ``key``, evicting
+        least recently used aliases past :data:`MEMORY_ENTRIES`."""
+        with self._lock:
+            self._aliases[alias] = key
+            self._aliases.move_to_end(alias)
+            while len(self._aliases) > MEMORY_ENTRIES:
+                self._aliases.popitem(last=False)
+                self.alias_evictions += 1
 
     def put(self, key: str, compiled: "CompiledProgram") -> None:
         with self._lock:
-            self._memory[key] = compiled
+            self._remember(key, compiled)
         if self.path is None:
             return
         entry = self._entry_path(key)
@@ -288,18 +377,24 @@ class ScheduleCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
+            "source_hits": self.source_hits,
             "memory_entries": len(self._memory),
+            "aliases": len(self._aliases),
+            "evictions": self.evictions,
+            "alias_evictions": self.alias_evictions,
             "index_size": self.index_size,
             "path": str(self.path) if self.path is not None else None,
         }
 
     def clear(self) -> None:
-        """Drop the in-memory layer and delete every on-disk entry."""
+        """Drop the in-memory layer and the aliases, reset the counters,
+        and delete every on-disk entry."""
         with self._lock:
             self._memory.clear()
+            self._aliases.clear()
             self._index = {}
-            self.hits = 0
-            self.misses = 0
+            self.hits = self.misses = self.source_hits = 0
+            self.evictions = self.alias_evictions = 0
         if self.path is not None and self.path.is_dir():
             for shard in self.path.iterdir():
                 if shard.is_dir():

@@ -28,7 +28,7 @@ import traceback as _traceback
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from repro.batch.cache import ScheduleCache, cache_key
+from repro.batch.cache import ScheduleCache, cache_key, source_key
 from repro.batch.pool import BACKENDS, WorkerPool
 from repro.core.compile import CompiledProgram, CompilerPolicy, compile_program
 from repro.machine import WARP, MachineDescription
@@ -253,10 +253,27 @@ def compile_one(
 
     Never raises for compiler-side failures: syntax errors, unschedulable
     loops, and register exhaustion all come back as ``result.error``.
+
+    With a cache, a source already served under this machine and policy
+    is answered from its alias before the frontend runs, so its
+    ``collect_stats`` stats carry no phases at all; a new source is
+    parsed, looked up by its IR key and, on a hit or after compiling,
+    aliased.  Sources that fail to compile are never aliased.
     """
     t0 = time.perf_counter()
     with obs.observe() as observer:
         try:
+            if cache is not None:
+                alias = source_key(source, machine, policy)
+                cached = cache.resolve(alias)
+                if cached is not None:
+                    return CompileResult(
+                        name=name,
+                        compiled=cached,
+                        from_cache=True,
+                        seconds=time.perf_counter() - t0,
+                        stats=observer.to_dict() if collect_stats else None,
+                    )
             with obs.phase("frontend"):
                 from repro.frontend import parse_program
 
@@ -272,6 +289,7 @@ def compile_one(
                 key = cache_key(program, machine, policy)
                 cached = cache.get(key)
                 if cached is not None:
+                    cache.add_alias(alias, key)
                     return CompileResult(
                         name=name,
                         compiled=cached,
@@ -285,6 +303,7 @@ def compile_one(
                     cache.put(key, compiled)
                 except OSError:
                     pass  # an unwritable cache must not fail the program
+                cache.add_alias(alias, key)
         except Exception as exc:
             phase = observer.events[-1].name if observer.events else ""
             return CompileResult(

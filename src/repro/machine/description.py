@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -91,6 +93,30 @@ class MachineDescription:
                         f"op class {cls.name!r} needs {amount} x {resource!r}, "
                         f"machine has {self.resources[resource]}"
                     )
+        # Nothing mutates a description after construction, so the cache
+        # fingerprint is computed once here instead of on every lookup.
+        self.fingerprint: str = self._fingerprint()
+
+    def _fingerprint(self) -> str:
+        """SHA-256 of everything scheduling-relevant: resources, op classes
+        (latency + reservation rows), register count, and clock."""
+        payload = {
+            "name": self.name,
+            "resources": dict(sorted(self.resources.items())),
+            "num_registers": self.num_registers,
+            "clock_mhz": self.clock_mhz,
+            "flop_opcodes": sorted(self.flop_opcodes),
+            "op_classes": {
+                name: {
+                    "latency": cls.latency,
+                    "reservation": list(cls.reservation),
+                }
+                for name, cls in sorted(self.op_classes.items())
+            },
+        }
+        return hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
 
     def op_class(self, opcode: str) -> OpClass:
         try:
