@@ -370,25 +370,25 @@ def _place(
     time: int,
     iteration: int,
     renamer: Renamer,
-    rename_iteration: Optional[int] = None,
 ) -> None:
-    """Place an atom.  ``iteration`` tags the slot for the simulator's
-    iteration arithmetic; ``rename_iteration`` (defaulting to the same) is
-    what the modulo-variable-expansion copy rule sees.  They differ only in
-    the epilog, where the absolute iteration ``n - j`` is congruent to
-    ``k - j`` modulo every copy count (all copy counts divide the unroll),
-    so renaming can stay independent of the runtime trip count."""
-    if rename_iteration is None:
-        rename_iteration = iteration
+    """Place an atom renamed for ``iteration``, which also tags the slot
+    for the simulator's iteration arithmetic."""
     buffer.add(
         time,
         SlotOp(
-            renamer.rename(atom, rename_iteration),
+            renamer.rename(atom, iteration),
             iteration=iteration,
             preds=atom.preds,
             cbr_uid=atom.cbr_uid,
         ),
     )
+
+
+def _touches(op: Operation, regs: dict[Reg, int]) -> bool:
+    """Whether ``op`` reads or writes any register in ``regs``."""
+    if op.dest in regs:
+        return True
+    return any(isinstance(src, Reg) and src in regs for src in op.srcs)
 
 
 def emit_block(
@@ -515,7 +515,6 @@ def emit_pipelined_loop(
     graph, s = schedule.graph, schedule.ii
     u = plan.unroll
     k = schedule.stage_count - 1
-    length = schedule.length
 
     prolog = InstructionBuffer(k * s)
     kernel = InstructionBuffer(u * s)
@@ -527,21 +526,34 @@ def emit_pipelined_loop(
         sigma = schedule.times[node.index]
         for atom in flatten_node(node):
             e = sigma + atom.delta
+            # Section 2.3: every expanded register's copy count divides u,
+            # so an atom's renaming depends only on its iteration modulo u,
+            # and not at all when it touches no expanded register.  The
+            # placements below visit iterations 0, 1, ... in order up to
+            # a full kernel, so renaming each residue once, in order, hands
+            # the allocator every register copy in the order one renaming
+            # per placement would.
+            period = u if _touches(atom.op, plan.copies) else 1
+            ops = [renamer.rename(atom, r) for r in range(period)]
+            preds, cbr_uid = atom.preds, atom.cbr_uid
             # Prolog: iterations 0..k-1, flat times below k*s.
             for i in range(k):
                 t = i * s + e
                 if t < k * s:
-                    _place(prolog, atom, t, i, renamer)
+                    prolog.add(t, SlotOp(ops[i % period], i, preds, cbr_uid))
             # Kernel: positions congruent to e modulo s.
             for tau in range(e % s, u * s, s):
-                c = (tau - e) // s
-                _place(kernel, atom, tau, k + c, renamer)
-            # Epilog: the last k iterations' tails (iteration n - j).
+                c = k + (tau - e) // s
+                kernel.add(tau, SlotOp(ops[c % period], c, preds, cbr_uid))
+            # Epilog: the last k iterations' tails.  The slot names
+            # iteration n - j, which is congruent to k - j modulo every
+            # copy count, so the renaming is independent of the runtime
+            # trip count.
             for j in range(1, k + 1):
                 t = e - j * s
                 if t >= 0:
-                    _place(epilog, atom, t, -j, renamer,
-                           rename_iteration=k - j)
+                    epilog.add(t, SlotOp(ops[(k - j) % period], -j, preds,
+                                         cbr_uid))
 
     kernel.add(
         u * s - 1, SlotOp(Operation(Opcode.CJUMP, target=label or "kernel"))

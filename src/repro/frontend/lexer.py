@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 KEYWORDS = frozenset(
     {
@@ -41,77 +42,69 @@ class Pragma:
     line: int
 
 
+#: One token (or newline, or comment) per match, after any other
+#: whitespace.  The alternatives are tried in the order a per-character
+#: scanner decides: keywords are ASCII letters in any case (no other
+#: character lowers to one) and must not run on into an identifier, so
+#: their order does not matter; identifiers start with a letter or ``_``;
+#: a number starts with a digit, or with ``.`` and a digit; a symbol is
+#: the first of ``SYMBOLS`` the text starts with.  ``\s``, ``\w`` and
+#: ``\d`` are ``str.isspace``, ``isalnum`` or ``_``, and ``isdecimal``.
+#: Only whitespace at the very end of the source matches nothing, so the
+#: matches cover all the rest.
+_TOKEN = re.compile(
+    r"[^\S\n]*(?:"
+    r"(?P<newline>\n)"
+    r"|(?P<keyword>(?ai:"
+    + "|".join(sorted(KEYWORDS))
+    + r")(?!\w))"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<float>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + r")"
+    r"|(?P<comment>\{[^}]*\})"
+    r"|(?P<unterminated>\{)"
+    r"|(?P<other>\S)"
+    r")"
+)
+
+
 def tokenize(source: str) -> tuple[list[Token], list[Pragma]]:
     """Split source into tokens; ``{...}`` comments are skipped, except
     ``{$name args}`` compiler directives, which are collected."""
     tokens: list[Token] = []
     pragmas: list[Pragma] = []
-    pos, line = 0, 1
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch == "\n":
+    line = 1
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match[kind]
+        if kind == "ident":
+            # ``\w`` less the digits still holds the non-letter numerics.
+            if text[0] >= "\x80" and not text[0].isalpha():
+                raise LexError(f"line {line}: unexpected character {text[0]!r}")
+            tokens.append(Token(kind, text, line))
+        elif kind == "symbol":
+            tokens.append(Token(kind, text, line))
+        elif kind == "newline":
             line += 1
-            pos += 1
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "{":
-            close = source.find("}", pos)
-            if close < 0:
-                raise LexError(f"line {line}: unterminated comment")
-            body = source[pos + 1:close]
-            if body.startswith("$"):
-                parts = body[1:].replace(",", " ").split()
+        elif kind == "keyword":
+            tokens.append(
+                Token(kind, text if text in KEYWORDS else text.lower(), line)
+            )
+        elif kind == "int":
+            tokens.append(Token(kind, text, line, int(text)))
+        elif kind == "float":
+            tokens.append(Token(kind, text, line, float(text)))
+        elif kind == "comment":
+            if text.startswith("{$"):
+                parts = text[2:-1].replace(",", " ").split()
                 if not parts:
                     raise LexError(f"line {line}: empty compiler directive")
                 pragmas.append(Pragma(parts[0], tuple(parts[1:]), line))
-            line += source.count("\n", pos, close)
-            pos = close + 1
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < n and source[pos + 1].isdigit()):
-            start = pos
-            while pos < n and source[pos].isdigit():
-                pos += 1
-            is_float = False
-            if pos < n and source[pos] == "." and pos + 1 < n and source[pos + 1].isdigit():
-                is_float = True
-                pos += 1
-                while pos < n and source[pos].isdigit():
-                    pos += 1
-            if pos < n and source[pos] in "eE":
-                after = pos + 1
-                if after < n and source[after] in "+-":
-                    after += 1
-                if after < n and source[after].isdigit():
-                    is_float = True
-                    pos = after
-                    while pos < n and source[pos].isdigit():
-                        pos += 1
-            text = source[start:pos]
-            if is_float:
-                tokens.append(Token("float", text, line, float(text)))
-            else:
-                tokens.append(Token("int", text, line, int(text)))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (source[pos].isalnum() or source[pos] == "_"):
-                pos += 1
-            text = source[start:pos]
-            lowered = text.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token("keyword", lowered, line))
-            else:
-                tokens.append(Token("ident", text, line))
-            continue
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, pos):
-                tokens.append(Token("symbol", symbol, line))
-                pos += len(symbol)
-                break
+            line += text.count("\n")
+        elif kind == "unterminated":
+            raise LexError(f"line {line}: unterminated comment")
         else:
-            raise LexError(f"line {line}: unexpected character {ch!r}")
+            raise LexError(f"line {line}: unexpected character {text!r}")
     tokens.append(Token("eof", "", line))
     return tokens, pragmas

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -11,23 +12,35 @@ INT = "int"
 FLOAT = "float"
 
 
-@dataclass(frozen=True, order=True)
-class Reg:
-    """A virtual register.  Identity is by name; ``kind`` is metadata."""
+class Reg(tuple):
+    """A virtual register: the immutable pair ``(name, kind)``.
 
-    name: str
-    kind: str = INT
+    A ``tuple`` subclass, so hashing, equality and ordering (by name, then
+    kind) run in C; registers key most of the compiler's dicts and sets.
+    A register therefore also equals the plain tuple ``(name, kind)``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in (INT, FLOAT):
-            raise ValueError(f"bad register kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str = INT) -> "Reg":
+        if kind not in (INT, FLOAT):
+            raise ValueError(f"bad register kind {kind!r}")
+        return tuple.__new__(cls, (name, kind))
+
+    name = property(operator.itemgetter(0), doc="The register's name.")
+    kind = property(operator.itemgetter(1), doc="``INT`` or ``FLOAT``.")
+
+    def __getnewargs__(self) -> tuple[str, str]:
+        # Pickling and copying rebuild through ``__new__(name, kind)``;
+        # ``tuple``'s own hook would pass the pair as one argument.
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"%{self.name}"
+        return f"%{self[0]}"
 
     @property
     def is_float(self) -> bool:
-        return self.kind == FLOAT
+        return self[1] == FLOAT
 
 
 @dataclass(frozen=True)

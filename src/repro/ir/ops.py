@@ -66,6 +66,12 @@ class Opcode(enum.Enum):
     CBR = "cbr"
     NOP = "nop"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # exact and runs in C (``Enum.__hash__`` is a Python call per lookup).
+    # No code iterates a set of opcodes to produce output, so the
+    # per-process hash order is never observable.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"Opcode.{self.name}"
 

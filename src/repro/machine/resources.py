@@ -54,17 +54,23 @@ class ResourceUse:
 class ReservationTable:
     """A sparse map ``(time, resource) -> units held``.
 
-    Immutable by convention: all combinators return new tables.
+    Immutable by convention: every table's cells are assigned once, when
+    it is built, and all combinators return new tables.
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ("_cells", "length")
 
     def __init__(self, uses: Iterable[ResourceUse] = ()) -> None:
         cells: dict[tuple[int, str], int] = {}
         for use in uses:
             key = (use.time, use.resource)
             cells[key] = cells.get(key, 0) + use.amount
+        self._set_cells(cells)
+
+    def _set_cells(self, cells: dict[tuple[int, str], int]) -> None:
         self._cells = cells
+        #: Number of cycles spanned (1 + last occupied relative time).
+        self.length = 1 + max(cells)[0] if cells else 0
 
     @classmethod
     def single(cls, resource: str, time: int = 0, amount: int = 1) -> "ReservationTable":
@@ -73,8 +79,8 @@ class ReservationTable:
 
     @classmethod
     def from_cells(cls, cells: Mapping[tuple[int, str], int]) -> "ReservationTable":
-        table = cls()
-        table._cells.update({k: v for k, v in cells.items() if v > 0})
+        table = cls.__new__(cls)
+        table._set_cells({k: v for k, v in cells.items() if v > 0})
         return table
 
     # -- inspection ---------------------------------------------------------
@@ -96,13 +102,6 @@ class ReservationTable:
 
     def amount_at(self, time: int, resource: str) -> int:
         return self._cells.get((time, resource), 0)
-
-    @property
-    def length(self) -> int:
-        """Number of cycles spanned (1 + last occupied relative time)."""
-        if not self._cells:
-            return 0
-        return 1 + max(time for time, _ in self._cells)
 
     def resources(self) -> set[str]:
         return {resource for _, resource in self._cells}

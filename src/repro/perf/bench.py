@@ -19,7 +19,10 @@ Five benchmarks, all seeded and deterministic in the work they measure:
     block), plus declines confirmed infeasible versus missed schedules.
 ``suite``
     Serial batch compilation of the synthetic 72-loop suite through
-    ``compile_many`` — the closest thing to the paper's workload.
+    ``compile_many`` — the closest thing to the paper's workload.  A
+    second, untimed pass with per-program stats reports where the time
+    goes: per-unit seconds of every compile phase (``phases``, not
+    gated, since the observers add their own overhead).
 ``backends``
     The service workload — a stream of small compile batches — through
     the process backend with per-call pools (the old arrangement: one
@@ -130,6 +133,12 @@ class BenchReport:
                 f" {suite['wall_seconds'] * 1e3:.1f} ms"
                 f" ({suite['per_unit_seconds'] * 1e3:.1f} ms/program)"
             )
+            phases = sorted(suite.get("phases", {}).items(),
+                            key=lambda item: -item[1])
+            if phases:
+                lines.append("    phases (ms/program): " + ", ".join(
+                    f"{name} {seconds * 1e3:.2f}" for name, seconds in phases
+                ))
         backends = self.benchmarks.get("backends")
         if backends:
             lines.append(
@@ -320,13 +329,17 @@ def bench_suite(count: int) -> dict[str, Any]:
     measured work is the compiler, not the pickle layer)."""
     programs = generate_suite()[:count]
     report = compile_many(programs, WARP, jobs=1)
+    units = max(1, len(report.results))
+    observed = compile_many(programs, WARP, jobs=1, collect_stats=True)
     return {
         "units": len(report.results),
         "wall_seconds": round(report.wall_seconds, 6),
-        "per_unit_seconds": round(
-            report.wall_seconds / max(1, len(report.results)), 9
-        ),
+        "per_unit_seconds": round(report.wall_seconds / units, 9),
         "errors": len(report.errors),
+        "phases": {
+            name: round(phase["seconds"] / units, 9)
+            for name, phase in observed.to_dict().get("phases", {}).items()
+        },
     }
 
 

@@ -9,14 +9,30 @@ shipped fast paths to.
 * :class:`DictModuloReservationTable` — the name-keyed modulo reservation
   table, the differential oracle for the integer-packed
   :class:`repro.core.mrt.ModuloReservationTable`.
+* :func:`reference_tokenize` — the per-character scanner, the oracle for
+  the one-regex :func:`repro.frontend.lexer.tokenize`.
+* :func:`reference_emit_pipelined_loop` — prolog, kernel and epilog with
+  one renaming per placement, the oracle for
+  :func:`repro.core.emit.emit_pipelined_loop`'s one renaming per residue.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.emit import (
+    InstructionBuffer,
+    PipelinedLoopRegion,
+    Renamer,
+    SlotOp,
+    flatten_node,
+)
+from repro.core.mve import ExpansionPlan
+from repro.core.schedule import KernelSchedule
 from repro.deps.graph import DepEdge, DepNode
 from repro.deps.paths import NEG_INF, CyclicDependenceError
+from repro.frontend.lexer import KEYWORDS, SYMBOLS, LexError, Pragma, Token
+from repro.ir.ops import Opcode, Operation
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
 
@@ -130,3 +146,135 @@ class DictModuloReservationTable:
             if self.fits(reservation, time):
                 return time
         return None
+
+
+def reference_tokenize(source: str) -> tuple[list[Token], list[Pragma]]:
+    """The per-character scanner: split source into tokens, skipping
+    ``{...}`` comments but collecting ``{$name args}`` directives."""
+    tokens: list[Token] = []
+    pragmas: list[Pragma] = []
+    pos, line = 0, 1
+    n = len(source)
+    while pos < n:
+        ch = source[pos]
+        if ch == "\n":
+            line += 1
+            pos += 1
+            continue
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch == "{":
+            close = source.find("}", pos)
+            if close < 0:
+                raise LexError(f"line {line}: unterminated comment")
+            body = source[pos + 1:close]
+            if body.startswith("$"):
+                parts = body[1:].replace(",", " ").split()
+                if not parts:
+                    raise LexError(f"line {line}: empty compiler directive")
+                pragmas.append(Pragma(parts[0], tuple(parts[1:]), line))
+            line += source.count("\n", pos, close)
+            pos = close + 1
+            continue
+        if ch.isdigit() or (ch == "." and pos + 1 < n and source[pos + 1].isdigit()):
+            start = pos
+            while pos < n and source[pos].isdigit():
+                pos += 1
+            is_float = False
+            if pos < n and source[pos] == "." and pos + 1 < n and source[pos + 1].isdigit():
+                is_float = True
+                pos += 1
+                while pos < n and source[pos].isdigit():
+                    pos += 1
+            if pos < n and source[pos] in "eE":
+                after = pos + 1
+                if after < n and source[after] in "+-":
+                    after += 1
+                if after < n and source[after].isdigit():
+                    is_float = True
+                    pos = after
+                    while pos < n and source[pos].isdigit():
+                        pos += 1
+            text = source[start:pos]
+            if is_float:
+                tokens.append(Token("float", text, line, float(text)))
+            else:
+                tokens.append(Token("int", text, line, int(text)))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos
+            while pos < n and (source[pos].isalnum() or source[pos] == "_"):
+                pos += 1
+            text = source[start:pos]
+            lowered = text.lower()
+            if lowered in KEYWORDS:
+                tokens.append(Token("keyword", lowered, line))
+            else:
+                tokens.append(Token("ident", text, line))
+            continue
+        for symbol in SYMBOLS:
+            if source.startswith(symbol, pos):
+                tokens.append(Token("symbol", symbol, line))
+                pos += len(symbol)
+                break
+        else:
+            raise LexError(f"line {line}: unexpected character {ch!r}")
+    tokens.append(Token("eof", "", line))
+    return tokens, pragmas
+
+
+def reference_emit_pipelined_loop(
+    schedule: KernelSchedule,
+    plan: ExpansionPlan,
+    renamer: Renamer,
+    passes,
+    *,
+    label: str = "",
+) -> PipelinedLoopRegion:
+    """Prolog, unrolled kernel and epilog of a modulo schedule, renaming
+    every placement of every atom for its own iteration.  The epilog's
+    slots carry iteration ``-j`` but are renamed for ``k - j``, which is
+    congruent to the absolute ``n - j`` modulo every copy count."""
+    graph, s = schedule.graph, schedule.ii
+    u = plan.unroll
+    k = schedule.stage_count - 1
+
+    prolog = InstructionBuffer(k * s)
+    kernel = InstructionBuffer(u * s)
+    epilog = InstructionBuffer(max(0, schedule.completion_length - s))
+
+    def place(buffer, atom, time, iteration, rename_iteration):
+        buffer.add(time, SlotOp(renamer.rename(atom, rename_iteration),
+                                iteration=iteration, preds=atom.preds,
+                                cbr_uid=atom.cbr_uid))
+
+    for node in sorted(graph.nodes, key=lambda n: n.index):
+        sigma = schedule.times[node.index]
+        for atom in flatten_node(node):
+            e = sigma + atom.delta
+            for i in range(k):
+                t = i * s + e
+                if t < k * s:
+                    place(prolog, atom, t, i, i)
+            for tau in range(e % s, u * s, s):
+                c = (tau - e) // s
+                place(kernel, atom, tau, k + c, k + c)
+            for j in range(1, k + 1):
+                t = e - j * s
+                if t >= 0:
+                    place(epilog, atom, t, -j, k - j)
+
+    kernel.add(
+        u * s - 1, SlotOp(Operation(Opcode.CJUMP, target=label or "kernel"))
+    )
+    return PipelinedLoopRegion(
+        prolog=prolog.instructions,
+        kernel=kernel.instructions,
+        epilog=epilog.instructions,
+        passes=passes,
+        unroll=u,
+        started_in_prolog=k,
+        ii=s,
+        label=label,
+    )

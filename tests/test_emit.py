@@ -1,6 +1,8 @@
 """Code emission: regions, prolog/kernel/epilog structure, register
 allocation, code-size properties (paper, section 2.4)."""
 
+import copy
+
 import pytest
 
 from repro.core.compile import CompilerPolicy, compile_program
@@ -9,6 +11,7 @@ from repro.core.emit import (
     PipelinedLoopRegion,
     RegisterAllocator,
     RegisterPressureError,
+    Renamer,
     SequentialLoopRegion,
     TripSpec,
     region_size,
@@ -18,6 +21,7 @@ from repro.core.pipeliner import ModuloScheduler
 from repro.core.reduction import build_reduced_loop_graph
 from repro.ir import FLOAT, Imm, Opcode, ProgramBuilder, Reg
 from repro.machine import WARP
+from repro.workloads import LIVERMORE_KERNELS
 from conftest import build_conditional, build_dot, build_vadd
 
 
@@ -182,3 +186,94 @@ class TestGlueMinimality:
                     if slot.op.opcode is Opcode.FMOV
                 )
         assert glue_movs  # the dot-product sum is read after the loop
+
+
+class TestRenamePerResidue:
+    """``emit_pipelined_loop`` renames an atom once per iteration residue
+    modulo the unroll (once if it touches no expanded register), and its
+    code and register numbering equal one renaming per placement."""
+
+    def _emit_loops(self, monkeypatch, sources):
+        import repro.core.compile as compile_mod
+        from repro.frontend import parse_program
+        from reference import reference_emit_pipelined_loop
+
+        real = compile_mod.emit_pipelined_loop
+        loops = []
+
+        def checked(schedule, plan, renamer, passes, *, label=""):
+            # The reference runs first on a copy of the allocator, so both
+            # see the same registers already taken.
+            ref_alloc = copy.copy(renamer.alloc)
+            ref_alloc._map = dict(renamer.alloc._map)
+            expected = reference_emit_pipelined_loop(
+                schedule, plan, Renamer(ref_alloc, plan), passes, label=label
+            )
+            renamed = []
+            rename = renamer.rename
+
+            def counting(atom, iteration):
+                renamed.append(atom)
+                return rename(atom, iteration)
+
+            monkeypatch.setattr(renamer, "rename", counting)
+            region = real(schedule, plan, renamer, passes, label=label)
+            assert region == expected, label
+            assert list(renamer.alloc._map.items()) == list(
+                ref_alloc._map.items()
+            ), label
+            loops.append((plan, region, renamed))
+            return region
+
+        monkeypatch.setattr(compile_mod, "emit_pipelined_loop", checked)
+        for source in sources:
+            program, _ = parse_program(source)
+            compile_program(program, WARP)
+        return loops
+
+    #: A loop whose invariant store touches no expanded register.
+    INVARIANT_STORE = """program t;
+var a: array[64] of float; b: array[64] of float; x: float;
+begin
+  x := 2.0;
+  for i := 0 to 49 do
+  begin
+    a[i] := b[i] * x;
+    b[60] := x
+  end;
+end.
+"""
+
+    def test_renames_per_residue_and_matches_reference(self, monkeypatch):
+        loops = self._emit_loops(
+            monkeypatch,
+            [kernel.source for kernel in LIVERMORE_KERNELS.values()]
+            + [self.INVARIANT_STORE],
+        )
+        assert loops
+        rolled = untouched = 0
+        for plan, region, renamed in loops:
+            calls: dict[int, int] = {}
+            for atom in renamed:
+                calls[id(atom)] = calls.get(id(atom), 0) + 1
+            atoms = {id(atom): atom for atom in renamed}
+            for key, count in calls.items():
+                op = atoms[key].op
+                touched = [op.dest, *op.srcs]
+                if any(isinstance(r, Reg) and r in plan.copies
+                       for r in touched):
+                    assert count <= plan.unroll
+                else:
+                    assert count == 1
+                    untouched += plan.unroll > 1
+            placements = sum(
+                len(instr.slots)
+                for part in (region.prolog, region.kernel, region.epilog)
+                for instr in part
+            ) - 1  # the loop-back branch is not a placement
+            if plan.unroll > 1 and region.started_in_prolog >= 1:
+                rolled += 1
+                assert len(renamed) < placements
+        # The corpus exercises u > 1 with a prolog, and an atom renamed
+        # once although the kernel holds it u times.
+        assert rolled and untouched

@@ -1,5 +1,8 @@
 """IR: operands, operations, statements, builder, printer."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.ir import (
@@ -50,6 +53,71 @@ class TestOperands:
     def test_as_operand_rejects_strings(self):
         with pytest.raises(TypeError):
             as_operand("x")
+
+
+class TestRegValueType:
+    """``Reg`` is an immutable ``(name, kind)`` tuple: C-level hashing and
+    equality, with the dataclass's old observable behaviour."""
+
+    def test_equality_and_hash_cover_name_and_kind(self):
+        assert Reg("x", INT) == Reg("x", INT)
+        assert hash(Reg("x", FLOAT)) == hash(Reg("x", FLOAT))
+        assert Reg("x", INT) != Reg("x", FLOAT)
+        assert Reg("x") != Reg("y")
+        assert len({Reg("x", INT), Reg("x", FLOAT), Reg("x")}) == 2
+
+    def test_fields_and_repr(self):
+        reg = Reg("acc", FLOAT)
+        assert (reg.name, reg.kind) == ("acc", FLOAT)
+        assert Reg("i").kind == INT
+        assert Reg(name="t", kind=FLOAT) == Reg("t", FLOAT)
+        assert repr(reg) == "%acc"
+
+    def test_bad_kind_raises_value_error(self):
+        with pytest.raises(ValueError, match="bad register kind"):
+            Reg("x", "complex")
+        with pytest.raises(ValueError):
+            Reg("x", kind="double")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        # The process pool ships IR and code objects between processes.
+        for reg in (Reg("x"), Reg("y", FLOAT)):
+            back = pickle.loads(pickle.dumps(reg, protocol))
+            assert type(back) is Reg
+            assert back == reg and back.kind == reg.kind
+        op = Operation(Opcode.FADD, Reg("d", FLOAT), (Reg("a", FLOAT), Imm(1.0)))
+        assert pickle.loads(pickle.dumps(op)) == op
+
+    def test_copy_keeps_type(self):
+        reg = Reg("x", FLOAT)
+        assert type(copy.copy(reg)) is Reg and copy.deepcopy(reg) == reg
+
+    def test_immutable(self):
+        reg = Reg("x")
+        with pytest.raises(AttributeError):
+            reg.name = "y"
+        with pytest.raises(AttributeError):
+            reg.kind = FLOAT
+        with pytest.raises(AttributeError):
+            reg.extra = 1
+
+    def test_sorted_by_name_then_kind(self):
+        regs = [Reg("b"), Reg("a", FLOAT), Reg("a", INT), Reg("c", FLOAT)]
+        assert sorted(regs) == [
+            Reg("a", FLOAT), Reg("a", INT), Reg("b"), Reg("c", FLOAT),
+        ]
+
+    def test_imm_is_not_a_reg(self):
+        assert not isinstance(Imm(1), Reg)
+        assert Imm(1) != Reg("1")
+        assert as_operand(Imm(1)) == Imm(1)
+
+    def test_equals_the_plain_tuple(self):
+        # A consequence of the tuple representation that the dataclass did
+        # not have: no compiler dict or set mixes the two key shapes.
+        assert Reg("x", FLOAT) == ("x", FLOAT)
+        assert hash(Reg("x")) == hash(("x", INT))
 
 
 class TestOperation:

@@ -110,6 +110,33 @@ class TestReservationTable:
         )
         assert list(table) == [(0, "alu", 1), (2, "mem", 1)]
 
+    def test_length_matches_recomputation(self):
+        """``length`` is computed once, when a table's cells are assigned;
+        every constructor and combinator must leave it equal to a fresh
+        count over the cells."""
+
+        def recomputed(table):
+            return 1 + max(time for time, _, _ in table) if table else 0
+
+        a = ReservationTable([ResourceUse(0, "alu"), ResourceUse(2, "mem")])
+        b = ReservationTable([ResourceUse(1, "alu", 2), ResourceUse(4, "fadd")])
+        tables = {
+            "empty": ReservationTable(),
+            "single": ReservationTable.single("fadd", time=3),
+            "shifted": a.shifted(5),
+            "merged": a.merged(b),
+            "union_max": a.union_max(b),
+            "saturated": a.saturated({"seq": 1, "alu": 2}, 7),
+            "saturated_empty": ReservationTable().saturated({"seq": 1}, 0),
+            "from_cells": ReservationTable.from_cells(
+                {(0, "alu"): 1, (6, "mem"): 0}
+            ),
+        }
+        for name, table in tables.items():
+            assert table.length == recomputed(table), name
+        assert tables["from_cells"].length == 1  # zero cells are dropped
+        assert tables["saturated"].length == 7
+
 
 class TestOpClass:
     def test_negative_latency_rejected(self):

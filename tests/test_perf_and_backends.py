@@ -170,6 +170,32 @@ class TestBenchReport:
         assert loadgen["units"] == loadgen["clients"] * \
             loadgen["requests_per_client"]
 
+    def test_suite_phase_split(self, report):
+        """``suite`` splits its compile time by phase from an untimed
+        stats pass, reported per program."""
+        phases = report.benchmarks["suite"]["phases"]
+        for name in ("frontend", "verify", "deps", "ii_attempt", "mve",
+                     "emit"):
+            assert phases[name] > 0, name
+        assert "phases (ms/program)" in report.summary()
+
+    def test_suite_phases_are_not_gated(self, report, tmp_path):
+        """The observers add their own overhead, so only the timed pass's
+        per-unit seconds is compared."""
+        from repro.perf import compare_reports, write_report
+        from repro.perf.bench import BenchReport
+
+        baseline = tmp_path / "baseline.json"
+        write_report(report, str(baseline))
+        suite = report.benchmarks["suite"]
+        slow_phases = BenchReport(
+            quick=True, jobs=2, cpu_count=report.cpu_count,
+            benchmarks={"suite": dict(suite, phases={
+                name: seconds * 100 for name, seconds in suite["phases"].items()
+            })},
+        )
+        assert compare_reports(str(baseline), slow_phases) == []
+
     def test_summary_mentions_every_benchmark(self, report):
         text = report.summary()
         for word in ("closure", "scheduler", "optimality", "suite",
