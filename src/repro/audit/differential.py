@@ -23,10 +23,9 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.audit.oracle import Violation, _report, audit_result
-from repro.core.compile import CompilerPolicy, compile_program
+from repro.core.compile import CompilerPolicy, compile_program, scheduler_for
 from repro.core.emit import RegisterPressureError
 from repro.core.mve import plan_expansion
-from repro.core.pipeliner import ModuloScheduler, PipelinerPolicy
 from repro.core.reduction import build_reduced_loop_graph, fresh_uid_scope
 from repro.core.schedule import SchedulingFailure
 from repro.deps.build import DependenceOptions
@@ -66,7 +65,8 @@ def audit_loop_schedules(
     """Re-schedule each innermost loop and audit the result directly.
 
     The compiler discards its :class:`PipelineResult` after emission; this
-    rebuilds one per loop under the same policy so the oracles can see it.
+    rebuilds one per loop under the same policy, with the scheduler backend
+    the policy names, so the oracles can see it.
     Scheduler declines (no interval found, oversized bodies) are counted
     but are not violations — the compiler falls back to the unpipelined
     loop in those cases.
@@ -83,9 +83,7 @@ def audit_loop_schedules(
                 serialize_ifs=policy.serialize_ifs,
                 expand=policy.pipeline,
             )
-            scheduler = ModuloScheduler(
-                machine, PipelinerPolicy(search=policy.search)
-            )
+            scheduler = scheduler_for(machine, policy)
             try:
                 result = scheduler.schedule(lg.graph)
             except SchedulingFailure:

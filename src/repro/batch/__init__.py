@@ -11,8 +11,8 @@
   submission for small work items and queue-depth/utilization accounting.
 * :mod:`repro.batch.cache` — a schedule cache keyed on the SHA-256 of
   (IR fingerprint, machine fingerprint, policy fingerprint), with an
-  in-memory layer plus an on-disk backend under ``.repro_cache/`` (fronted
-  by a sharded in-memory key index) and hit/miss counters.
+  in-memory layer plus an on-disk backend under ``.repro_cache/`` and
+  hit/miss counters.
 """
 
 from repro.batch.cache import (
@@ -35,8 +35,6 @@ from repro.batch.pool import (
     BACKENDS,
     WorkerPool,
     chunk_size,
-    close_shared_pools,
-    shared_pool,
 )
 
 __all__ = [
@@ -49,12 +47,10 @@ __all__ = [
     "WorkerPool",
     "cache_key",
     "chunk_size",
-    "close_shared_pools",
     "compile_many",
     "compile_one",
     "fingerprint_machine",
     "fingerprint_policy",
     "fingerprint_program",
     "run_many",
-    "shared_pool",
 ]

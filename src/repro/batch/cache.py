@@ -21,28 +21,21 @@ the result.  Aliases are never persisted.
 
 The cache has two layers: an in-process dictionary (always on) and an
 optional on-disk backend under ``.repro_cache/`` holding one pickle per
-key, sharded by the first two hex digits.  Writes are atomic
+key, sharded by the first two hex digits.  A disk lookup is one ``open``
+of the entry's path: a missing, truncated or corrupt file is a miss, and
+an entry another process wrote is visible at once.  Writes are atomic
 (temp-file + rename), so concurrent batch workers may share a directory.
 Hit/miss counters feed the batch driver's ``--stats`` output.  The
 in-memory entries and the aliases are each LRU-bounded by
 :data:`MEMORY_ENTRIES`, so a long-lived server does not grow without
-bound; an evicted entry still on disk is re-read on its next hit, and an
-alias whose entry is gone falls back to parsing and the IR key.
-
-The disk layer carries a sharded in-memory index of its keys, built by
-one directory walk at open and maintained on every ``put``: a ``get``
-that misses is a dictionary probe, not a failed ``open``/``stat`` per
-call, which matters once long-lived servers and warm worker pools field
-thousands of lookups against the same directory.  Entries written by a
-*different* process after open are not visible until
-:meth:`ScheduleCache.refresh_index` (a miss just recompiles — correct,
-merely redundant).
+bound however large the disk layer gets; an evicted entry still on disk
+is re-read on its next hit, and an alias whose entry is gone falls back
+to parsing and the IR key.
 
 Unpickling a cache (how it crosses into process-pool workers) resolves to
 one shared per-process instance per cache path (:meth:`ScheduleCache.
-shared`), so persistent workers keep a warm memory layer and a
-once-scanned index across every task they run instead of re-opening the
-directory per task.
+shared`), so persistent workers keep a warm memory layer across every
+task they run.
 """
 
 from __future__ import annotations
@@ -176,15 +169,12 @@ class ScheduleCache:
         self.path: Optional[Path] = Path(path) if path is not None else None
         self._memory: OrderedDict[str, "CompiledProgram"] = OrderedDict()
         self._aliases: OrderedDict[str, str] = OrderedDict()
-        self._index: dict[str, set[str]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.source_hits = 0
         self.evictions = 0
         self.alias_evictions = 0
-        if self.path is not None:
-            self.refresh_index()
 
     # -- internals -----------------------------------------------------------
 
@@ -208,53 +198,6 @@ class ScheduleCache:
             self._memory.popitem(last=False)
             self.evictions += 1
 
-    # -- the on-disk key index -----------------------------------------------
-
-    def refresh_index(self) -> int:
-        """Rescan the cache directory into the sharded in-memory key index
-        and return the number of indexed keys.
-
-        One walk at open covers the common case; call this to pick up
-        entries written by *other* processes since (a stale index only
-        costs a redundant recompile, never a wrong result).
-        """
-        index: dict[str, set[str]] = {}
-        if self.path is not None and self.path.is_dir():
-            for shard in self.path.iterdir():
-                if not (shard.is_dir() and len(shard.name) == 2):
-                    continue
-                keys = {
-                    entry.name[: -len(".pkl")]
-                    for entry in shard.iterdir()
-                    if entry.name.endswith(".pkl")
-                }
-                if keys:
-                    index[shard.name] = keys
-        with self._lock:
-            self._index = index
-            return sum(len(keys) for keys in index.values())
-
-    @property
-    def index_size(self) -> int:
-        """Number of on-disk keys the index currently knows about."""
-        with self._lock:
-            return sum(len(keys) for keys in self._index.values())
-
-    def _index_has(self, key: str) -> bool:
-        with self._lock:
-            shard = self._index.get(key[:2])
-            return shard is not None and key in shard
-
-    def _index_add(self, key: str) -> None:
-        with self._lock:
-            self._index.setdefault(key[:2], set()).add(key)
-
-    def _index_discard(self, key: str) -> None:
-        with self._lock:
-            shard = self._index.get(key[:2])
-            if shard is not None:
-                shard.discard(key)
-
     # -- pickling (process-pool batch backend) -------------------------------
 
     @classmethod
@@ -264,7 +207,7 @@ class ScheduleCache:
         This is the unpickle target: only the disk path crosses a process
         boundary, and every task landing in one worker process resolves to
         the same instance, so a persistent worker keeps its memory layer
-        and key index warm across tasks.  Counters start at zero in each
+        warm across tasks.  Counters start at zero in each
         process (batch hit/miss accounting rides on per-result flags, not
         on these counters).  Two memory-only caches (``path=None``) merge
         into one per-process instance when unpickled — harmless, since
@@ -285,28 +228,25 @@ class ScheduleCache:
 
     def _lookup(self, key: str) -> Optional["CompiledProgram"]:
         """Memory, then disk: the compilation for ``key`` or ``None``,
-        uncounted.  A key missing from the disk layer is an index probe —
-        no ``stat``/``open`` syscall per absent key."""
+        uncounted."""
         with self._lock:
             cached = self._memory.get(key)
             if cached is not None:
                 self._memory.move_to_end(key)
                 return cached
-        if self.path is not None and self._index_has(key):
-            entry = self._entry_path(key)
-            try:
-                with open(entry, "rb") as handle:
-                    compiled = pickle.load(handle)
-            except Exception:
-                # Unpickling a truncated/corrupt/vanished entry can raise
-                # nearly anything; drop it from the index and treat it as
-                # a miss (the recompile's put restores it).
-                self._index_discard(key)
-            else:
-                with self._lock:
-                    self._remember(key, compiled)
-                return compiled
-        return None
+        if self.path is None:
+            return None
+        try:
+            with open(self._entry_path(key), "rb") as handle:
+                compiled = pickle.load(handle)
+        except Exception:
+            # Unpickling a truncated/corrupt/vanished entry can raise
+            # nearly anything; treat it as a miss (the recompile's put
+            # replaces it).
+            return None
+        with self._lock:
+            self._remember(key, compiled)
+        return compiled
 
     def get(self, key: str) -> Optional["CompiledProgram"]:
         """The cached compilation for ``key``, or ``None`` (counted as a
@@ -363,7 +303,6 @@ class ScheduleCache:
             except OSError:
                 pass
             raise
-        self._index_add(key)
 
     # -- reporting -----------------------------------------------------------
 
@@ -382,7 +321,6 @@ class ScheduleCache:
             "aliases": len(self._aliases),
             "evictions": self.evictions,
             "alias_evictions": self.alias_evictions,
-            "index_size": self.index_size,
             "path": str(self.path) if self.path is not None else None,
         }
 
@@ -392,7 +330,6 @@ class ScheduleCache:
         with self._lock:
             self._memory.clear()
             self._aliases.clear()
-            self._index = {}
             self.hits = self.misses = self.source_hits = 0
             self.evictions = self.alias_evictions = 0
         if self.path is not None and self.path.is_dir():

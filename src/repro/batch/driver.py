@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import time
 import traceback as _traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.batch.cache import ScheduleCache, cache_key, source_key
@@ -47,7 +47,6 @@ def run_many(
     jobs: int = 1,
     backend: str = "thread",
     pool: Optional[WorkerPool] = None,
-    chunk: Optional[int] = None,
 ) -> list[Any]:
     """Generic worker-pool map with submission-order results.
 
@@ -67,9 +66,8 @@ def run_many(
     to reuse across calls (``jobs``/``backend`` are then taken from the
     pool); without one, a fresh pool is spun up and torn down per call —
     fine for one big batch, expensive for a stream of small ones.  Large
-    batches are submitted in chunks (see
-    :func:`~repro.batch.pool.chunk_size`; override with ``chunk``) so tiny
-    work items do not pay a pickle/future round-trip each.
+    batches are submitted in chunks (see :func:`~repro.batch.pool.chunk_size`)
+    so tiny work items do not pay a pickle/future round-trip each.
 
     ``jobs`` must be non-negative; ``jobs`` of 0 or 1 runs the batch
     inline on the calling thread (as does a single-item batch without a
@@ -83,11 +81,11 @@ def run_many(
         )
     items = list(items)
     if pool is not None:
-        return pool.run(items, worker, chunk=chunk)
+        return pool.run(items, worker)
     if jobs <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
     with WorkerPool(jobs=jobs, backend=backend) as ephemeral:
-        return ephemeral.run(items, worker, chunk=chunk)
+        return ephemeral.run(items, worker)
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,11 @@ left the process backend at barely above parity with threads.
 long-lived service needs: submitted/completed task counts, the number of
 in-flight tasks (the queue depth), and a utilization figure, all exposed
 through :meth:`stats` and served by ``repro.serve``'s ``status`` reply.
-
-``shared_pool`` hands out process-wide pools keyed by (backend, jobs), so
-callers that cannot conveniently thread a pool object through their call
-chain can still reuse a warm one.  ``close_shared_pools`` tears them down
-(registered with :mod:`atexit`).
+Callers create a pool and pass it down; its owner closes it.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Optional, Sequence
@@ -60,9 +54,7 @@ class WorkerPool:
     """A persistent thread or process pool with service-grade accounting.
 
     The executor is created lazily on first submission and survives until
-    :meth:`close` (or context-manager exit).  A pool created before a
-    ``fork`` transparently re-creates its executor in the child rather
-    than sharing broken pipes with the parent.
+    :meth:`close` (or context-manager exit).
     """
 
     def __init__(self, jobs: int = 4, backend: str = "thread"):
@@ -75,7 +67,6 @@ class WorkerPool:
         self.jobs = jobs
         self.backend = backend
         self._executor: Optional[Any] = None
-        self._pid: Optional[int] = None
         self._lock = threading.Lock()
         self._closed = False
         self.submitted = 0
@@ -88,19 +79,18 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
-            if self._executor is None or self._pid != os.getpid():
+            if self._executor is None:
                 cls = (
                     ThreadPoolExecutor
                     if self.backend == "thread"
                     else ProcessPoolExecutor
                 )
                 self._executor = cls(max_workers=self.jobs)
-                self._pid = os.getpid()
             return self._executor
 
     @property
     def started(self) -> bool:
-        return self._executor is not None and self._pid == os.getpid()
+        return self._executor is not None
 
     @property
     def closed(self) -> bool:
@@ -137,25 +127,16 @@ class WorkerPool:
         with self._lock:
             self.completed += 1
 
-    def run(
-        self,
-        items: Sequence[Any],
-        worker: Callable[[Any], Any],
-        *,
-        chunk: Optional[int] = None,
-    ) -> list[Any]:
-        """Ordered map over ``items`` with chunked submission.
-
-        ``chunk`` overrides the :func:`chunk_size` heuristic (``chunk=1``
-        forces one task per item).  Results align with input order; a
-        worker exception propagates to the caller exactly as it would from
+    def run(self, items: Sequence[Any], worker: Callable[[Any], Any]) -> list[Any]:
+        """Ordered map over ``items``, submitted in :func:`chunk_size`
+        chunks.  Results align with input order; a worker exception
+        propagates to the caller exactly as it would from
         ``Future.result()`` on the per-item path.
         """
         items = list(items)
         if not items:
             return []
-        size = chunk if chunk is not None else chunk_size(len(items), self.jobs)
-        size = max(1, size)
+        size = chunk_size(len(items), self.jobs)
         with self._lock:
             self.batches += 1
         futures = [
@@ -199,33 +180,3 @@ class WorkerPool:
             "batches": self.batches,
         }
 
-
-# -- module-level shared pools -------------------------------------------------
-
-_SHARED: dict[tuple[str, int], WorkerPool] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def shared_pool(backend: str = "thread", jobs: int = 4) -> WorkerPool:
-    """The process-wide persistent pool for (backend, jobs), created on
-    first request.  Callers must not close it; ``close_shared_pools``
-    (atexit-registered) owns teardown."""
-    key = (backend, jobs)
-    with _SHARED_LOCK:
-        pool = _SHARED.get(key)
-        if pool is None or pool.closed:
-            pool = WorkerPool(jobs=jobs, backend=backend)
-            _SHARED[key] = pool
-        return pool
-
-
-def close_shared_pools(wait: bool = True) -> None:
-    """Close and forget every shared pool (tests and interpreter exit)."""
-    with _SHARED_LOCK:
-        pools = list(_SHARED.values())
-        _SHARED.clear()
-    for pool in pools:
-        pool.close(wait=wait)
-
-
-atexit.register(close_shared_pools)

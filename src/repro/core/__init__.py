@@ -30,12 +30,11 @@ from repro.core.schedule import BlockSchedule, KernelSchedule, SchedulingFailure
 from repro.core.listsched import list_schedule_block
 from repro.core.pipeliner import ModuloScheduler, PipelinerPolicy, PipelineResult
 from repro.core.mve import ExpansionPlan, plan_expansion
-from repro.core.reduction import reduce_loop_body, LoopGraph
+from repro.core.reduction import LoopGraph
 from repro.core.emit import (
     CodeObject,
     emit_pipelined_loop,
     emit_unpipelined_loop,
-    emit_program,
 )
 from repro.core.compile import CompiledProgram, compile_program
 from repro.core.display import (
@@ -59,12 +58,10 @@ __all__ = [
     "PipelineResult",
     "ExpansionPlan",
     "plan_expansion",
-    "reduce_loop_body",
     "LoopGraph",
     "CodeObject",
     "emit_pipelined_loop",
     "emit_unpipelined_loop",
-    "emit_program",
     "CompiledProgram",
     "compile_program",
     "disassemble",

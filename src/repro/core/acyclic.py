@@ -13,7 +13,7 @@ protocol: a ``reservation`` and an index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.mrt import ModuloReservationTable

@@ -20,8 +20,7 @@ two-version arrangement of section 2.4.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.core.emit import (
@@ -31,7 +30,6 @@ from repro.core.emit import (
     GuardedRegion,
     PeelCount,
     PipelinePasses,
-    PipelinedLoopRegion,
     Region,
     RegisterAllocator,
     RegisterPressureError,
@@ -47,7 +45,7 @@ from repro.core.emit import (
 )
 from repro.core.listsched import list_schedule_block
 from repro.core.mve import MIN_UNROLL, ExpansionPlan, plan_expansion
-from repro.core.pipeliner import PipelinerPolicy, create_scheduler
+from repro.core.pipeliner import PipelinerPolicy, SchedulerBackend, create_scheduler
 from repro.core.reduction import (
     _reduce_stmt,
     build_reduced_loop_graph,
@@ -59,7 +57,6 @@ from repro.deps.graph import DepGraph
 from repro.ir.operands import FLOAT, Imm, Operand, Reg
 from repro.ir.ops import Opcode, Operation
 from repro.ir.cse import eliminate_common_subexpressions
-from repro.ir.scan import collect_reads
 from repro.ir.stmts import ForLoop, IfStmt, Program, Stmt
 from repro.ir.verify import verify_program
 from repro.machine.description import MachineDescription
@@ -201,8 +198,7 @@ class _Compiler:
         """Emit compiler glue that already names physical registers."""
         if not ops:
             return []
-        raw = Renamer(_RawAllocator(), None)
-        return [BlockRegion(emit_straightline(ops, self.machine, raw), "glue")]
+        return [BlockRegion(emit_straightline(ops, self.machine), "glue")]
 
     def _reads_outside(self, loop: ForLoop) -> set[Reg]:
         """Registers read anywhere in the program except inside ``loop``."""
@@ -405,20 +401,7 @@ class _Compiler:
         # upper bound" (section 2.2): beyond it the unpipelined loop is at
         # least as good, so the search never looks past it.
         cap = policy.max_ii or max(report.unpipelined_length, 2)
-        exact_budget = None
-        if policy.scheduler_backend == "exact":
-            from repro.exact import ExactBudget
-
-            exact_budget = ExactBudget(
-                max_nodes=policy.exact_max_nodes,
-                max_conflicts=policy.exact_max_conflicts,
-            )
-        scheduler = create_scheduler(
-            self.machine,
-            PipelinerPolicy(search=policy.search, max_ii=cap),
-            backend=policy.scheduler_backend,
-            exact_budget=exact_budget,
-        )
+        scheduler = scheduler_for(self.machine, policy, max_ii=cap)
         report.backend = scheduler.name
         try:
             result = scheduler.schedule(lg.graph)
@@ -630,15 +613,27 @@ class _Compiler:
         return self._emit_unpipelined_regions(loop, block, passes, label)
 
 
-class _RawAllocator:
-    """Pass-through 'allocator' for glue ops that already use physical
-    registers."""
+def scheduler_for(
+    machine: MachineDescription,
+    policy: CompilerPolicy,
+    max_ii: Optional[int] = None,
+) -> SchedulerBackend:
+    """The modulo scheduler backend ``policy`` names, with its search
+    order and exact-search budget, trying intervals up to ``max_ii``."""
+    exact_budget = None
+    if policy.scheduler_backend == "exact":
+        from repro.exact import ExactBudget
 
-    def scalar(self, reg: Reg) -> Reg:
-        return reg
-
-    def copy_reg(self, reg: Reg, copy: int) -> Reg:
-        return reg
+        exact_budget = ExactBudget(
+            max_nodes=policy.exact_max_nodes,
+            max_conflicts=policy.exact_max_conflicts,
+        )
+    return create_scheduler(
+        machine,
+        PipelinerPolicy(search=policy.search, max_ii=max_ii),
+        backend=policy.scheduler_backend,
+        exact_budget=exact_budget,
+    )
 
 
 def _has_nontrivial_recurrence(lg) -> bool:

@@ -18,7 +18,6 @@ union of both arms (see DESIGN.md).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -26,7 +25,7 @@ from repro.core.mve import ExpansionPlan
 from repro.core.reduction import ReducedIf
 from repro.core.schedule import BlockSchedule, KernelSchedule
 from repro.deps.graph import DepNode
-from repro.ir.operands import FLOAT, INT, Imm, Operand, Reg
+from repro.ir.operands import Operand, Reg
 from repro.ir.ops import Opcode, Operation
 from repro.ir.stmts import Program
 from repro.machine.description import MachineDescription
@@ -418,18 +417,17 @@ def emit_block(
 def emit_straightline(
     ops: list[Operation],
     machine: MachineDescription,
-    renamer: Renamer,
 ) -> list[WideInstruction]:
     """Naive one-op-per-cycle emission for compiler glue (register seeds,
-    live-out copies), padded for the final latency."""
+    live-out copies) that already names physical registers, padded for the
+    final latency."""
     if not ops:
         return []
     buffer = InstructionBuffer(0)
     time = 0
     last_commit = 1
     for op in ops:
-        atom = Atom(op, 0, (), None, -1)
-        _place(buffer, atom, time, 0, renamer)
+        buffer.add(time, SlotOp(op))
         last_commit = max(last_commit, time + machine.latency(op.opcode.value))
         time += 1
     buffer.add(max(time, last_commit) - 1, SlotOp(Operation(Opcode.NOP)))
@@ -585,11 +583,3 @@ def emit_unpipelined_loop(
         [BlockRegion(instructions, label=f"{label}.body")], passes, label=label
     )
 
-
-def emit_program(
-    program: Program,
-    machine: MachineDescription,
-    regions: list[Region],
-    register_count: int,
-) -> CodeObject:
-    return CodeObject(program, machine, regions, register_count)

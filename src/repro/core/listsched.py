@@ -13,7 +13,7 @@ of Figure 4-2.
 from __future__ import annotations
 
 from repro.core.schedule import BlockSchedule
-from repro.deps.graph import DepGraph, DepNode
+from repro.deps.graph import DepGraph
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
 

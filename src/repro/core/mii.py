@@ -13,7 +13,7 @@ Two bounds are combined:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.deps.graph import DepEdge, DepGraph, DepNode

@@ -28,7 +28,7 @@ Mechanics, exactly as the paper prescribes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.schedule import KernelSchedule

@@ -27,11 +27,10 @@ from __future__ import annotations
 import contextvars
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.core.listsched import list_schedule_block
-from repro.core.schedule import BlockSchedule
 from repro.deps.build import (
     DependenceOptions,
     connect_block_edges,
@@ -40,7 +39,7 @@ from repro.deps.build import (
     node_from_operation,
 )
 from repro.deps.graph import DefInfo, DepGraph, DepNode, MemAccess, UseInfo
-from repro.ir.operands import Imm, Operand, Reg
+from repro.ir.operands import Operand, Reg
 from repro.ir.ops import Opcode, Operation
 from repro.ir.stmts import ForLoop, IfStmt, Stmt
 from repro.machine.description import MachineDescription
@@ -255,31 +254,6 @@ def _external_uses(
     return tuple(sorted(merged, key=lambda u: (u.reg.name, u.read_offset)))
 
 
-def reduce_loop_body(
-    loop: ForLoop,
-    machine: MachineDescription,
-    options: DependenceOptions = DependenceOptions(),
-    *,
-    serialize_ifs: bool = True,
-) -> LoopGraph:
-    """Reduce an innermost loop body to a flat dependence graph.
-
-    Conditionals become single nodes; the induction-variable increment is
-    materialised.  ``options.expanded_regs`` should already name the
-    registers modulo variable expansion will cover (see
-    :func:`repro.core.mve.expandable_registers`; qualification does not
-    depend on edges, so callers qualify on the nodes first and connect
-    second — helper :func:`build_reduced_loop_graph` does both).
-    """
-    graph = DepGraph()
-    for index, stmt in enumerate(loop.body):
-        graph.add_node(_reduce_stmt(stmt, machine, index, serialize_ifs))
-    increment = make_increment_node(loop, machine, len(loop.body))
-    graph.add_node(increment)
-    connect_loop_edges(graph, loop, options)
-    return LoopGraph(loop, graph, increment, options, machine)
-
-
 def build_reduced_loop_graph(
     loop: ForLoop,
     machine: MachineDescription,
@@ -288,7 +262,13 @@ def build_reduced_loop_graph(
     serialize_ifs: bool = True,
     expand: bool = True,
 ) -> LoopGraph:
-    """Reduce, qualify registers for expansion, then connect edges."""
+    """Reduce an innermost loop body to a flat dependence graph.
+
+    Conditionals become single nodes and the induction-variable increment
+    is materialised.  Registers are qualified for modulo variable
+    expansion on the nodes before the edges are connected (qualification
+    does not depend on edges); ``expand=False`` qualifies none.
+    """
     from repro.core.mve import expandable_registers
 
     graph = DepGraph()

@@ -15,7 +15,7 @@ array references" for some Livermore kernels (Table 4-2, footnote *);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.deps.affine import Affine, access_affine, compute_affine_map

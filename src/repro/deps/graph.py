@@ -10,7 +10,7 @@ construction rules produce exactly the adjusted constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.ir.operands import Reg

@@ -32,7 +32,7 @@ from repro.core.pipeliner import (
 from repro.core.schedule import KernelSchedule, SchedulingFailure
 from repro.deps.graph import DepGraph
 from repro.exact.encode import EncodingTooLarge, InfeasibleInterval, ModuloCnf
-from repro.exact.solver import SAT, UNKNOWN, CdclSolver
+from repro.exact.solver import SAT, UNKNOWN, CdclSolver, SolveResult
 from repro.machine.description import MachineDescription
 from repro.obs import trace as obs
 
@@ -141,52 +141,67 @@ class ExactScheduler:
             obs.count("exact_too_large")
             outcome.status = TOO_LARGE
             return outcome
-        branch = (
-            self.policy.branch_resource if self.policy.reserve_branch else None
-        )
         for s in range(max(1, mii.mii), cap + 1):
             obs.count("exact_ii_attempts")
-            try:
-                encoding = ModuloCnf(
-                    graph,
-                    self.machine,
-                    s,
-                    reserved_branch=branch,
-                    prepared=prepared,
-                    max_time_slots=self.budget.max_time_slots,
-                    max_clauses=self.budget.max_clauses,
-                )
-            except InfeasibleInterval:
-                outcome.statuses[s] = "recurrence"
-                continue
-            except EncodingTooLarge:
-                obs.count("exact_too_large")
+            verdict, times, solved = self._attempt(graph, s, prepared)
+            if verdict == TOO_LARGE:
                 outcome.status = TOO_LARGE
                 return outcome
-            solved = CdclSolver(
-                encoding.num_vars,
-                encoding.clauses,
-                max_conflicts=self.budget.max_conflicts,
-            ).solve()
-            obs.count("exact_sat_calls")
-            outcome.conflicts += solved.conflicts
-            outcome.decisions += solved.decisions
-            if solved.status == SAT:
-                times = encoding.decode(solved.model)
+            outcome.statuses[s] = verdict
+            if solved is not None:
+                outcome.conflicts += solved.conflicts
+                outcome.decisions += solved.decisions
+            if verdict == SAT:
                 outcome.status = OPTIMAL
-                outcome.statuses[s] = "sat"
                 outcome.ii = s
                 outcome.result = self._package(
                     graph, s, times, mii, sorted(outcome.statuses)
                 )
                 return outcome
-            if solved.status == UNKNOWN:
-                obs.count("exact_budget_exhausted")
-                outcome.statuses[s] = "unknown"
+            if verdict == UNKNOWN:
                 outcome.status = BUDGET
                 return outcome
-            outcome.statuses[s] = "unsat"
         return outcome
+
+    def _attempt(
+        self, graph: DepGraph, s: int, prepared
+    ) -> tuple[str, Optional[dict[int, int]], Optional[SolveResult]]:
+        """One SAT attempt at interval ``s``.
+
+        Returns the verdict (``"sat"``, ``"unsat"``, ``"unknown"``,
+        ``"recurrence"`` when the closure already refutes ``s``, or
+        :data:`TOO_LARGE`), the decoded start times on ``"sat"``, and the
+        solver's result whenever the solver ran.
+        """
+        branch = (
+            self.policy.branch_resource if self.policy.reserve_branch else None
+        )
+        try:
+            encoding = ModuloCnf(
+                graph,
+                self.machine,
+                s,
+                reserved_branch=branch,
+                prepared=prepared,
+                max_time_slots=self.budget.max_time_slots,
+                max_clauses=self.budget.max_clauses,
+            )
+        except InfeasibleInterval:
+            return "recurrence", None, None
+        except EncodingTooLarge:
+            obs.count("exact_too_large")
+            return TOO_LARGE, None, None
+        solved = CdclSolver(
+            encoding.num_vars,
+            encoding.clauses,
+            max_conflicts=self.budget.max_conflicts,
+        ).solve()
+        obs.count("exact_sat_calls")
+        if solved.status == SAT:
+            return SAT, encoding.decode(solved.model), solved
+        if solved.status == UNKNOWN:
+            obs.count("exact_budget_exhausted")
+        return solved.status, None, solved
 
     # -- SchedulerBackend protocol --------------------------------------------
 
@@ -225,40 +240,12 @@ class ExactScheduler:
             return None
         if len(graph.nodes) > self.budget.max_nodes:
             obs.count("exact_too_large")
-            return (
-                self.heuristic.schedule_at(graph, s) if self.fallback else None
-            )
-        branch = (
-            self.policy.branch_resource if self.policy.reserve_branch else None
-        )
-        try:
-            encoding = ModuloCnf(
-                graph,
-                self.machine,
-                s,
-                reserved_branch=branch,
-                prepared=prepared,
-                max_time_slots=self.budget.max_time_slots,
-                max_clauses=self.budget.max_clauses,
-            )
-        except InfeasibleInterval:
-            return None
-        except EncodingTooLarge:
-            obs.count("exact_too_large")
-            return (
-                self.heuristic.schedule_at(graph, s) if self.fallback else None
-            )
-        solved = CdclSolver(
-            encoding.num_vars,
-            encoding.clauses,
-            max_conflicts=self.budget.max_conflicts,
-        ).solve()
-        obs.count("exact_sat_calls")
-        if solved.status == SAT:
-            times = encoding.decode(solved.model)
+            verdict, times = TOO_LARGE, None
+        else:
+            verdict, times, _ = self._attempt(graph, s, prepared)
+        if verdict == SAT:
             return self._package(graph, s, times, mii, [s])
-        if solved.status == UNKNOWN:
-            obs.count("exact_budget_exhausted")
+        if verdict in (TOO_LARGE, UNKNOWN):
             return (
                 self.heuristic.schedule_at(graph, s) if self.fallback else None
             )

@@ -13,7 +13,7 @@ kernels using them exercise the same scheduling pressure as in Table 4-2.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.frontend import ast
 from repro.ir.operands import FLOAT, INT, Imm, Operand, Reg

@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
-from repro.ir.operands import FLOAT, INT, Imm, Operand, Reg, as_operand
+from repro.ir.operands import FLOAT, INT, Reg, as_operand
 from repro.ir.ops import BINARY, FLOAT_COMPARE, FLOAT_RESULT, Opcode, Operation, UNARY
 from repro.ir.stmts import ArrayDecl, ForLoop, IfStmt, Program, Stmt
 

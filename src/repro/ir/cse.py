@@ -14,7 +14,7 @@ Applied by default in :func:`repro.core.compile.compile_program`
 
 from __future__ import annotations
 
-from repro.ir.operands import Imm, Operand, Reg
+from repro.ir.operands import Operand, Reg
 from repro.ir.ops import Opcode, Operation
 from repro.ir.stmts import ForLoop, IfStmt, Program, Stmt
 

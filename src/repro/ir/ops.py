@@ -10,10 +10,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.ir.operands import FLOAT, INT, Imm, Operand, Reg
+from repro.ir.operands import Operand, Reg
 
 
 class Opcode(enum.Enum):

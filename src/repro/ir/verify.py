@@ -7,7 +7,7 @@ before use along every path, and structured IR contains no control opcodes.
 
 from __future__ import annotations
 
-from repro.ir.operands import FLOAT, INT, Imm, Operand, Reg
+from repro.ir.operands import FLOAT, INT, Operand, Reg
 from repro.ir.ops import (
     FLOAT_COMPARE,
     FLOAT_RESULT,

@@ -15,7 +15,7 @@ from repro.machine.description import (
     OpClass,
     standard_op_classes,
 )
-from repro.machine.resources import ReservationTable, Resource
+from repro.machine.resources import Resource
 
 
 def make_simple(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 from repro.core.emit import (
     BlockRegion,
@@ -16,12 +16,11 @@ from repro.core.emit import (
     Region,
     SequentialLoopRegion,
     SlotOp,
-    TripSpec,
     WideInstruction,
 )
 from repro.ir.interp import ArrayInit, Interpreter, Memory, default_array_init
 from repro.ir.operands import FLOAT, Imm, Operand, Reg
-from repro.ir.ops import Opcode, Operation, evaluate
+from repro.ir.ops import Opcode, evaluate
 
 
 class SimulationError(Exception):

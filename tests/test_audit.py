@@ -38,13 +38,16 @@ from repro.audit.oracle import (
     RESOURCE,
     WINDOW_PRECEDENCE,
 )
+from repro.audit.differential import audit_loop_schedules
 from repro.batch import run_many
+from repro.core.compile import CompilerPolicy
 from repro.core.mve import plan_expansion
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.reduction import build_reduced_loop_graph
 from repro.frontend import parse_program
 from repro.ir import ProgramBuilder
 from repro.machine import SIMPLE, WARP
+from repro.obs import trace as obs
 from repro.simulator import memory_diffs, values_match
 
 NAN = float("nan")
@@ -307,8 +310,7 @@ class TestAuditProgram:
         assert violations and violations[0].kind == "crash"
         assert "frontend" in violations[0].where
 
-    def test_clean_on_known_good_source(self):
-        source = """program ok;
+    SOURCE = """program ok;
 var a: array[40] of float;
 begin
   for i := 0 to 31 do begin
@@ -316,7 +318,18 @@ begin
   end;
 end.
 """
-        assert audit_program("ok", source) == []
+
+    def test_clean_on_known_good_source(self):
+        assert audit_program("ok", self.SOURCE) == []
+
+    def test_loop_audit_uses_the_policy_backend(self):
+        program, _ = parse_program(self.SOURCE)
+        policy = CompilerPolicy(scheduler_backend="exact")
+        with obs.observe() as observer:
+            violations = audit_loop_schedules(program, WARP, policy, "ok")
+        assert violations == []
+        assert observer.counters["audit_loops_scheduled"] == 1
+        assert observer.counters.get("exact_sat_calls", 0) >= 1
 
     def test_register_pressure_is_a_decline_not_a_crash(self):
         # Seed 31615 legitimately needs more registers than warp has

@@ -1,19 +1,21 @@
-"""The schedule cache's sharded on-disk key index and per-process
-shared unpickling.
+"""The schedule cache's disk layer and per-process shared unpickling.
 
-The index exists so a warm directory's misses are dictionary probes, not
-``open``/``stat`` attempts: the test for that literally forbids ``open``
-during a miss.  Staleness is allowed in exactly one direction — an entry
-the index does not know about costs a recompile, never a wrong result.
+A disk lookup opens the entry's file directly, so an entry any process
+wrote is visible at once, and a missing, truncated or corrupt file is a
+miss.  In-memory state stays bounded by ``MEMORY_ENTRIES`` however many
+entries the directory holds.
 """
 
-import builtins
 import pickle
 
-import pytest
-
+import repro.batch.cache as cache_mod
 from repro import WARP
-from repro.batch import ScheduleCache, cache_key, compile_many, compile_one
+from repro.batch import (
+    ScheduleCache,
+    WorkerPool,
+    cache_key,
+    compile_many,
+)
 from repro.core.compile import CompilerPolicy
 from repro.frontend import parse_program
 from repro.workloads import generate_suite
@@ -37,63 +39,46 @@ class TestIndexLifecycle:
     def test_built_at_open(self, tmp_path):
         keys = _fill(tmp_path / "cache")
         reopened = ScheduleCache(tmp_path / "cache")
-        assert reopened.index_size == len(keys)
-        assert reopened.stats()["index_size"] == len(keys)
         for key in keys:
             assert reopened.get(key) is not None
         assert reopened.hits == len(keys)
 
-    def test_maintained_on_put(self, tmp_path):
-        cache = ScheduleCache(tmp_path / "cache")
-        assert cache.index_size == 0
-        result = compile_one("p0", SUITE[0].source, WARP, cache=cache)
-        assert result.ok and not result.from_cache
-        assert cache.index_size == 1
-
-    def test_memory_only_cache_has_empty_index(self):
-        cache = ScheduleCache(None)
-        assert cache.index_size == 0
-        assert cache.stats()["index_size"] == 0
-
     def test_clear_resets_index(self, tmp_path):
-        _fill(tmp_path / "cache")
-        cache = ScheduleCache(tmp_path / "cache")
-        assert cache.index_size > 0
-        cache.clear()
-        assert cache.index_size == 0
-        assert ScheduleCache(tmp_path / "cache").index_size == 0
-
-    def test_refresh_picks_up_foreign_writes(self, tmp_path):
-        cache = ScheduleCache(tmp_path / "cache")
-        assert cache.index_size == 0
-        # Another process writes entries into the same directory...
         keys = _fill(tmp_path / "cache")
-        # ...which this instance cannot see until a refresh.
-        assert cache.get(keys[0]) is None
-        assert cache.refresh_index() == len(keys)
-        assert cache.get(keys[0]) is not None
+        cache = ScheduleCache(tmp_path / "cache")
+        cache.clear()
+        assert not list((tmp_path / "cache").rglob("*.pkl"))
+        reopened = ScheduleCache(tmp_path / "cache")
+        assert all(reopened.get(key) is None for key in keys)
+
+    def test_foreign_writes_are_visible_at_once(self, tmp_path):
+        cache = ScheduleCache(tmp_path / "cache")
+        # Another instance (or process) writes entries into the same
+        # directory after this one opened it...
+        keys = _fill(tmp_path / "cache")
+        # ...and this instance hits them with no refresh.
+        for key in keys:
+            assert cache.get(key) is not None
+        assert cache.hits == len(keys) and cache.misses == 0
+
+    def test_memory_stays_bounded_by_memory_entries(self, tmp_path, monkeypatch):
+        keys = _fill(tmp_path / "cache", count=6)
+        monkeypatch.setattr(cache_mod, "MEMORY_ENTRIES", 2)
+        cache = ScheduleCache(tmp_path / "cache")
+        for key in keys:
+            assert cache.get(key) is not None
+        stats = cache.stats()
+        assert stats["hits"] == 6
+        assert stats["memory_entries"] == 2
+        assert stats["evictions"] == 4
 
 
 class TestMissesTouchNoDisk:
-    def test_warm_directory_miss_is_a_dict_probe(self, tmp_path, monkeypatch):
-        _fill(tmp_path / "cache")
-        cache = ScheduleCache(tmp_path / "cache")
-
-        def forbidden_open(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("a cache miss must not open() anything")
-
-        monkeypatch.setattr(builtins, "open", forbidden_open)
-        assert cache.get("f" * 64) is None
-        assert cache.misses == 1
-
     def test_vanished_entry_degrades_to_miss(self, tmp_path):
         keys = _fill(tmp_path / "cache", count=2)
         cache = ScheduleCache(tmp_path / "cache")
-        # Delete the file behind the index's back.
         cache._entry_path(keys[0]).unlink()
         assert cache.get(keys[0]) is None
-        # The stale key was dropped, so the retry is a pure dict miss.
-        assert not cache._index_has(keys[0])
         assert cache.get(keys[1]) is not None
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
@@ -137,3 +122,15 @@ class TestSharedUnpickling:
             cache=ScheduleCache(cache_dir),
         )
         assert rerun.cache_hits == 4
+
+    def test_persistent_process_workers_see_each_others_entries(self, tmp_path):
+        # Each worker writes part of the first pass; on the second pass a
+        # program may land on the other worker, which must still hit.
+        programs = SUITE[:24]
+        cache = ScheduleCache(tmp_path / "cache")
+        with WorkerPool(jobs=2, backend="process") as pool:
+            first = compile_many(programs, WARP, pool=pool, cache=cache)
+            second = compile_many(programs, WARP, pool=pool, cache=cache)
+        assert not first.errors and not second.errors
+        assert first.cache_misses == 24
+        assert second.cache_hits == 24

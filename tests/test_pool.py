@@ -12,10 +12,8 @@ from repro import WARP
 from repro.batch import (
     WorkerPool,
     chunk_size,
-    close_shared_pools,
     compile_many,
     run_many,
-    shared_pool,
 )
 from repro.batch.pool import MAX_CHUNK_ITEMS
 from repro.workloads import generate_suite
@@ -74,13 +72,6 @@ class TestWorkerPool:
             # 150 items on 4 workers must have been chunked.
             assert pool.stats()["submitted"] < len(items)
 
-    def test_explicit_chunk_override(self):
-        with WorkerPool(jobs=2, backend="thread") as pool:
-            assert pool.run(list(range(9)), _double, chunk=4) == [
-                2 * i for i in range(9)
-            ]
-            assert pool.stats()["submitted"] == 3  # ceil(9 / 4)
-
     def test_worker_exception_propagates(self):
         with WorkerPool(jobs=2, backend="thread") as pool:
             with pytest.raises(RuntimeError, match="boom"):
@@ -125,28 +116,6 @@ class TestRunManyValidation:
         assert run_many([], _double, jobs=4) == []
         with WorkerPool(jobs=2) as pool:
             assert run_many([], _double, pool=pool) == []
-
-
-class TestSharedPools:
-    def test_shared_pool_is_reused(self):
-        try:
-            first = shared_pool("thread", 2)
-            again = shared_pool("thread", 2)
-            assert first is again
-            other = shared_pool("thread", 3)
-            assert other is not first
-        finally:
-            close_shared_pools()
-
-    def test_closed_shared_pool_is_replaced(self):
-        try:
-            pool = shared_pool("thread", 2)
-            pool.close()
-            fresh = shared_pool("thread", 2)
-            assert fresh is not pool
-            assert not fresh.closed
-        finally:
-            close_shared_pools()
 
 
 class TestCompileManyWithPool:
