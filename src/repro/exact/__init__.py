@@ -14,11 +14,11 @@ This package implements that formulation with no external dependency:
 
 * :mod:`repro.exact.solver` — a small conflict-driven clause-learning
   (CDCL) SAT solver: two-watched-literal propagation, first-UIP conflict
-  analysis, activity-driven decisions, restarts, and a conflict budget so
-  callers can bound worst-case solve time;
-* :mod:`repro.exact.cnf` — the CNF formula builder, including the
-  sequential-counter cardinality encoding used for multi-unit resources
-  and a DIMACS export for offline debugging;
+  analysis, activity-driven decisions from an order heap, restarts, and a
+  conflict budget so callers can bound worst-case solve time;
+* :mod:`repro.exact.cnf` — the CNF formula builder and the one checker of
+  the clause contract the solver relies on, including the
+  sequential-counter cardinality encoding used for multi-unit resources;
 * :mod:`repro.exact.encode` — the modulo-scheduling encoding at one fixed
   initiation interval: order-encoded per-node time windows, precedence
   clauses ``sigma(v) - sigma(u) >= d - omega * s``, and per-modulo-row

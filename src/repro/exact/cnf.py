@@ -7,13 +7,13 @@ counter.  The counter is linear in ``len(lits) * k`` auxiliary variables
 and clauses, and weighted contributions (an operation using two units of a
 resource in the same cycle) are expressed simply by repeating the literal.
 
-The DIMACS export exists for offline debugging with an external solver;
-nothing in the repository depends on one.
+Clauses go straight to :class:`repro.exact.solver.CdclSolver`, which
+watches them in place and trusts :meth:`Cnf.add`'s contract.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class Cnf:
@@ -22,26 +22,32 @@ class Cnf:
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: list[list[int]] = []
-        self._names: dict[int, str] = {}
 
-    def new_var(self, name: str = "") -> int:
+    def new_var(self) -> int:
         self.num_vars += 1
-        if name:
-            self._names[self.num_vars] = name
         return self.num_vars
 
-    def name_of(self, var: int) -> str:
-        return self._names.get(var, f"v{var}")
+    def new_vars(self, count: int) -> range:
+        """``count`` fresh variables with consecutive numbers."""
+        first = self.num_vars + 1
+        self.num_vars += count
+        return range(first, self.num_vars + 1)
 
     def add(self, *lits: int) -> None:
-        """Add one clause (a disjunction of the given literals)."""
+        """Add one clause (a disjunction of the given literals).
+
+        Contract: every literal names an allocated variable (checked
+        here: :class:`ValueError` otherwise), and no variable appears twice
+        in one clause, so there is no repeated literal and no tautology.
+        The solver relies on both; the second is the caller's to keep.
+        """
+        num_vars = self.num_vars
         for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
+            if lit == 0 or not -num_vars <= lit <= num_vars:
                 raise ValueError(f"literal {lit} names no allocated variable")
         self.clauses.append(list(lits))
 
-    def add_at_most_k(self, lits: Iterable[int], k: int,
-                      name: str = "card") -> None:
+    def add_at_most_k(self, lits: Iterable[int], k: int) -> None:
         """Constrain at most ``k`` of ``lits`` to be true (Sinz 2005).
 
         ``lits`` is a multiset: a literal appearing ``a`` times contributes
@@ -60,10 +66,7 @@ class Cnf:
                 self.add(-lit)
             return
         # registers[i][j] == "at least j+1 of lits[0..i] are true".
-        registers: list[list[int]] = [
-            [self.new_var(f"{name}.s{i}.{j}") for j in range(k)]
-            for i in range(n - 1)
-        ]
+        registers = [self.new_vars(k) for _ in range(n - 1)]
         self.add(-lits[0], registers[0][0])
         for j in range(1, k):
             self.add(-registers[0][j])
@@ -75,13 +78,3 @@ class Cnf:
                 self.add(-registers[i - 1][j], registers[i][j])
             self.add(-lits[i], -registers[i - 1][k - 1])
         self.add(-lits[n - 1], -registers[n - 2][k - 1])
-
-    def to_dimacs(self, comment: Optional[str] = None) -> str:
-        lines = []
-        if comment:
-            for part in comment.splitlines():
-                lines.append(f"c {part}")
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"

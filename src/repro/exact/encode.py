@@ -181,16 +181,9 @@ class ModuloCnf:
         self._y: list[dict[int, int]] = []
         # Exact-time variables x[v][t] for t in [lo, hi].
         self._x: list[dict[int, int]] = []
-        for v, (lo, hi) in enumerate(self._windows):
-            label = self._nodes[v].index
-            ys = {
-                t: self.cnf.new_var(f"y.n{label}.ge{t}")
-                for t in range(lo + 1, hi + 1)
-            }
-            xs = {
-                t: self.cnf.new_var(f"x.n{label}.at{t}")
-                for t in range(lo, hi + 1)
-            }
+        for lo, hi in self._windows:
+            ys = dict(zip(range(lo + 1, hi + 1), self.cnf.new_vars(hi - lo)))
+            xs = dict(zip(range(lo, hi + 1), self.cnf.new_vars(hi - lo + 1)))
             self._y.append(ys)
             self._x.append(xs)
             for t in range(lo + 1, hi):
@@ -272,7 +265,7 @@ class ModuloCnf:
                 self.cnf.add(lits[0])
                 self.cnf.add(-lits[0])
                 continue
-            self.cnf.add_at_most_k(lits, limit, name=f"r{row}.{resource}")
+            self.cnf.add_at_most_k(lits, limit)
 
     # -- decoding -------------------------------------------------------------
 

@@ -8,7 +8,11 @@ of thousands of clauses):
 * two-watched-literal unit propagation;
 * first-UIP conflict analysis with non-chronological backjumping;
 * exponential variable-activity decisions (a simplified VSIDS) with
-  phase saving;
+  phase saving.  The next decision comes from an order heap, as in
+  MiniSat: a ``heapq`` of ``(-activity, var)`` with lazy deletion, so a
+  decision costs a few pops instead of a scan of every variable.  It picks
+  exactly what the scan would: the most active unassigned variable, the
+  lowest-numbered one on ties;
 * geometric restarts;
 * a *conflict budget*: the solver gives up with :data:`UNKNOWN` once the
   budget is exhausted, so a caller can bound worst-case solve time and
@@ -16,10 +20,17 @@ of thousands of clauses):
 
 Literals are nonzero ints in DIMACS convention: ``v`` is variable ``v``
 true, ``-v`` is variable ``v`` false.  Variables are numbered from 1.
+
+Clause contract: every literal names a variable in ``1..num_vars`` and no
+clause names a variable twice (no repeated literal, no tautology).
+:meth:`repro.exact.cnf.Cnf.add` checks the range and the encoder keeps the
+rest; the solver checks neither.  It watches the caller's clause lists in
+place, without a copy, and reorders literals inside them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,12 +63,17 @@ class SolveResult:
 
 
 class CdclSolver:
-    """One-shot CDCL solver over a fixed clause set."""
+    """One-shot CDCL solver over a fixed clause set.
+
+    ``clauses`` must keep the module's clause contract.  The solver takes
+    them over: their literal order changes as watches move, so pass a copy
+    to solve the same formula again with the same search.
+    """
 
     def __init__(
         self,
         num_vars: int,
-        clauses: Sequence[Sequence[int]],
+        clauses: Sequence[list[int]],
         *,
         max_conflicts: Optional[int] = None,
     ) -> None:
@@ -70,63 +86,41 @@ class CdclSolver:
         self._phase = [False] * (num_vars + 1)
         self._activity = [0.0] * (num_vars + 1)
         self._bump = 1.0
-        self._watches: dict[int, list[list[int]]] = {}
+        # Decision order: (-activity, var), so the heap's minimum is the
+        # most active variable, ties to the lowest index.  Entries are not
+        # removed when a variable is assigned or bumped; see _decide.
+        self._order: list[tuple[float, int]] = []
+        self._rebuild_order()
+        self._seen = [False] * (num_vars + 1)
+        # Watch lists indexed by literal: v at [v], -v at [-v], which
+        # Python maps to [2 * num_vars + 1 - v], clear of every positive.
+        self._watches: list[list[list[int]]] = [
+            [] for _ in range(2 * num_vars + 1)
+        ]
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._clauses: list[list[int]] = []
         self._contradiction = False
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
         self.restarts = 0
+        watches = self._watches
         for clause in clauses:
-            self._add_clause(list(clause))
-
-    # -- construction ---------------------------------------------------------
-
-    def _add_clause(self, lits: list[int]) -> None:
-        if self._contradiction:
-            return
-        # Dedup within the clause; drop tautologies.
-        seen: dict[int, int] = {}
-        unique: list[int] = []
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"literal {lit} out of range")
-            if -lit in seen:
-                return  # x or not-x: always true
-            if lit not in seen:
-                seen[lit] = 1
-                unique.append(lit)
-        if not unique:
-            self._contradiction = True
-            return
-        if len(unique) == 1:
-            if not self._enqueue(unique[0], None):
+            if len(clause) > 1:
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+            elif not clause or not self._enqueue(clause[0], None):
                 self._contradiction = True
-            return
-        self._clauses.append(unique)
-        self._watch(unique[0], unique)
-        self._watch(unique[1], unique)
-
-    def _watch(self, lit: int, clause: list[int]) -> None:
-        self._watches.setdefault(lit, []).append(clause)
+                return
 
     # -- assignment plumbing --------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        """+1 satisfied, -1 falsified, 0 unassigned."""
-        value = self._assign[abs(lit)]
-        return value if lit > 0 else -value
-
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
-        value = self._value(lit)
-        if value > 0:
-            return True
-        if value < 0:
-            return False
-        var = abs(lit)
+        var = lit if lit > 0 else -lit
+        value = self._assign[var]
+        if value:
+            return (value > 0) == (lit > 0)
         self._assign[var] = 1 if lit > 0 else -1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
@@ -136,58 +130,85 @@ class CdclSolver:
 
     def _propagate(self) -> Optional[list[int]]:
         """Exhaust unit propagation; the falsified clause on conflict."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
-            false_lit = -lit
-            watchers = self._watches.get(false_lit)
+        assign = self._assign
+        trail = self._trail
+        all_watches = self._watches
+        level, reason, phase = self._level, self._reason, self._phase
+        depth = len(self._trail_lim)
+        qhead = start = self._qhead
+        conflict = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = all_watches[false_lit]
             if not watchers:
                 continue
             kept: list[list[int]] = []
-            i = 0
-            while i < len(watchers):
-                clause = watchers[i]
-                i += 1
+            for i, clause in enumerate(watchers):
                 # Normalize: the falsified watch sits at slot 1.
                 if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0], clause[1] = clause[1], false_lit
                 first = clause[0]
-                if self._value(first) > 0:
+                value = assign[first] if first > 0 else -assign[-first]
+                if value > 0:
                     kept.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watch(clause[1], clause)
-                        moved = True
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) >= 0:
+                        clause[1], clause[k] = other, false_lit
+                        all_watches[other].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(first, clause):
-                    # Conflict: keep the remaining watchers before leaving.
-                    kept.extend(watchers[i:])
-                    self._watches[false_lit] = kept
-                    return clause
-            self._watches[false_lit] = kept
-        return None
+                else:
+                    kept.append(clause)
+                    if value < 0:
+                        # Conflict: keep the remaining watchers before leaving.
+                        kept.extend(watchers[i + 1:])
+                        conflict = clause
+                        break
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    level[var] = depth
+                    reason[var] = clause
+                    phase[var] = first > 0
+                    trail.append(first)
+            all_watches[false_lit] = kept
+            if conflict is not None:
+                break
+        self.propagations += qhead - start
+        self._qhead = qhead
+        return conflict
 
     # -- conflict analysis ----------------------------------------------------
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._bump
-        if self._activity[var] > _ACTIVITY_RESCALE:
+        activity = self._activity
+        activity[var] += self._bump
+        if activity[var] > _ACTIVITY_RESCALE:
             for v in range(1, self.num_vars + 1):
-                self._activity[v] /= _ACTIVITY_RESCALE
+                activity[v] /= _ACTIVITY_RESCALE
             self._bump /= _ACTIVITY_RESCALE
+            self._rebuild_order()
+        elif not self._assign[var]:
+            heapq.heappush(self._order, (-activity[var], var))
+
+    def _rebuild_order(self) -> None:
+        """One heap entry per unassigned variable, at its activity now."""
+        activity, assign = self._activity, self._assign
+        self._order = [
+            (-activity[v], v)
+            for v in range(1, self.num_vars + 1)
+            if not assign[v]
+        ]
+        heapq.heapify(self._order)
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backjump to."""
         current_level = len(self._trail_lim)
+        level = self._level
+        seen = self._seen
+        marked: list[int] = []
         learned: list[int] = []
-        seen = [False] * (self.num_vars + 1)
         counter = 0
         lit = 0
         reason: Optional[list[int]] = conflict
@@ -198,11 +219,12 @@ class CdclSolver:
                 if other == lit:
                     continue
                 var = abs(other)
-                if seen[var] or self._level[var] == 0:
+                if seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
+                marked.append(var)
                 self._bump_var(var)
-                if self._level[var] == current_level:
+                if level[var] == current_level:
                     counter += 1
                 else:
                     learned.append(other)
@@ -216,13 +238,15 @@ class CdclSolver:
             if counter == 0:
                 break
             reason = self._reason[abs(lit)]
+        for var in marked:
+            seen[var] = False
         learned.insert(0, lit)
         if len(learned) == 1:
             return learned, 0
-        back = max(self._level[abs(other)] for other in learned[1:])
+        back = max(level[abs(other)] for other in learned[1:])
         # Put a literal of the backjump level in the second watch slot.
         for k in range(1, len(learned)):
-            if self._level[abs(learned[k])] == back:
+            if level[abs(learned[k])] == back:
                 learned[1], learned[k] = learned[k], learned[1]
                 break
         return learned, back
@@ -231,26 +255,44 @@ class CdclSolver:
         if len(self._trail_lim) <= level:
             return
         mark = self._trail_lim[level]
-        for lit in reversed(self._trail[mark:]):
+        undone = self._trail[mark:]
+        assign, reason = self._assign, self._reason
+        for lit in undone:
             var = abs(lit)
-            self._assign[var] = 0
-            self._reason[var] = None
+            assign[var] = 0
+            reason[var] = None
         del self._trail[mark:]
         del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        self._qhead = mark
+        order = self._order
+        if len(order) + len(undone) > 2 * self.num_vars:
+            # Entries of assigned variables would pile up; start afresh.
+            self._rebuild_order()
+        else:
+            activity = self._activity
+            for lit in undone:
+                var = abs(lit)
+                heapq.heappush(order, (-activity[var], var))
 
     # -- decisions ------------------------------------------------------------
 
     def _decide(self) -> Optional[int]:
-        best_var = 0
-        best_activity = -1.0
-        for var in range(1, self.num_vars + 1):
-            if self._assign[var] == 0 and self._activity[var] > best_activity:
-                best_var = var
-                best_activity = self._activity[var]
-        if best_var == 0:
-            return None
-        return best_var if self._phase[best_var] else -best_var
+        """The most active unassigned variable (lowest index on ties), in
+        its saved phase.
+
+        Entries of assigned variables are dropped as they surface.  An
+        entry whose activity is stale never surfaces while its variable is
+        unassigned: activities only grow between rescales (which rebuild
+        the heap), and every unassigned variable has an entry at its
+        current activity, which sorts first.
+        """
+        order = self._order
+        assign = self._assign
+        while order:
+            var = heapq.heappop(order)[1]
+            if not assign[var]:
+                return var if self._phase[var] else -var
+        return None
 
     # -- the main loop --------------------------------------------------------
 
@@ -274,9 +316,8 @@ class CdclSolver:
                 learned, back = self._analyze(conflict)
                 self._backtrack(back)
                 if len(learned) > 1:
-                    self._clauses.append(learned)
-                    self._watch(learned[0], learned)
-                    self._watch(learned[1], learned)
+                    self._watches[learned[0]].append(learned)
+                    self._watches[learned[1]].append(learned)
                     enqueued = self._enqueue(learned[0], learned)
                 else:
                     enqueued = self._enqueue(learned[0], None)
@@ -315,7 +356,7 @@ class CdclSolver:
 
 def solve(
     num_vars: int,
-    clauses: Sequence[Sequence[int]],
+    clauses: Sequence[list[int]],
     *,
     max_conflicts: Optional[int] = None,
 ) -> SolveResult:

@@ -14,6 +14,9 @@ shipped fast paths to.
 * :func:`reference_emit_pipelined_loop` — prolog, kernel and epilog with
   one renaming per placement, the oracle for
   :func:`repro.core.emit.emit_pipelined_loop`'s one renaming per residue.
+* :class:`ScanDecisionSolver` — the CDCL solver deciding by a scan of
+  every variable, the oracle for :class:`repro.exact.solver.CdclSolver`'s
+  order heap.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.core.mve import ExpansionPlan
 from repro.core.schedule import KernelSchedule
 from repro.deps.graph import DepEdge, DepNode
 from repro.deps.paths import NEG_INF, CyclicDependenceError
+from repro.exact.solver import CdclSolver
 from repro.frontend.lexer import KEYWORDS, SYMBOLS, LexError, Pragma, Token
 from repro.ir.ops import Opcode, Operation
 from repro.machine.description import MachineDescription
@@ -278,3 +282,19 @@ def reference_emit_pipelined_loop(
         ii=s,
         label=label,
     )
+
+
+class ScanDecisionSolver(CdclSolver):
+    """:class:`CdclSolver` with the order heap's decisions made by a scan:
+    the most active unassigned variable, the lowest index on ties."""
+
+    def _decide(self) -> Optional[int]:
+        best_var = 0
+        best_activity = -1.0
+        for var in range(1, self.num_vars + 1):
+            if self._assign[var] == 0 and self._activity[var] > best_activity:
+                best_var = var
+                best_activity = self._activity[var]
+        if best_var == 0:
+            return None
+        return best_var if self._phase[best_var] else -best_var

@@ -4,15 +4,36 @@ The solver is trusted with optimality *certificates* (an UNSAT answer at
 interval s is the proof that s is infeasible), so it is validated against
 brute-force enumeration on every formula small enough to enumerate, plus
 the classic pigeonhole family where a wrong UNSAT engine typically breaks.
+Its order-heap decisions are held to a scan of every variable
+(:class:`tests.reference.ScanDecisionSolver`): same statistics, same
+model, on random formulas, pigeonholes and the corpus graphs' encodings.
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.exact import SAT, UNKNOWN, UNSAT, CdclSolver, Cnf
+import repro.exact.backend
+import repro.exact.solver
+from repro.audit.generate import GraphConfig, random_dep_graph
+from repro.exact import (
+    SAT,
+    UNKNOWN,
+    UNSAT,
+    CdclSolver,
+    Cnf,
+    ExactScheduler,
+    ModuloCnf,
+)
 from repro.exact.solver import SolveResult, solve
+from repro.machine import SIMPLE, WARP
+
+from reference import ScanDecisionSolver
+
+CORPUS = Path(__file__).parent / "corpus" / "graphs"
 
 
 def _brute_force(num_vars, clauses):
@@ -38,7 +59,7 @@ def _pigeonhole(holes):
     """PHP(holes+1, holes): unsatisfiable, and hard for resolution."""
     cnf = Cnf()
     var = {
-        (p, h): cnf.new_var(f"p{p}h{h}")
+        (p, h): cnf.new_var()
         for p in range(holes + 1)
         for h in range(holes)
     }
@@ -47,6 +68,70 @@ def _pigeonhole(holes):
     for h in range(holes):
         cnf.add_at_most_k([var[p, h] for p in range(holes + 1)], 1)
     return cnf
+
+
+def _random_formulas():
+    """150 seeded random 3-SAT-ish formulas near the phase transition."""
+    rng = random.Random(1988)
+    for _ in range(150):
+        num_vars = rng.randrange(3, 9)
+        num_clauses = rng.randrange(1, int(4.5 * num_vars))
+        clauses = [
+            [
+                lit if rng.random() < 0.5 else -lit
+                for lit in rng.sample(
+                    range(1, num_vars + 1), rng.randrange(1, 4)
+                )
+            ]
+            for _ in range(num_clauses)
+        ]
+        yield num_vars, clauses
+
+
+@pytest.fixture(scope="module")
+def corpus_encodings():
+    """Every ``ModuloCnf`` that ``minimum_ii`` builds for the corpus
+    graphs, as ``(num_vars, clauses)`` copied before any solve."""
+    built = []
+
+    class Recording(ModuloCnf):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self.num_vars, [list(c) for c in self.clauses]))
+
+    machines = {"warp": WARP, "simple": SIMPLE}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.exact.backend, "ModuloCnf", Recording)
+        for path in sorted(CORPUS.glob("*.json")):
+            entry = json.loads(path.read_text())
+            generator = entry["generator"]
+            machine = machines[entry["machine"]]
+            graph = random_dep_graph(
+                generator["seed"], machine, GraphConfig(**generator["config"])
+            )
+            ExactScheduler(machine, fallback=False).minimum_ii(graph)
+    assert built
+    return built
+
+
+def _search(solver_class, num_vars, clauses):
+    """Everything a search decides, on a private copy of ``clauses``."""
+    solver = solver_class(num_vars, [list(c) for c in clauses])
+    result = solver.solve()
+    return (
+        result.status,
+        result.model,
+        result.conflicts,
+        result.decisions,
+        result.propagations,
+        result.restarts,
+    )
+
+
+def _assert_same_search(num_vars, clauses):
+    assert _search(CdclSolver, num_vars, clauses) == _search(
+        ScanDecisionSolver, num_vars, clauses
+    )
 
 
 class TestCdclSolver:
@@ -73,20 +158,7 @@ class TestCdclSolver:
         assert result[2] is False
 
     def test_random_formulas_match_brute_force(self):
-        """~150 random 3-SAT-ish formulas near the phase transition."""
-        rng = random.Random(1988)
-        for trial in range(150):
-            num_vars = rng.randrange(3, 9)
-            num_clauses = rng.randrange(1, int(4.5 * num_vars))
-            clauses = [
-                [
-                    lit if rng.random() < 0.5 else -lit
-                    for lit in rng.sample(
-                        range(1, num_vars + 1), rng.randrange(1, 4)
-                    )
-                ]
-                for _ in range(num_clauses)
-            ]
+        for trial, (num_vars, clauses) in enumerate(_random_formulas()):
             expected = _brute_force(num_vars, clauses)
             result = solve(num_vars, clauses)
             if expected is None:
@@ -138,6 +210,43 @@ class TestCdclSolver:
         assert result.restarts > 0
 
 
+class TestDecisionOrder:
+    """The order heap decides exactly as a scan of every variable."""
+
+    def test_random_formulas_search_like_the_scan(self):
+        for num_vars, clauses in _random_formulas():
+            _assert_same_search(num_vars, clauses)
+
+    @pytest.mark.parametrize("holes", [4, 5, 6, 7])
+    def test_pigeonhole_searches_like_the_scan(self, holes):
+        cnf = _pigeonhole(holes)
+        _assert_same_search(cnf.num_vars, cnf.clauses)
+
+    def test_corpus_encodings_search_like_the_scan(self, corpus_encodings):
+        for num_vars, clauses in corpus_encodings:
+            _assert_same_search(num_vars, clauses)
+
+    def test_activity_rescale_keeps_the_search(self, monkeypatch):
+        """A low rescale threshold runs the heap rebuild on every few
+        conflicts, which the real 1e100 never reaches in these tests."""
+        monkeypatch.setattr(repro.exact.solver, "_ACTIVITY_RESCALE", 1e3)
+        cnf = _pigeonhole(6)
+        solver = CdclSolver(cnf.num_vars, [list(c) for c in cnf.clauses])
+        result = solver.solve()
+        assert result.status == UNSAT
+        # Unscaled, the last bump alone would exceed the threshold.
+        assert 0.95 ** -(result.conflicts - 2) > 1e3
+        assert max(solver._activity) <= 1e3
+        _assert_same_search(cnf.num_vars, cnf.clauses)
+        for num_vars, clauses in _random_formulas():
+            expected = _brute_force(num_vars, clauses)
+            result = solve(num_vars, [list(c) for c in clauses])
+            assert result.status == (UNSAT if expected is None else SAT)
+            if expected is not None:
+                _check_model(clauses, result.model)
+            _assert_same_search(num_vars, clauses)
+
+
 class TestCnfBuilder:
     def test_literal_validation(self):
         cnf = Cnf()
@@ -146,13 +255,27 @@ class TestCnfBuilder:
             cnf.add(2)
         with pytest.raises(ValueError, match="names no allocated"):
             cnf.add(0)
+        with pytest.raises(ValueError, match="names no allocated"):
+            cnf.add(1, -2)
 
-    def test_var_names_roundtrip(self):
+    def test_new_vars_are_contiguous(self):
         cnf = Cnf()
-        x = cnf.new_var("x")
-        anon = cnf.new_var()
-        assert cnf.name_of(x) == "x"
-        assert cnf.name_of(anon) == f"v{anon}"
+        first = cnf.new_var()
+        block = cnf.new_vars(3)
+        assert list(block) == [first + 1, first + 2, first + 3]
+        assert list(cnf.new_vars(0)) == []
+        assert cnf.new_var() == first + 4 == cnf.num_vars
+
+    def test_corpus_encodings_keep_the_clause_contract(
+        self, corpus_encodings
+    ):
+        """The solver trusts every clause: literals in ``1..num_vars``,
+        no variable twice."""
+        for num_vars, clauses in corpus_encodings:
+            for clause in clauses:
+                names = [abs(lit) for lit in clause]
+                assert all(1 <= name <= num_vars for name in names), clause
+                assert len(set(names)) == len(names), clause
 
     def test_at_most_k_negative_bound_rejected(self):
         cnf = Cnf()
@@ -179,7 +302,7 @@ class TestCnfBuilder:
         """Every assignment of the base vars: the encoding (projected onto
         the base vars) accepts iff at most k are true."""
         cnf = Cnf()
-        base = [cnf.new_var(f"b{i}") for i in range(n)]
+        base = [cnf.new_var() for _ in range(n)]
         cnf.add_at_most_k(base, k)
         for bits in itertools.product((False, True), repeat=n):
             fixed = [v if b else -v for v, b in zip(base, bits)]
@@ -193,7 +316,7 @@ class TestCnfBuilder:
         """A literal listed twice counts twice — the weighted-resource
         idiom the modulo encoder relies on."""
         cnf = Cnf()
-        a, b = cnf.new_var("a"), cnf.new_var("b")
+        a, b = cnf.new_var(), cnf.new_var()
         cnf.add_at_most_k([a, a, b], 2)
         # a alone costs 2: fine.  a and b cost 3: rejected.
         assert solve(cnf.num_vars, cnf.clauses + [[a], [-b]]).status == SAT
@@ -207,19 +330,6 @@ class TestCnfBuilder:
         assert solve(cnf.num_vars, cnf.clauses + [[-a], [-b]]).status \
             == UNSAT
         assert solve(cnf.num_vars, cnf.clauses + [[a], [-b]]).status == SAT
-
-    def test_to_dimacs_format(self):
-        cnf = Cnf()
-        a, b = cnf.new_var(), cnf.new_var()
-        cnf.add(a, -b)
-        cnf.add(b)
-        text = cnf.to_dimacs(comment="hello\nworld")
-        lines = text.splitlines()
-        assert lines[0] == "c hello"
-        assert lines[1] == "c world"
-        assert lines[2] == "p cnf 2 2"
-        assert lines[3] == "1 -2 0"
-        assert lines[4] == "2 0"
 
 
 class TestSolveResult:
