@@ -30,7 +30,7 @@ import json
 import sys
 
 from repro import SIMPLE, WARP, CompilerPolicy
-from repro.core.pipeliner import SCHEDULER_BACKENDS
+from repro.core.pipeliner import SCHEDULER_BACKENDS, SEARCH_POLICIES
 from repro.batch import ScheduleCache, compile_many, compile_one
 from repro.core.display import disassemble
 from repro.frontend import parse_program
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable local common-subexpression elimination",
     )
     common.add_argument(
-        "--search", choices=["linear", "binary"], default="linear",
+        "--search", choices=SEARCH_POLICIES, default="linear",
         help="initiation-interval search strategy",
     )
     common.add_argument(

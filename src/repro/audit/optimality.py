@@ -94,8 +94,8 @@ def audit_optimality(
 
     The exact backend runs with ``fallback=False`` — a silent fallback to
     the very scheduler under audit would make the oracle vacuous — and
-    shares the heuristic's memoized preparation, so the symbolic closures
-    are built once for both sides.
+    shares the heuristic's memoized preparation, so both sides start from
+    the same MII.
     """
     from repro.exact import ExactBudget, ExactScheduler
 
@@ -122,13 +122,10 @@ def audit_optimality(
         statuses=dict(outcome.statuses),
     )
     obs.count("optimality_checks")
-    branch = policy.branch_resource if policy.reserve_branch else None
 
     if outcome.optimal:
         assert outcome.result is not None and outcome.ii is not None
-        report.violations += audit_result(
-            outcome.result, reserved_branch=branch
-        )
+        report.violations += audit_result(outcome.result)
         if heuristic_ii is None:
             report.classification = "decline_missed"
         elif heuristic_ii < outcome.ii:

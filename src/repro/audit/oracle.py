@@ -57,16 +57,15 @@ def _report(violations: list[Violation], kind: str, where: str,
 # -- invariant 1: modulo resource usage ---------------------------------------
 
 
-def audit_modulo_resources(
-    schedule: KernelSchedule, *, reserved_branch: Optional[str] = "seq"
-) -> list[Violation]:
+def audit_modulo_resources(schedule: KernelSchedule) -> list[Violation]:
     """Re-derive the modulo reservation table from the schedule alone and
-    compare every row against the machine's limits."""
+    compare every row against the machine's limits.  The loop-back branch
+    issues in the last row with the machine's branch reservation."""
     violations: list[Violation] = []
     s = schedule.ii
     rows: dict[tuple[int, str], int] = defaultdict(int)
-    if reserved_branch is not None:
-        rows[(s - 1) % s, reserved_branch] += 1
+    for offset, resource, amount in schedule.machine.branch_reservation:
+        rows[(s - 1 + offset) % s, resource] += amount
     for node in schedule.graph.nodes:
         time = schedule.times[node.index]
         for offset, resource, amount in node.reservation:
@@ -103,7 +102,6 @@ def audit_window(
     schedule: KernelSchedule,
     *,
     iterations: Optional[int] = None,
-    reserved_branch: Optional[str] = "seq",
 ) -> list[Violation]:
     """Expand the modulo schedule over a concrete window of iterations and
     re-check every constraint between iteration *instances*.
@@ -132,10 +130,11 @@ def audit_window(
                     f"iteration {i}: flat distance {got} < delay {edge.delay}",
                 )
                 break  # one instance per edge is enough to classify
+    branch = schedule.machine.branch_reservation
     usage: dict[tuple[int, str], int] = defaultdict(int)
     for i in range(iterations):
-        if reserved_branch is not None:
-            usage[i * s + s - 1, reserved_branch] += 1
+        for offset, resource, amount in branch:
+            usage[i * s + s - 1 + offset, resource] += amount
         for node in graph.nodes:
             time = flat(node.index, i)
             for offset, resource, amount in node.reservation:
@@ -282,33 +281,23 @@ def audit_expansion(
 
 
 def audit_schedule(
-    schedule: KernelSchedule,
-    plan: Optional[ExpansionPlan] = None,
-    *,
-    reserved_branch: Optional[str] = "seq",
+    schedule: KernelSchedule, plan: Optional[ExpansionPlan] = None
 ) -> list[Violation]:
     """All invariant audits applicable to one kernel schedule."""
-    violations = audit_modulo_resources(
-        schedule, reserved_branch=reserved_branch
-    )
+    violations = audit_modulo_resources(schedule)
     violations += audit_precedence(schedule)
-    violations += audit_window(schedule, reserved_branch=reserved_branch)
+    violations += audit_window(schedule)
     if plan is not None:
         violations += audit_expansion(schedule, plan)
     return violations
 
 
 def audit_result(
-    result: PipelineResult,
-    plan: Optional[ExpansionPlan] = None,
-    *,
-    reserved_branch: Optional[str] = "seq",
+    result: PipelineResult, plan: Optional[ExpansionPlan] = None
 ) -> list[Violation]:
     """Audit a :class:`PipelineResult`: the kernel schedule plus the
     consistency of the cluster structure emission relies on."""
-    violations = audit_schedule(
-        result.schedule, plan, reserved_branch=reserved_branch
-    )
+    violations = audit_schedule(result.schedule, plan)
     times = result.schedule.times
     for position, cluster in enumerate(result.clusters):
         bases = {

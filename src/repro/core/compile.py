@@ -44,8 +44,14 @@ from repro.core.emit import (
     region_size,
 )
 from repro.core.listsched import list_schedule_block
-from repro.core.mve import MIN_UNROLL, ExpansionPlan, plan_expansion
-from repro.core.pipeliner import PipelinerPolicy, SchedulerBackend, create_scheduler
+from repro.core.mve import MIN_UNROLL, MVE_POLICIES, ExpansionPlan, plan_expansion
+from repro.core.pipeliner import (
+    SCHEDULER_BACKENDS,
+    SEARCH_POLICIES,
+    PipelinerPolicy,
+    SchedulerBackend,
+    create_scheduler,
+)
 from repro.core.reduction import (
     _reduce_stmt,
     build_reduced_loop_graph,
@@ -62,6 +68,12 @@ from repro.ir.verify import verify_program
 from repro.machine.description import MachineDescription
 from repro.obs import trace as obs
 
+#: The applicability gates of the module docstring: the longest locally
+#: compacted body that is pipelined, and the fraction of the unpipelined
+#: length an initiation interval must stay below.
+MAX_BODY_LENGTH = 300
+MIN_GAIN = 0.99
+
 
 @dataclass(frozen=True)
 class CompilerPolicy:
@@ -71,14 +83,8 @@ class CompilerPolicy:
     search: str = "linear"
     mve_policy: str = MIN_UNROLL
     serialize_ifs: bool = True
-    max_ii: Optional[int] = None
-    max_body_length: int = 300
-    min_gain: float = 0.99
     independent_arrays: frozenset[str] = frozenset()
     cse: bool = True
-    #: Use the two-version scheme of section 2.4 for loops whose trip
-    #: count is only known at run time.
-    dynamic_pipeline: bool = True
     #: Which :data:`~repro.core.pipeliner.SCHEDULER_BACKENDS` member
     #: pipelines the loops: Lam's heuristic, or the exact SAT backend
     #: (which falls back to the heuristic beyond its budget).
@@ -86,6 +92,18 @@ class CompilerPolicy:
     #: Budget knobs for the exact backend; ignored by the heuristic.
     exact_max_nodes: int = 24
     exact_max_conflicts: int = 20_000
+
+    def __post_init__(self) -> None:
+        for name, allowed in (
+            ("search", SEARCH_POLICIES),
+            ("mve_policy", MVE_POLICIES),
+            ("scheduler_backend", SCHEDULER_BACKENDS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} {value!r}; expected one of {allowed}"
+                )
 
 
 @dataclass
@@ -387,20 +405,17 @@ class _Compiler:
         if not policy.pipeline:
             report.reason = "pipelining disabled"
             return None
-        if block.length > policy.max_body_length:
+        if block.length > MAX_BODY_LENGTH:
             report.reason = (
                 f"body length {block.length} beyond threshold"
-                f" {policy.max_body_length}"
+                f" {MAX_BODY_LENGTH}"
             )
-            return None
-        if trip is None and not policy.dynamic_pipeline:
-            report.reason = "trip count unknown at compile time"
             return None
 
         # "The length of a locally compacted iteration can serve as an
         # upper bound" (section 2.2): beyond it the unpipelined loop is at
         # least as good, so the search never looks past it.
-        cap = policy.max_ii or max(report.unpipelined_length, 2)
+        cap = max(report.unpipelined_length, 2)
         scheduler = scheduler_for(self.machine, policy, max_ii=cap)
         report.backend = scheduler.name
         try:
@@ -415,10 +430,10 @@ class _Compiler:
         report.resource_mii = schedule.mii.resource
         report.recurrence_mii = schedule.mii.recurrence
         report.critical_resource = schedule.mii.critical_resource
-        if schedule.ii >= policy.min_gain * report.unpipelined_length:
+        if schedule.ii >= MIN_GAIN * report.unpipelined_length:
             report.reason = (
                 f"initiation interval {schedule.ii} within"
-                f" {policy.min_gain:.0%} of unpipelined length"
+                f" {MIN_GAIN:.0%} of unpipelined length"
                 f" {report.unpipelined_length}"
             )
             return None

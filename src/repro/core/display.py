@@ -37,7 +37,7 @@ def format_kernel_schedule(schedule: KernelSchedule) -> str:
     for node in nodes:
         time = schedule.times[node.index]
         lines.append(
-            f"  t={time:3d}  (mod {time % schedule.ii})  {node.label}"
+            f"  t={time:3d}  (mod {time % schedule.ii})  {node.name}"
         )
     return "\n".join(lines)
 

@@ -64,8 +64,9 @@ def resource_mii(
     relative to its multiplicity) resource.
 
     ``extra_uses`` accounts for per-iteration overhead outside the
-    dependence graph — in particular the loop-back branch, which occupies
-    the sequencer once per initiated iteration.
+    dependence graph — in particular the loop-back branch, which holds the
+    machine's :attr:`~repro.machine.MachineDescription.branch_reservation`
+    once per initiated iteration.
     """
     totals: dict[str, int] = dict(extra_uses or {})
     for node in nodes:
@@ -84,8 +85,8 @@ def resource_mii(
 def recurrence_mii(graph: DepGraph) -> int:
     """Recurrence-constrained bound, from per-SCC minimum-ratio cycles.
 
-    Each component's bound is read off the diagonal frontiers of its fused
-    symbolic closure (see :class:`repro.deps.paths.SymbolicPaths`); the
+    Each component's bound comes from the Lawler ratio search that
+    :class:`repro.deps.paths.SymbolicPaths` runs when it is built; the
     scheduler shares those closures instead of calling this, so the
     standalone function builds and discards them.
 

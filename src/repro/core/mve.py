@@ -39,6 +39,7 @@ from repro.ir.ops import Operation
 #: Unrolling policies.
 MIN_UNROLL = "min_unroll"      # u = max q_i, registers rounded up (default)
 MIN_REGISTERS = "min_registers"  # u = lcm q_i, exactly q_i registers each
+MVE_POLICIES = (MIN_UNROLL, MIN_REGISTERS)
 
 
 def expandable_registers(graph: DepGraph) -> frozenset[Reg]:
@@ -108,7 +109,7 @@ def plan_expansion(
     ``expanded`` must be the same register set whose cross-iteration anti
     and output dependences were dropped before scheduling.
     """
-    if policy not in (MIN_UNROLL, MIN_REGISTERS):
+    if policy not in MVE_POLICIES:
         raise ValueError(f"unknown expansion policy {policy!r}")
     graph, s = schedule.graph, schedule.ii
     expanded = frozenset(expanded)

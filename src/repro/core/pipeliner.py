@@ -19,8 +19,8 @@ per-interval loop.
 Per candidate interval: strongly connected components are scheduled
 individually, condensed into single vertices carrying their aggregate
 resource usage, and the resulting acyclic graph is scheduled by modulo list
-scheduling.  The sequencer is pre-reserved in the last modulo slot for the
-loop-back branch.
+scheduling.  The machine's loop-back branch reservation is pre-placed in the
+last modulo slot.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ from repro.deps.graph import DepEdge, DepGraph, DepNode
 from repro.deps.paths import SymbolicPaths
 from repro.deps.scc import condensation_order
 from repro.machine.description import MachineDescription
-from repro.machine.resources import ReservationTable
+
+
+#: Interval search orders accepted by :class:`PipelinerPolicy`.
+SEARCH_POLICIES = ("linear", "binary")
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,13 @@ class PipelinerPolicy:
     max_ii
         Hard cap on the initiation interval search; ``None`` derives a cap
         from the graph (sum of node spans plus slack).
-    reserve_branch
-        Pre-reserve the sequencer in the last modulo slot for the loop-back
-        branch.
     """
 
     search: str = "linear"
     max_ii: Optional[int] = None
-    reserve_branch: bool = True
-    branch_resource: str = "seq"
 
     def __post_init__(self) -> None:
-        if self.search not in ("linear", "binary"):
+        if self.search not in SEARCH_POLICIES:
             raise ValueError(f"unknown search policy {self.search!r}")
 
 
@@ -154,15 +152,13 @@ def create_scheduler(
     *,
     backend: str = "heuristic",
     exact_budget=None,
-    exact_fallback: bool = True,
 ) -> SchedulerBackend:
     """Build a scheduler backend by name.
 
     The exact backend is imported lazily: :mod:`repro.exact` depends on
     this module, and the heuristic path should not pay for the import.
     ``exact_budget`` is an :class:`repro.exact.ExactBudget` (``None`` for
-    the defaults); ``exact_fallback`` controls whether budget blowouts
-    fall back to the heuristic or raise.
+    the defaults); budget blowouts fall back to the heuristic.
     """
     if backend == "heuristic":
         return ModuloScheduler(machine, policy)
@@ -170,10 +166,7 @@ def create_scheduler(
         from repro.exact import ExactBudget, ExactScheduler
 
         return ExactScheduler(
-            machine,
-            policy,
-            budget=exact_budget or ExactBudget(),
-            fallback=exact_fallback,
+            machine, policy, budget=exact_budget or ExactBudget()
         )
     raise ValueError(
         f"unknown scheduler backend {backend!r};"
@@ -204,9 +197,6 @@ class ModuloScheduler:
     ) -> None:
         self.machine = machine
         self.policy = policy
-        # One shared branch reservation per scheduler keeps the packed-table
-        # memo warm (it is keyed on table identity).
-        self._branch_table = ReservationTable.single(policy.branch_resource)
         # id(graph) -> (graph, prepared, mii).  The strong graph reference
         # keeps the id from being recycled while the entry is alive.
         self._prepared: dict[int, tuple[DepGraph, PreparedGraph, MiiReport]] = {}
@@ -273,11 +263,8 @@ class ModuloScheduler:
     def _mii_report(self, graph: DepGraph, prepared: PreparedGraph) -> MiiReport:
         """Both lower bounds; the recurrence side comes for free from the
         prepared closures instead of a separate numeric search."""
-        extra = (
-            {self.policy.branch_resource: 1}
-            if self.policy.reserve_branch
-            else None
-        )
+        branch = self.machine.branch_reservation
+        extra = {res: branch.total_use(res) for res in branch.resources()}
         resource, critical = resource_mii(graph.nodes, self.machine, extra)
         return MiiReport(
             resource=resource,
@@ -397,8 +384,7 @@ class ModuloScheduler:
             )
 
         mrt = ModuloReservationTable(self.machine, s)
-        if self.policy.reserve_branch:
-            mrt.place(self._branch_table, s - 1)
+        mrt.place(self.machine.branch_reservation, s - 1)
         item_times = modulo_schedule_dag(items, item_edges, mrt)
         if item_times is None:
             obs.count("backtracks")

@@ -13,7 +13,8 @@ time offsets, so the generic edge-construction rules of
 :mod:`repro.deps.build` produce exactly the adjusted constraints the paper
 describes.
 
-By default a conditional keeps the sequencer busy for its whole extent,
+By default a conditional keeps the units its ``cbr`` dispatch reserves (the
+sequencer, on Warp) busy for its whole extent,
 which makes the node effectively indivisible with respect to other
 conditionals and to its own instances from neighbouring iterations — this
 is the paper's arrangement ("software pipelining is then applied to the
@@ -170,8 +171,8 @@ def reduce_if(
     dispatch = machine.reservation(Opcode.CBR.value)
     reservation = reservation.merged(dispatch)
     if serialize:
-        seq_units = {"seq": machine.units("seq")}
-        reservation = reservation.saturated(seq_units, length)
+        branch_units = {res: machine.units(res) for res in dispatch.resources()}
+        reservation = reservation.saturated(branch_units, length)
 
     defs = _merged_defs(then_nodes, else_nodes)
     uses = _external_uses(stmt.cond, then_nodes, else_nodes)

@@ -64,7 +64,6 @@ def node_from_operation(
         defs=defs,
         uses=uses,
         mem=mem,
-        label=repr(op),
     )
 
 

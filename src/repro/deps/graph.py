@@ -103,9 +103,13 @@ class DepNode:
                 return info
         return None
 
+    @property
+    def name(self) -> str:
+        """The label, or the payload's repr for nodes built without one."""
+        return self.label or repr(self.payload)
+
     def __repr__(self) -> str:
-        name = self.label or repr(self.payload)
-        return f"<node {self.index}: {name}>"
+        return f"<node {self.index}: {self.name}>"
 
     def __hash__(self) -> int:
         return id(self)

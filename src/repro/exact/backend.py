@@ -49,12 +49,11 @@ class ExactBudget:
 
     The defaults comfortably cover the fuzz/audit graph sizes (4-10 nodes)
     with headroom; production-shaped loops beyond them fall back to the
-    heuristic rather than risk an exponential solve.
+    heuristic rather than risk an exponential solve.  The encoding's own
+    size caps are :mod:`repro.exact.encode` constants.
     """
 
     max_nodes: int = 24
-    max_time_slots: int = 6000
-    max_clauses: int = 200_000
     max_conflicts: int = 20_000
 
     def __post_init__(self) -> None:
@@ -102,9 +101,8 @@ class ExactScheduler:
 
     The heuristic scheduler passed in (or constructed) is used for two
     things: its memoized :meth:`~repro.core.pipeliner.ModuloScheduler.prepare`
-    supplies the per-component symbolic closures that warm-start each
-    encoding's window computation, and it is the fallback when
-    ``fallback=True`` and the budget runs out.
+    supplies the MII bounds the search starts from, and it is the fallback
+    when ``fallback=True`` and the budget runs out.
     """
 
     name = "exact"
@@ -126,16 +124,14 @@ class ExactScheduler:
 
     # -- the certificate-carrying search --------------------------------------
 
-    def minimum_ii(
-        self, graph: DepGraph, *, max_ii: Optional[int] = None
-    ) -> ExactOutcome:
+    def minimum_ii(self, graph: DepGraph) -> ExactOutcome:
         """Search initiation intervals from MII up to the cap.
 
         Never falls back: the outcome says exactly what was proved, so the
         optimality oracle can distinguish "minimum is 7" from "gave up".
         """
-        prepared, mii = self.heuristic.prepare(graph)
-        cap = max_ii or self.policy.max_ii or self.heuristic.default_cap(graph)
+        _, mii = self.heuristic.prepare(graph)
+        cap = self.policy.max_ii or self.heuristic.default_cap(graph)
         outcome = ExactOutcome(status=INFEASIBLE, mii=mii, cap=cap)
         if len(graph.nodes) > self.budget.max_nodes:
             obs.count("exact_too_large")
@@ -143,7 +139,7 @@ class ExactScheduler:
             return outcome
         for s in range(max(1, mii.mii), cap + 1):
             obs.count("exact_ii_attempts")
-            verdict, times, solved = self._attempt(graph, s, prepared)
+            verdict, times, solved = self._attempt(graph, s)
             if verdict == TOO_LARGE:
                 outcome.status = TOO_LARGE
                 return outcome
@@ -164,7 +160,7 @@ class ExactScheduler:
         return outcome
 
     def _attempt(
-        self, graph: DepGraph, s: int, prepared
+        self, graph: DepGraph, s: int
     ) -> tuple[str, Optional[dict[int, int]], Optional[SolveResult]]:
         """One SAT attempt at interval ``s``.
 
@@ -173,19 +169,8 @@ class ExactScheduler:
         :data:`TOO_LARGE`), the decoded start times on ``"sat"``, and the
         solver's result whenever the solver ran.
         """
-        branch = (
-            self.policy.branch_resource if self.policy.reserve_branch else None
-        )
         try:
-            encoding = ModuloCnf(
-                graph,
-                self.machine,
-                s,
-                reserved_branch=branch,
-                prepared=prepared,
-                max_time_slots=self.budget.max_time_slots,
-                max_clauses=self.budget.max_clauses,
-            )
+            encoding = ModuloCnf(graph, self.machine, s)
         except InfeasibleInterval:
             return "recurrence", None, None
         except EncodingTooLarge:
@@ -235,14 +220,14 @@ class ExactScheduler:
 
     def schedule_at(self, graph: DepGraph, s: int) -> Optional[PipelineResult]:
         """Attempt exactly one initiation interval (``None`` if refuted)."""
-        prepared, mii = self.heuristic.prepare(graph)
+        _, mii = self.heuristic.prepare(graph)
         if s < mii.recurrence:
             return None
         if len(graph.nodes) > self.budget.max_nodes:
             obs.count("exact_too_large")
             verdict, times = TOO_LARGE, None
         else:
-            verdict, times, _ = self._attempt(graph, s, prepared)
+            verdict, times, _ = self._attempt(graph, s)
         if verdict == SAT:
             return self._package(graph, s, times, mii, [s])
         if verdict in (TOO_LARGE, UNKNOWN):

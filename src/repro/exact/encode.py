@@ -6,9 +6,9 @@ For a candidate interval ``s`` the constraints are finite-domain:
 * every dependence edge ``u -> v`` needs
   ``sigma(v) - sigma(u) >= delay - omega * s``;
 * every modulo row ``r`` and resource ``R`` must keep
-  ``sum of uses landing on row r <= units(R)`` (with the loop-back branch
-  pre-charged to the sequencer's last row, exactly like the heuristic's
-  pre-reserved slot).
+  ``sum of uses landing on row r <= units(R)`` (with the machine's
+  loop-back branch reservation pre-charged from the last row, exactly like
+  the heuristic's pre-reserved slot).
 
 Times use the *order encoding* standard in SAT scheduling: a variable
 ``y[v][t]`` per node and window slot meaning ``sigma(v) >= t``, which turns
@@ -26,20 +26,21 @@ solution, so a least one exists.  In the least solution every node is
 either grounded below ``s`` or tight through a chain of distinct nodes,
 each tight edge adding at most ``max(delay - omega*s, 0) + s - 1``; hence
 an upper bound of ``s - 1`` plus the sum of the ``n - 1`` largest such edge
-terms.  Lower bounds come from the all-points longest paths at ``s``
-(warm-started from the heuristic's per-component symbolic closures when a
-:class:`~repro.core.pipeliner.PreparedGraph` is supplied).
+terms.  Lower bounds come from the all-points longest paths at ``s``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.deps.graph import DepGraph
 from repro.exact.cnf import Cnf
 from repro.machine.description import MachineDescription
 
 NEG_INF = float("-inf")
+
+#: Size caps on one encoding: the total (node, time) slots the windows
+#: may span, and the formula's clause count.
+MAX_TIME_SLOTS = 6000
+MAX_CLAUSES = 200_000
 
 
 class EncodingTooLarge(Exception):
@@ -52,16 +53,9 @@ class InfeasibleInterval(Exception):
     constraints)."""
 
 
-def _longest_paths_at(
-    graph: DepGraph,
-    s: int,
-    prepared=None,
-) -> list[list[float]]:
-    """All-points longest paths with weights ``delay - s * omega``.
-
-    When the heuristic's :class:`PreparedGraph` is supplied, intra-component
-    distances are seeded from its symbolic closures' dense matrices and
-    the Floyd-Warshall pass only has to fold in the cross-component edges.
+def _longest_paths_at(graph: DepGraph, s: int) -> list[list[float]]:
+    """All-points longest paths with weights ``delay - s * omega``
+    (Floyd-Warshall).
 
     Raises :class:`InfeasibleInterval` on a positive cycle.
     """
@@ -69,24 +63,6 @@ def _longest_paths_at(
     n = len(nodes)
     local = {node.index: i for i, node in enumerate(nodes)}
     dist: list[list[float]] = [[NEG_INF] * n for _ in range(n)]
-    if prepared is not None:
-        for slot, paths in enumerate(prepared.paths):
-            if paths is None:
-                continue
-            if s < paths.s_min:
-                # Below the component's own recurrence bound the interval
-                # is infeasible outright; dense() would reject it.
-                raise InfeasibleInterval(
-                    f"s={s} below component recurrence bound {paths.s_min}"
-                )
-            block = paths.dense(s)  # flat, row stride paths.n
-            stride = paths.n
-            members = prepared.components[slot]
-            for src in members:
-                row = dist[local[src.index]]
-                src_base = paths.local[src.index] * stride
-                for dst in members:
-                    row[local[dst.index]] = block[src_base + paths.local[dst.index]]
     for edge in graph.edges:
         i, j = local[edge.src.index], local[edge.dst.index]
         weight = edge.delay - s * edge.omega
@@ -118,21 +94,12 @@ def _longest_paths_at(
 class ModuloCnf:
     """One graph at one initiation interval, encoded to CNF.
 
-    ``max_time_slots`` bounds the total number of (node, time) slots the
-    windows may span; ``max_clauses`` bounds the formula size.  Exceeding
-    either raises :class:`EncodingTooLarge` so the backend can fall back.
+    Exceeding :data:`MAX_TIME_SLOTS` or :data:`MAX_CLAUSES` raises
+    :class:`EncodingTooLarge` so the backend can fall back.
     """
 
     def __init__(
-        self,
-        graph: DepGraph,
-        machine: MachineDescription,
-        s: int,
-        *,
-        reserved_branch: Optional[str] = "seq",
-        prepared=None,
-        max_time_slots: Optional[int] = None,
-        max_clauses: Optional[int] = None,
+        self, graph: DepGraph, machine: MachineDescription, s: int
     ) -> None:
         if s < 1:
             raise ValueError(f"initiation interval must be >= 1, got {s}")
@@ -143,7 +110,7 @@ class ModuloCnf:
         self._nodes = graph.nodes
         self._local = {node.index: i for i, node in enumerate(self._nodes)}
 
-        dist = _longest_paths_at(graph, s, prepared)
+        dist = _longest_paths_at(graph, s)
         n = len(self._nodes)
         lows = [
             max(
@@ -171,9 +138,9 @@ class ModuloCnf:
         # between nodes matter.
         self._windows = [(lo, max(lo, high)) for lo in lows]
         total_slots = sum(hi - lo + 1 for lo, hi in self._windows)
-        if max_time_slots is not None and total_slots > max_time_slots:
+        if total_slots > MAX_TIME_SLOTS:
             raise EncodingTooLarge(
-                f"{total_slots} time slots exceed the budget {max_time_slots}"
+                f"{total_slots} time slots exceed the budget {MAX_TIME_SLOTS}"
             )
 
         # Order variables y[v][t] ("sigma(v) >= t") for t in (lo, hi];
@@ -207,10 +174,10 @@ class ModuloCnf:
                 self.cnf.add(*support)
 
         self._encode_precedence()
-        self._encode_resources(reserved_branch)
-        if max_clauses is not None and len(self.cnf.clauses) > max_clauses:
+        self._encode_resources()
+        if len(self.cnf.clauses) > MAX_CLAUSES:
             raise EncodingTooLarge(
-                f"{len(self.cnf.clauses)} clauses exceed the budget {max_clauses}"
+                f"{len(self.cnf.clauses)} clauses exceed the budget {MAX_CLAUSES}"
             )
 
     # -- constraint families --------------------------------------------------
@@ -246,8 +213,12 @@ class ModuloCnf:
                 else:
                     self.cnf.add(antecedent, consequent)
 
-    def _encode_resources(self, reserved_branch: Optional[str]) -> None:
+    def _encode_resources(self) -> None:
         s = self.s
+        branch: dict[tuple[int, str], int] = {}
+        for offset, resource, amount in self.machine.branch_reservation:
+            key = ((s - 1 + offset) % s, resource)
+            branch[key] = branch.get(key, 0) + amount
         rows: dict[tuple[int, str], list[int]] = {}
         for v, node in enumerate(self._nodes):
             lo, hi = self._windows[v]
@@ -258,9 +229,7 @@ class ModuloCnf:
                         [self._x[v][t]] * amount
                     )
         for (row, resource), lits in sorted(rows.items()):
-            limit = self.machine.units(resource)
-            if reserved_branch == resource and row == (s - 1) % s:
-                limit -= 1
+            limit = self.machine.units(resource) - branch.get((row, resource), 0)
             if limit < 0:
                 self.cnf.add(lits[0])
                 self.cnf.add(-lits[0])

@@ -72,7 +72,8 @@ def _verify_op(program: Program, op: Operation, defined: set[Reg]) -> None:
     if op.is_control:
         raise IRError(f"control opcode {op.opcode} not allowed in structured IR")
     for src in op.srcs:
-        _verify_operand_defined(src, defined, f"operation {op!r}")
+        if isinstance(src, Reg) and src not in defined:
+            raise IRError(f"operation {op!r} reads undefined register {src}")
     if op.opcode is Opcode.LOAD:
         decl = program.arrays.get(op.array)
         if decl is None:

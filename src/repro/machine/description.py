@@ -135,6 +135,16 @@ class MachineDescription:
     def units(self, resource: str) -> int:
         return self.resources[resource]
 
+    @property
+    def branch_reservation(self) -> ReservationTable:
+        """What the loop-back ``cjump`` holds: one use per kernel iteration,
+        issued at the kernel's last modulo row.
+
+        The op class's own table is returned, so every scheduler shares one
+        object and :meth:`packed`'s identity memo stays warm.
+        """
+        return self.op_class("cjump").reservation
+
     def packed(self, reservation: ReservationTable) -> PackedReservation:
         """``reservation`` compiled to this machine's integer layout,
         memoized by table identity.
@@ -180,15 +190,12 @@ def standard_op_classes(
     fmul_latency: int,
     fdiv_latency: int,
     load_latency: int,
-    alu_resource: str = "alu",
-    fadd_resource: str = "fadd",
-    fmul_resource: str = "fmul",
-    mem_resource: str = "mem",
-    branch_resource: str = "seq",
 ) -> dict[str, OpClass]:
     """Build the op-class map shared by all standard machine descriptions.
 
     The opcode vocabulary here must match :class:`repro.ir.Opcode` values.
+    Ops run on the units ``alu``, ``fadd``, ``fmul``, ``mem`` and ``seq``;
+    :func:`repro.machine.simple.make_custom` moves them elsewhere.
     """
 
     def cls(name: str, latency: int, resource: str) -> OpClass:
@@ -198,18 +205,18 @@ def standard_op_classes(
     for name in ("add", "sub", "mul", "div", "mod", "and", "or", "xor",
                  "shl", "shr", "neg", "not", "mov",
                  "lt", "le", "gt", "ge", "eq", "ne"):
-        classes[name] = cls(name, alu_latency, alu_resource)
+        classes[name] = cls(name, alu_latency, "alu")
     for name in ("fadd", "fsub", "fneg", "fmov",
                  "flt", "fle", "fgt", "fge", "feq", "fne",
                  "fmax", "fmin", "fabs", "f2i", "i2f"):
-        classes[name] = cls(name, fadd_latency, fadd_resource)
-    classes["fmul"] = cls("fmul", fmul_latency, fmul_resource)
-    classes["fdiv"] = cls("fdiv", fdiv_latency, fmul_resource)
-    classes["load"] = cls("load", load_latency, mem_resource)
-    classes["store"] = cls("store", 1, mem_resource)
-    classes["cjump"] = cls("cjump", 1, branch_resource)
-    classes["jump"] = cls("jump", 1, branch_resource)
-    classes["cbr"] = cls("cbr", 1, branch_resource)
+        classes[name] = cls(name, fadd_latency, "fadd")
+    classes["fmul"] = cls("fmul", fmul_latency, "fmul")
+    classes["fdiv"] = cls("fdiv", fdiv_latency, "fmul")
+    classes["load"] = cls("load", load_latency, "mem")
+    classes["store"] = cls("store", 1, "mem")
+    classes["cjump"] = cls("cjump", 1, "seq")
+    classes["jump"] = cls("jump", 1, "seq")
+    classes["cbr"] = cls("cbr", 1, "seq")
     classes["nop"] = OpClass("nop", 0, ReservationTable())
     return classes
 

@@ -64,9 +64,10 @@ def make_custom(
 ) -> MachineDescription:
     """Fully custom machine: override resource multiplicities and op classes.
 
-    ``resources`` must include at least the five standard resource names
-    (``fadd``, ``fmul``, ``alu``, ``mem``, ``seq``) since the standard op
-    classes reserve them; extra resources may be added for custom op classes.
+    ``resources`` must include the resources the op classes reserve: the
+    standard ``fadd``, ``fmul``, ``alu``, ``mem`` and ``seq`` unless
+    ``op_overrides`` moves every op off one, plus any a custom op class
+    uses.  The loop-back branch holds whatever the ``cjump`` class reserves.
     """
     op_classes = standard_op_classes(
         alu_latency=alu_latency,

@@ -95,9 +95,12 @@ def validate_request(payload: dict[str, Any]) -> str:
     return op
 
 
-#: CompilerPolicy fields a request may set.  ``independent_arrays``
-#: travels as a list and is rebuilt as a frozenset.
-_POLICY_FIELDS = {f.name: f for f in dataclasses.fields(CompilerPolicy)}
+#: CompilerPolicy fields a request may set, with the type each value must
+#: have (its default's).  ``independent_arrays`` travels as a list and is
+#: rebuilt as a frozenset.
+_POLICY_TYPES = {
+    f.name: type(f.default) for f in dataclasses.fields(CompilerPolicy)
+}
 
 
 def policy_from_wire(
@@ -105,11 +108,11 @@ def policy_from_wire(
     base: Optional[CompilerPolicy] = None,
 ) -> CompilerPolicy:
     """Apply a request's policy overrides to ``base`` (default policy if
-    omitted), rejecting unknown fields."""
+    omitted), rejecting unknown fields, mistyped values and unknown names."""
     policy = base if base is not None else CompilerPolicy()
     if not overrides:
         return policy
-    unknown = sorted(set(overrides) - set(_POLICY_FIELDS))
+    unknown = sorted(set(overrides) - set(_POLICY_TYPES))
     if unknown:
         raise ProtocolError(
             f"unknown policy field(s): {', '.join(unknown)}"
@@ -124,6 +127,16 @@ def policy_from_wire(
                 "policy 'independent_arrays' must be a list of strings"
             )
         fields["independent_arrays"] = frozenset(value)
+    for name, value in fields.items():
+        want = _POLICY_TYPES[name]
+        # bool is an int subclass: an int field must not take true/false.
+        if not isinstance(value, want) or (
+            want is int and isinstance(value, bool)
+        ):
+            raise ProtocolError(
+                f"policy {name!r} must be {want.__name__},"
+                f" got {type(value).__name__}"
+            )
     try:
         return dataclasses.replace(policy, **fields)
     except (TypeError, ValueError) as exc:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.compile import CompilerPolicy, compile_program
 from repro.ir import ProgramBuilder
-from repro.machine import SIMPLE, WARP, make_simple
+from repro.machine import SIMPLE, WARP, OpClass, make_custom, make_simple
+from repro.machine.resources import ReservationTable
 from repro.simulator import run_and_check
 
 
@@ -56,6 +57,16 @@ def build_conditional(n: int = 64) -> "Program":
             then.store(a, then.var, then.fmul(x, 2.0))
             other.store(a, other.var, other.fadd(x, 10.0))
     return pb.finish()
+
+
+def cjump_on(unit: str):
+    """WARP's units plus a spare ``br``, with the loop-back ``cjump``
+    reserving ``unit`` instead of the sequencer."""
+    return make_custom(
+        f"cjump-on-{unit}",
+        {"fadd": 1, "fmul": 1, "alu": 1, "mem": 1, "seq": 1, "br": 1},
+        {"cjump": OpClass("cjump", 1, ReservationTable.single(unit))},
+    )
 
 
 def compile_and_check(program, machine=WARP, policy=CompilerPolicy(), **run_kwargs):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.compile as compile_mod
 from repro.core.compile import CompilerPolicy, compile_program
 from repro.core.emit import RegisterPressureError
 from repro.ir import INT, ProgramBuilder, Reg
@@ -123,21 +124,6 @@ class TestDynamicTrips:
         assert report.pipelined
         assert report.two_version
 
-    def test_runtime_bound_falls_back_when_scheme_disabled(self):
-        pb = ProgramBuilder("dyn")
-        pb.array("a", 128)
-        pb.array("nbox", 2, INT)
-        n = pb.load("nbox", 0)
-        with pb.loop("i", 0, n) as body:
-            body.store("a", body.var, body.fadd(body.load("a", body.var), 1.0))
-        compiled, _ = compile_and_check(
-            pb.finish(), array_init=_n_init,
-            policy=CompilerPolicy(dynamic_pipeline=False),
-        )
-        report = compiled.loops[0]
-        assert not report.pipelined
-        assert "unknown" in report.reason
-
     def test_zero_trip_dynamic_loop(self):
         pb = ProgramBuilder("dyn0")
         pb.array("a", 16)
@@ -171,19 +157,17 @@ class TestFallbacks:
         )
         assert compiled.loops[0].reason == "pipelining disabled"
 
-    def test_body_length_threshold(self):
-        compiled = compile_program(
-            build_vadd(100), WARP, CompilerPolicy(max_body_length=2)
-        )
+    def test_body_length_threshold(self, monkeypatch):
+        monkeypatch.setattr(compile_mod, "MAX_BODY_LENGTH", 2)
+        compiled = compile_program(build_vadd(100), WARP)
         report = compiled.loops[0]
         assert not report.pipelined
         assert "threshold" in report.reason
         run_and_check(compiled.code)
 
-    def test_min_gain_gate(self):
-        compiled = compile_program(
-            build_vadd(100), WARP, CompilerPolicy(min_gain=0.01)
-        )
+    def test_min_gain_gate(self, monkeypatch):
+        monkeypatch.setattr(compile_mod, "MIN_GAIN", 0.01)
+        compiled = compile_program(build_vadd(100), WARP)
         report = compiled.loops[0]
         assert not report.pipelined
         run_and_check(compiled.code)

@@ -26,7 +26,7 @@ class TestScheduleViews:
         text = format_kernel_schedule(schedule)
         assert f"ii={schedule.ii}" in text
         for node in schedule.graph.nodes:
-            assert node.label in text
+            assert node.name in text
 
     def test_modulo_table_shows_capacity(self):
         schedule = _schedule()

@@ -30,10 +30,13 @@ from repro.exact import (
     ExactScheduler,
     InfeasibleInterval,
     ModuloCnf,
+    encode,
 )
 from repro.ir import Opcode, Operation
 from repro.machine import WARP
 from repro.obs import trace as obs
+
+from conftest import cjump_on
 
 #: The committed corpus config (seed 2024 batch, bench_scheduler shape).
 CORPUS_CONFIG = GraphConfig(min_nodes=4, max_nodes=10, scc_density=0.35)
@@ -106,12 +109,11 @@ class TestModuloCnfEncoder:
         assert len({t % 3 for t in times.values()}) == 3
 
     def test_reserved_branch_row_excludes_sequencer(self):
-        # One sequencer op at II=1: the loop-back branch owns row 0.
+        # One sequencer op at II=1: the loop-back branch owns row 0, unless
+        # the machine's cjump reserves another unit.
         graph = _graph("cbr")
         assert _solve(ModuloCnf(graph, WARP, 1)).status == UNSAT
-        assert _solve(
-            ModuloCnf(graph, WARP, 1, reserved_branch=None)
-        ).status == SAT
+        assert _solve(ModuloCnf(graph, cjump_on("br"), 1)).status == SAT
 
     def test_reserved_branch_row_is_last_slot(self):
         # At II=2 the branch owns row 1; a sequencer op must avoid it.
@@ -272,11 +274,10 @@ class TestExactBudget:
         with pytest.raises(SchedulingFailure, match="fallback is disabled"):
             exact.schedule(graph)
 
-    def test_clause_budget_is_too_large(self):
+    def test_clause_budget_is_too_large(self, monkeypatch):
+        monkeypatch.setattr(encode, "MAX_CLAUSES", 10)
         graph = random_dep_graph(2154, WARP, CORPUS_CONFIG)
-        exact = ExactScheduler(
-            WARP, budget=ExactBudget(max_clauses=10), fallback=False
-        )
+        exact = ExactScheduler(WARP, fallback=False)
         assert exact.minimum_ii(graph).status == "too_large"
 
     def test_conflict_budget_is_unknown(self):

@@ -4,8 +4,9 @@ bottleneck the way the paper's bounds predict."""
 
 import pytest
 
-from repro.core.compile import compile_program
-from repro.machine import SIMPLE, WARP, make_custom, make_warp
+from repro.core.compile import CompilerPolicy, compile_program
+from repro.machine import SIMPLE, WARP, OpClass, make_custom, make_warp
+from repro.machine.resources import ReservationTable
 from repro.simulator import run_and_check
 from conftest import build_conditional, build_dot, build_vadd
 
@@ -26,6 +27,15 @@ MACHINES = {
         "single", {"fadd": 1, "fmul": 1, "alu": 1, "mem": 1, "seq": 1},
         fadd_latency=12, fmul_latency=12, load_latency=8, num_registers=128,
     ),
+    # No 'seq' unit: every branch op, the loop-back cjump included, runs
+    # on 'br'.
+    "branch-unit": make_custom(
+        "branch-unit", {"fadd": 1, "fmul": 1, "alu": 1, "mem": 1, "br": 1},
+        {
+            name: OpClass(name, 1, ReservationTable.single("br"))
+            for name in ("cjump", "jump", "cbr")
+        },
+    ),
 }
 
 PROGRAMS = {
@@ -40,6 +50,16 @@ PROGRAMS = {
 def test_every_program_on_every_machine(machine_name, program_name):
     machine = MACHINES[machine_name]
     compiled = compile_program(PROGRAMS[program_name](), machine)
+    run_and_check(compiled.code)
+
+
+@pytest.mark.parametrize("program_name", sorted(PROGRAMS))
+def test_branch_unit_machine_under_exact_backend(program_name):
+    compiled = compile_program(
+        PROGRAMS[program_name](), MACHINES["branch-unit"],
+        CompilerPolicy(scheduler_backend="exact"),
+    )
+    assert compiled.loops[0].pipelined
     run_and_check(compiled.code)
 
 

@@ -223,18 +223,6 @@ class TestModuloScheduler:
         assert result.schedule.achieved_lower_bound
         _assert_valid(result.schedule)
 
-    def test_branch_reservation_counted(self):
-        # With only the sequencer contended, the branch still forces ii >= 1
-        # and occupies modulo row s-1.
-        lg = build_reduced_loop_graph(_vadd_loop(), WARP)
-        result = ModuloScheduler(
-            WARP, PipelinerPolicy(reserve_branch=False)
-        ).schedule(lg.graph)
-        assert audit_modulo_resources(
-            result.schedule, reserved_branch=None
-        ) == []
-        assert audit_precedence(result.schedule) == []
-
     def test_recurrence_constrains_ii(self):
         pb = ProgramBuilder("acc")
         pb.array("a", 256)

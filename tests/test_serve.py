@@ -86,6 +86,20 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="unknown policy field"):
             policy_from_wire({"warp_speed": 9})
 
+    @pytest.mark.parametrize("overrides", [
+        {"pipeline": "no"},
+        {"pipeline": 0},
+        {"exact_max_nodes": "x"},
+        {"exact_max_nodes": True},
+        {"search": "bogus"},
+        {"search": 1},
+        {"mve_policy": "nope"},
+        {"scheduler_backend": "ilp"},
+    ])
+    def test_policy_bad_value_rejected(self, overrides):
+        with pytest.raises(ProtocolError):
+            policy_from_wire(overrides)
+
     def test_policy_independent_arrays(self):
         policy = policy_from_wire({"independent_arrays": ["a", "b"]})
         assert policy.independent_arrays == frozenset({"a", "b"})
@@ -148,6 +162,12 @@ class TestCompileService:
             )
         assert "pipelined" in pipelined["report"]
         assert "unpipelined" in baseline["report"]
+
+    def test_bad_policy_value_is_an_error_reply(self, server, sock_path):
+        with ServeClient(socket_path=sock_path) as client:
+            with pytest.raises(ServeClientError, match="pipeline"):
+                client.compile(SUITE[0].source, policy={"pipeline": "no"})
+            assert client.compile(SUITE[0].source)["ok"]
 
     def test_machine_selection_and_unknown_machine(self, server, sock_path):
         with ServeClient(socket_path=sock_path) as client:

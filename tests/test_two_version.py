@@ -96,7 +96,7 @@ class TestTwoVersionScheme:
     def test_large_n_actually_uses_pipelined_path(self):
         compiled = compile_program(build_dynamic(), WARP)
         fast = run_and_check(compiled.code, array_init=init_for(150))
-        slow_policy = CompilerPolicy(dynamic_pipeline=False)
+        slow_policy = CompilerPolicy(pipeline=False)
         baseline = compile_program(build_dynamic(), WARP, slow_policy)
         assert not baseline.loops[0].pipelined
         slow = run_and_check(baseline.code, array_init=init_for(150))
@@ -110,15 +110,6 @@ class TestTwoVersionScheme:
         report = compiled.loops[0]
         per_body = report.unpipelined_length * (report.unroll + 2)
         assert report.total_size <= per_body + 3 * report.unpipelined_length
-
-    def test_dynamic_pipeline_policy_off(self):
-        compiled = compile_program(
-            build_dynamic(), WARP, CompilerPolicy(dynamic_pipeline=False)
-        )
-        report = compiled.loops[0]
-        assert not report.pipelined
-        assert "unknown" in report.reason
-        run_and_check(compiled.code, array_init=init_for(33))
 
 
 class TestPassExpressions:

@@ -9,6 +9,8 @@ clean; deliberately corrupted ones must always be reported, with the
 violation kind naming the broken constraint.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.audit.oracle import (
@@ -24,7 +26,7 @@ from repro.core.reduction import build_reduced_loop_graph
 from repro.ir import ProgramBuilder
 from repro.machine import SIMPLE, WARP
 
-from conftest import build_conditional, build_dot, build_vadd
+from conftest import build_conditional, build_dot, build_vadd, cjump_on
 
 
 def _vadd_schedule(machine=WARP):
@@ -135,15 +137,12 @@ class TestCorruptedSchedulesFail:
         # Move the earlier op onto the later op's cycle.  For vadd's
         # load -> store chain that also damages precedence, but the
         # oracles report every violation, so the resource clash must be
-        # among them with or without the branch reservation.
+        # among them whichever unit the branch reserves.
         schedule.times[first.index] = schedule.times[second.index]
-        for branch in ("seq", None):
-            assert WINDOW_RESOURCE in _kinds(
-                audit_window(schedule, reserved_branch=branch)
-            )
-            assert RESOURCE in _kinds(
-                audit_modulo_resources(schedule, reserved_branch=branch)
-            )
+        for machine in (WARP, cjump_on("br")):
+            moved = dataclasses.replace(schedule, machine=machine)
+            assert WINDOW_RESOURCE in _kinds(audit_window(moved))
+            assert RESOURCE in _kinds(audit_modulo_resources(moved))
 
     def test_pure_resource_clash_reports_resource(self):
         # Two *independent* loads (no edge between them) moved onto the
@@ -188,11 +187,13 @@ class TestCorruptedSchedulesFail:
     def test_branch_slot_is_accounted(self):
         # The loop branch claims one unit of the branch resource at cycle
         # ii-1 of every iteration.  vadd at ii=2 has a mem op on both
-        # modulo rows, so pretending the branch issues on 'mem' must clash
-        # while the real 'seq' reservation (and none at all) stay clean.
+        # modulo rows, so a machine whose branch issues on 'mem' must clash
+        # while the real 'seq' reservation (and a spare unit) stay clean.
         schedule = _vadd_schedule()
-        assert audit_window(schedule, reserved_branch="seq") == []
-        assert audit_window(schedule, reserved_branch=None) == []
-        violations = audit_window(schedule, reserved_branch="mem")
+        assert audit_window(schedule) == []
+        spare = dataclasses.replace(schedule, machine=cjump_on("br"))
+        assert audit_window(spare) == []
+        on_mem = dataclasses.replace(schedule, machine=cjump_on("mem"))
+        violations = audit_window(on_mem)
         assert _kinds(violations) == {WINDOW_RESOURCE}
         assert all("'mem'" in v.detail for v in violations)
