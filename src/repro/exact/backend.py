@@ -176,6 +176,8 @@ class ExactScheduler:
         except EncodingTooLarge:
             obs.count("exact_too_large")
             return TOO_LARGE, None, None
+        obs.count("exact_vars", encoding.num_vars)
+        obs.count("exact_clauses", len(encoding.clauses))
         solved = CdclSolver(
             encoding.num_vars,
             encoding.clauses,

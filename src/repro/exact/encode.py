@@ -22,16 +22,34 @@ multiple of ``s`` (preserving all rows and all differences) so its minimum
 time lies in ``[0, s)``, and then each time can be replaced by the *least*
 solution of the difference constraints with the same residues — the
 pointwise minimum of two solutions with equal residues is again a
-solution, so a least one exists.  In the least solution every node is
-either grounded below ``s`` or tight through a chain of distinct nodes,
-each tight edge adding at most ``max(delay - omega*s, 0) + s - 1``; hence
-an upper bound of ``s - 1`` plus the sum of the ``n - 1`` largest such edge
-terms.  Lower bounds come from the all-points longest paths at ``s``.
+solution, so a least one exists.  Lower bounds come from the all-points
+longest paths ``dist`` at ``s``.  Upper bounds bound the least solution:
+
+* Call an edge ``u -> v`` *tight* in the least solution when
+  ``sigma(v) - s < sigma(u) + c`` with ``c = delay - omega * s``.  Let
+  ``S`` be the set of nodes that no node below ``s`` reaches by a path of
+  tight edges.  Every node of ``S`` could move down by ``s``: edges into
+  ``S`` are not tight, and edges leaving ``S`` only gain slack.  That
+  contradicts leastness, so ``S`` is empty.
+* So some node below ``s`` reaches ``v`` by a simple path of tight
+  edges, and each tight edge adds at most ``c + s - 1``.  The path
+  crosses each strongly connected component once, and inside a component
+  it stays inside it, so ``dist`` bounds its weight there.
+
+Walking the components in topological order, a node ``w`` of component
+``C`` is entered no later than
+``entry(w) = max(s - 1, hi(u) + c + s - 1 for edges u -> w from outside C)``,
+and a node ``v`` of ``C`` gets
+``hi(v) = max over w in C of (entry(w) + dist[w][v]) + (|C| - 1) * (s - 1)``
+with ``dist[v][v]`` read as 0: at most ``|C| - 1`` tight edges inside
+``C``, each at most ``s - 1`` above its ``dist`` weight.  The lows are
+themselves a least solution, so every window is nonempty.
 """
 
 from __future__ import annotations
 
 from repro.deps.graph import DepGraph
+from repro.deps.scc import condensation_order
 from repro.exact.cnf import Cnf
 from repro.machine.description import MachineDescription
 
@@ -122,21 +140,8 @@ class ModuloCnf:
             )
             for v in range(n)
         ]
-        # Upper bound: s - 1 for the grounded end of a tight chain, plus
-        # the n - 1 largest per-edge slack terms (see module docstring).
-        terms = sorted(
-            (
-                max(edge.delay - s * edge.omega, 0) + s - 1
-                for edge in graph.edges
-                if edge.src is not edge.dst
-            ),
-            reverse=True,
-        )
-        high = (s - 1) + sum(terms[: max(0, n - 1)])
-        # All windows share the global ceiling; a node's own low may reach
-        # it, leaving a one-slot window, which is fine — only differences
-        # between nodes matter.
-        self._windows = [(lo, max(lo, high)) for lo in lows]
+        highs = self._highs(dist)
+        self._windows = list(zip(lows, highs))
         total_slots = sum(hi - lo + 1 for lo, hi in self._windows)
         if total_slots > MAX_TIME_SLOTS:
             raise EncodingTooLarge(
@@ -179,6 +184,32 @@ class ModuloCnf:
             raise EncodingTooLarge(
                 f"{len(self.cnf.clauses)} clauses exceed the budget {MAX_CLAUSES}"
             )
+
+    def _highs(self, dist: list[list[float]]) -> list[int]:
+        """Each node's upper bound on the least solution, read off the SCC
+        condensation (see the module docstring)."""
+        s = self.s
+        local = self._local
+        highs = [0] * len(self._nodes)
+        for component in condensation_order(self.graph):
+            members = [local[node.index] for node in component]
+            inside = set(members)
+            entries = []
+            for node in component:
+                entry = s - 1
+                for edge in self.graph.preds(node):
+                    u = local[edge.src.index]
+                    if u not in inside:
+                        c = edge.delay - s * edge.omega
+                        entry = max(entry, highs[u] + c + s - 1)
+                entries.append(entry)
+            spread = (len(members) - 1) * (s - 1)
+            for v in members:
+                highs[v] = spread + max(
+                    entry + (0 if w == v else int(dist[w][v]))
+                    for w, entry in zip(members, entries)
+                )
+        return highs
 
     # -- constraint families --------------------------------------------------
 

@@ -17,6 +17,10 @@ shipped fast paths to.
 * :class:`ScanDecisionSolver` — the CDCL solver deciding by a scan of
   every variable, the oracle for :class:`repro.exact.solver.CdclSolver`'s
   order heap.
+* :class:`GlobalCeilingModuloCnf` — the modulo-scheduling encoding with
+  one time ceiling shared by every node, the oracle for
+  :class:`repro.exact.encode.ModuloCnf`'s per-node windows from the SCC
+  condensation.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.core.mve import ExpansionPlan
 from repro.core.schedule import KernelSchedule
 from repro.deps.graph import DepEdge, DepNode
 from repro.deps.paths import NEG_INF, CyclicDependenceError
+from repro.exact.encode import ModuloCnf
 from repro.exact.solver import CdclSolver
 from repro.frontend.lexer import KEYWORDS, SYMBOLS, LexError, Pragma, Token
 from repro.ir.ops import Opcode, Operation
@@ -298,3 +303,29 @@ class ScanDecisionSolver(CdclSolver):
         if best_var == 0:
             return None
         return best_var if self._phase[best_var] else -best_var
+
+
+class GlobalCeilingModuloCnf(ModuloCnf):
+    """:class:`ModuloCnf` with every window closed by one ceiling: ``s - 1``
+    for the grounded end of a tight chain, plus the ``n - 1`` largest edge
+    terms ``max(delay - omega * s, 0) + s - 1``, one per tight edge of a
+    chain through distinct nodes."""
+
+    def _highs(self, dist: list[list[float]]) -> list[int]:
+        s = self.s
+        n = len(self._nodes)
+        terms = sorted(
+            (
+                max(edge.delay - s * edge.omega, 0) + s - 1
+                for edge in self.graph.edges
+                if edge.src is not edge.dst
+            ),
+            reverse=True,
+        )
+        high = (s - 1) + sum(terms[: max(0, n - 1)])
+        lows = [
+            max([0] + [int(dist[u][v]) for u in range(n)
+                       if dist[u][v] != NEG_INF])
+            for v in range(n)
+        ]
+        return [max(lo, high) for lo in lows]
