@@ -30,7 +30,11 @@ import json
 import sys
 
 from repro import SIMPLE, WARP, CompilerPolicy
-from repro.core.pipeliner import SCHEDULER_BACKENDS, SEARCH_POLICIES
+from repro.core.pipeliner import (
+    EXACT_MAX_CONFLICTS,
+    SCHEDULER_BACKENDS,
+    SEARCH_POLICIES,
+)
 from repro.batch import ScheduleCache, compile_many, compile_one
 from repro.core.display import disassemble
 from repro.frontend import parse_program
@@ -47,7 +51,6 @@ def _policy(args: argparse.Namespace) -> CompilerPolicy:
         search=args.search,
         cse=not args.no_cse,
         scheduler_backend=args.scheduler_backend,
-        exact_max_nodes=args.exact_max_nodes,
         exact_max_conflicts=args.exact_max_conflicts,
     )
 
@@ -78,18 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scheduler-backend", choices=sorted(SCHEDULER_BACKENDS),
         default="heuristic",
         help="modulo scheduler: Lam's heuristic, or the exact SAT backend"
-             " (provably minimum II on small loops, heuristic fallback"
-             " beyond its budget)",
+             " (starts from the heuristic's schedule and searches the"
+             " smaller initiation intervals for the provable minimum)",
     )
     common.add_argument(
-        "--exact-max-nodes", type=int, default=24, metavar="N",
-        help="exact backend size budget: loops beyond N dependence nodes"
-             " fall back to the heuristic (default: 24)",
-    )
-    common.add_argument(
-        "--exact-max-conflicts", type=int, default=20_000, metavar="N",
+        "--exact-max-conflicts", type=int, default=EXACT_MAX_CONFLICTS,
+        metavar="N",
         help="exact backend effort budget: solver conflicts per interval"
-             " before giving up (default: 20000)",
+             " before keeping the heuristic's schedule"
+             f" (default: {EXACT_MAX_CONFLICTS})",
     )
     stats = argparse.ArgumentParser(add_help=False)
     stats.add_argument(
@@ -286,7 +286,7 @@ def _run_suite(args: argparse.Namespace) -> int:
     cache = ScheduleCache(args.cache_dir) if args.cache_dir else None
     programs = generate_suite()[: args.count]
     report = compile_many(
-        programs, machine, _policy(args),
+        programs, machine, args.policy,
         jobs=args.jobs, backend=args.backend,
         cache=cache, collect_stats=args.stats,
     )
@@ -308,7 +308,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         backend=args.backend,
         machine=MACHINES[args.machine],
-        policy=_policy(args),
+        policy=args.policy,
         optimality=args.optimality,
     )
     print(report.summary())
@@ -340,7 +340,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         cache_dir=args.cache_dir,
         machine=args.machine,
-        policy=_policy(args),
+        policy=args.policy,
         max_pending=args.max_pending,
     )
     server = CompileServer(config)
@@ -379,13 +379,12 @@ def _run_submit(args: argparse.Namespace) -> int:
         print("error: nothing to submit (give FILEs, --suite N, --status,"
               " or --shutdown)", file=sys.stderr)
         return 2
-    policy = _policy(args)
+    policy = args.policy
     policy_wire = {
         "pipeline": policy.pipeline,
         "search": policy.search,
         "cse": policy.cse,
         "scheduler_backend": policy.scheduler_backend,
-        "exact_max_nodes": policy.exact_max_nodes,
         "exact_max_conflicts": policy.exact_max_conflicts,
     }
     failures = 0
@@ -488,7 +487,13 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if "scheduler_backend" in args:
+        try:
+            args.policy = _policy(args)
+        except ValueError as error:
+            parser.error(str(error))
 
     if args.command == "suite":
         return _run_suite(args)
@@ -523,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     collect_stats = bool(getattr(args, "stats", False))
     result = compile_one(
-        args.source, text, machine, _policy(args),
+        args.source, text, machine, args.policy,
         cache=cache, collect_stats=collect_stats,
     )
     if result.error is not None:

@@ -35,7 +35,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.audit.oracle import Violation, _report, audit_result
-from repro.core.pipeliner import ModuloScheduler, PipelinerPolicy
+from repro.core.pipeliner import (
+    EXACT_MAX_CONFLICTS,
+    ModuloScheduler,
+    PipelinerPolicy,
+)
 from repro.core.schedule import SchedulingFailure
 from repro.deps.graph import DepGraph
 from repro.machine.description import MachineDescription
@@ -87,24 +91,24 @@ def audit_optimality(
     machine: MachineDescription,
     *,
     policy: PipelinerPolicy = PipelinerPolicy(),
-    budget=None,
+    max_conflicts: int = EXACT_MAX_CONFLICTS,
     heuristic: Optional[ModuloScheduler] = None,
 ) -> OptimalityReport:
     """Schedule ``graph`` with both backends and reconcile the outcomes.
 
-    The exact backend runs with ``fallback=False`` — a silent fallback to
-    the very scheduler under audit would make the oracle vacuous — and
-    shares the heuristic's memoized preparation, so both sides start from
-    the same MII.
+    The exact side is :meth:`~repro.exact.ExactScheduler.minimum_ii`, the
+    full search from MII that never reads the heuristic's schedule — an
+    answer seeded by the very scheduler under audit would make the oracle
+    vacuous.  It shares the heuristic's memoized preparation, so both
+    sides start from the same MII.
     """
-    from repro.exact import ExactBudget, ExactScheduler
+    from repro.exact import ExactScheduler
 
     scheduler = heuristic or ModuloScheduler(machine, policy)
     exact = ExactScheduler(
         machine,
         scheduler.policy,
-        budget=budget or ExactBudget(),
-        fallback=False,
+        max_conflicts=max_conflicts,
         heuristic=scheduler,
     )
     try:

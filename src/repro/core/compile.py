@@ -46,6 +46,7 @@ from repro.core.emit import (
 from repro.core.listsched import list_schedule_block
 from repro.core.mve import MIN_UNROLL, MVE_POLICIES, ExpansionPlan, plan_expansion
 from repro.core.pipeliner import (
+    EXACT_MAX_CONFLICTS,
     SCHEDULER_BACKENDS,
     SEARCH_POLICIES,
     PipelinerPolicy,
@@ -87,11 +88,12 @@ class CompilerPolicy:
     cse: bool = True
     #: Which :data:`~repro.core.pipeliner.SCHEDULER_BACKENDS` member
     #: pipelines the loops: Lam's heuristic, or the exact SAT backend
-    #: (which falls back to the heuristic beyond its budget).
+    #: (which keeps the heuristic's schedule unless SAT finds a smaller
+    #: interval).
     scheduler_backend: str = "heuristic"
-    #: Budget knobs for the exact backend; ignored by the heuristic.
-    exact_max_nodes: int = 24
-    exact_max_conflicts: int = 20_000
+    #: The exact backend's conflict budget per interval; ignored by the
+    #: heuristic.
+    exact_max_conflicts: int = EXACT_MAX_CONFLICTS
 
     def __post_init__(self) -> None:
         for name, allowed in (
@@ -104,6 +106,8 @@ class CompilerPolicy:
                 raise ValueError(
                     f"unknown {name} {value!r}; expected one of {allowed}"
                 )
+        if self.exact_max_conflicts < 1:
+            raise ValueError("exact_max_conflicts must be positive")
 
 
 @dataclass
@@ -635,19 +639,11 @@ def scheduler_for(
 ) -> SchedulerBackend:
     """The modulo scheduler backend ``policy`` names, with its search
     order and exact-search budget, trying intervals up to ``max_ii``."""
-    exact_budget = None
-    if policy.scheduler_backend == "exact":
-        from repro.exact import ExactBudget
-
-        exact_budget = ExactBudget(
-            max_nodes=policy.exact_max_nodes,
-            max_conflicts=policy.exact_max_conflicts,
-        )
     return create_scheduler(
         machine,
         PipelinerPolicy(search=policy.search, max_ii=max_ii),
         backend=policy.scheduler_backend,
-        exact_budget=exact_budget,
+        max_conflicts=policy.exact_max_conflicts,
     )
 
 

@@ -125,9 +125,7 @@ class SchedulerBackend(Protocol):
     default) and :class:`repro.exact.ExactScheduler` (SAT-based exact
     minimum-II search).  ``name`` identifies the backend in reports and
     CLI flags; :meth:`schedule` raises
-    :class:`~repro.core.schedule.SchedulingFailure` on a decline and
-    :meth:`schedule_at` returns ``None`` when one specific interval is
-    unschedulable.
+    :class:`~repro.core.schedule.SchedulingFailure` on a decline.
     """
 
     name: str
@@ -137,13 +135,14 @@ class SchedulerBackend(Protocol):
     def schedule(self, graph: DepGraph) -> PipelineResult:
         ...
 
-    def schedule_at(self, graph: DepGraph, s: int) -> Optional[PipelineResult]:
-        ...
-
 
 #: Registered backend names accepted by :func:`create_scheduler` and the
 #: ``--scheduler-backend`` CLI option.
 SCHEDULER_BACKENDS = ("heuristic", "exact")
+
+#: The exact backend's default effort budget: solver conflicts per
+#: interval before a probe answers ``unknown``.
+EXACT_MAX_CONFLICTS = 20_000
 
 
 def create_scheduler(
@@ -151,23 +150,21 @@ def create_scheduler(
     policy: PipelinerPolicy = PipelinerPolicy(),
     *,
     backend: str = "heuristic",
-    exact_budget=None,
+    max_conflicts: int = EXACT_MAX_CONFLICTS,
 ) -> SchedulerBackend:
     """Build a scheduler backend by name.
 
     The exact backend is imported lazily: :mod:`repro.exact` depends on
     this module, and the heuristic path should not pay for the import.
-    ``exact_budget`` is an :class:`repro.exact.ExactBudget` (``None`` for
-    the defaults); budget blowouts fall back to the heuristic.
+    ``max_conflicts`` is the exact backend's conflict budget per interval;
+    the heuristic ignores it.
     """
     if backend == "heuristic":
         return ModuloScheduler(machine, policy)
     if backend == "exact":
-        from repro.exact import ExactBudget, ExactScheduler
+        from repro.exact import ExactScheduler
 
-        return ExactScheduler(
-            machine, policy, budget=exact_budget or ExactBudget()
-        )
+        return ExactScheduler(machine, policy, max_conflicts=max_conflicts)
     raise ValueError(
         f"unknown scheduler backend {backend!r};"
         f" expected one of {SCHEDULER_BACKENDS}"
@@ -250,13 +247,6 @@ class ModuloScheduler:
             f"no schedule found for initiation intervals {mii.mii}..{max_ii}",
             attempts,
         )
-
-    def schedule_at(self, graph: DepGraph, s: int) -> Optional[PipelineResult]:
-        """Attempt exactly one initiation interval (useful for testing)."""
-        prepared, mii = self.prepare(graph)
-        if s < mii.recurrence:
-            return None
-        return self._try_interval(graph, prepared, s, mii, [s])
 
     # -- preprocessing -------------------------------------------------------
 

@@ -24,10 +24,12 @@ This package implements that formulation with no external dependency:
   clauses ``sigma(v) - sigma(u) >= d - omega * s``, and per-modulo-row
   resource cardinality constraints derived from the machine description;
 * :mod:`repro.exact.backend` — :class:`ExactScheduler`, a drop-in
-  :class:`~repro.core.pipeliner.SchedulerBackend` that searches initiation
-  intervals from MII upward, decodes the first satisfiable model into a
-  :class:`~repro.core.pipeliner.PipelineResult`, and falls back to the
-  heuristic on loops beyond its size or conflict budget.
+  :class:`~repro.core.pipeliner.SchedulerBackend` that starts from the
+  heuristic's schedule, searches the initiation intervals below it from
+  MII upward, and decodes the first satisfiable model into a
+  :class:`~repro.core.pipeliner.PipelineResult`.  When no smaller interval
+  is satisfiable, or the conflict budget or the encoder's size caps end
+  the search, the heuristic's schedule stands.
 
 The backend serves three distinct jobs: closing real II gaps on small
 loops (``--scheduler-backend exact``), acting as the differential
@@ -35,7 +37,7 @@ optimality oracle in :mod:`repro.audit.optimality`, and feeding the
 per-suite ``optimality_gap`` metric in ``python -m repro bench``.
 """
 
-from repro.exact.backend import ExactBudget, ExactOutcome, ExactScheduler
+from repro.exact.backend import ExactOutcome, ExactScheduler
 from repro.exact.cnf import Cnf
 from repro.exact.encode import EncodingTooLarge, InfeasibleInterval, ModuloCnf
 from repro.exact.solver import SAT, UNKNOWN, UNSAT, CdclSolver, SolveResult
@@ -44,7 +46,6 @@ __all__ = [
     "Cnf",
     "CdclSolver",
     "EncodingTooLarge",
-    "ExactBudget",
     "ExactOutcome",
     "ExactScheduler",
     "InfeasibleInterval",

@@ -1,20 +1,26 @@
 """The exact scheduling backend: minimum-II search over SAT calls.
 
 :class:`ExactScheduler` implements the :class:`~repro.core.pipeliner`
-``SchedulerBackend`` contract.  It probes candidate initiation intervals
-from MII upward; each probe encodes the full modulo-scheduling constraint
-system (:mod:`repro.exact.encode`) and hands it to the vendored CDCL
-solver.  The first satisfiable interval is the *provably minimum* II: every
-smaller interval was either below a certified lower bound (resource or
-recurrence MII) or refuted by an UNSAT proof.
+``SchedulerBackend`` contract.  Each probe of a candidate initiation
+interval encodes the full modulo-scheduling constraint system
+(:mod:`repro.exact.encode`) and hands it to the vendored CDCL solver.
+Probes run from MII upward, so the first satisfiable interval is the
+*provably minimum* II: every smaller interval was either below a certified
+lower bound (resource or recurrence MII) or refuted by an UNSAT proof.
 
-Unlike the heuristic, a completed search is an optimality certificate —
-which is what :mod:`repro.audit.optimality` and the ``optimality_gap``
-benchmark metric consume.  The price is worst-case exponential solving, so
-every call runs under an :class:`ExactBudget`; a blown budget either falls
-back to the heuristic scheduler (the compilation path) or surfaces as an
-``unknown``/``too_large`` outcome (the audit path, where a silent fallback
-would corrupt the oracle's claim).
+Two searches share that interval loop.  :meth:`ExactScheduler.minimum_ii`
+probes up to the cap and never reads the heuristic's schedule; its
+outcome is the optimality certificate :mod:`repro.audit.optimality` and
+the ``optimality_gap`` benchmark metric consume.
+:meth:`ExactScheduler.schedule` first runs the heuristic and keeps its
+schedule as the incumbent, then probes only the intervals below the
+incumbent's: a loop the heuristic schedules at MII costs no SAT call.
+
+Solving is exponential in the worst case, so every solver call runs under
+a conflict budget and the encoder refuses formulas beyond its size caps
+(``MAX_TIME_SLOTS``, ``MAX_CLAUSES``).  Either ends a search as an
+``unknown``/``too_large`` outcome; :meth:`~ExactScheduler.schedule` then
+keeps the incumbent.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from typing import Optional
 from repro.core.cyclic import Cluster
 from repro.core.mii import MiiReport
 from repro.core.pipeliner import (
+    EXACT_MAX_CONFLICTS,
     ModuloScheduler,
     PipelineResult,
     PipelinerPolicy,
@@ -38,29 +45,9 @@ from repro.obs import trace as obs
 
 #: Terminal statuses of one exact minimum-II search.
 OPTIMAL = "optimal"          # found and proved the minimum feasible II
-INFEASIBLE = "infeasible"    # every II up to the cap refuted by UNSAT proof
+INFEASIBLE = "infeasible"    # every probed II refuted (closure or UNSAT)
 BUDGET = "unknown"           # a solver call exhausted its conflict budget
-TOO_LARGE = "too_large"      # the loop or its encoding exceeds the budget
-
-
-@dataclass(frozen=True)
-class ExactBudget:
-    """Size and effort caps for one exact-backend invocation.
-
-    The defaults comfortably cover the fuzz/audit graph sizes (4-10 nodes)
-    with headroom; production-shaped loops beyond them fall back to the
-    heuristic rather than risk an exponential solve.  The encoding's own
-    size caps are :mod:`repro.exact.encode` constants.
-    """
-
-    max_nodes: int = 24
-    max_conflicts: int = 20_000
-
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive")
-        if self.max_conflicts < 1:
-            raise ValueError("max_conflicts must be positive")
+TOO_LARGE = "too_large"      # an encoding exceeds the encoder's size caps
 
 
 @dataclass
@@ -70,6 +57,9 @@ class ExactOutcome:
     ``statuses`` maps each probed interval to its verdict (``"sat"``,
     ``"unsat"``, ``"recurrence"`` for closure-certified infeasibility, or
     ``"unknown"``); ``ii``/``result`` are set only for :data:`OPTIMAL`.
+    :data:`INFEASIBLE` covers the probed intervals only: up to ``cap`` for
+    :meth:`ExactScheduler.minimum_ii`, below the incumbent's II for
+    :meth:`ExactScheduler.schedule`.
     """
 
     status: str
@@ -93,16 +83,18 @@ class ExactOutcome:
 class ExactScheduler:
     """Exact modulo scheduler over the vendored SAT solver.
 
-    Satisfies the ``SchedulerBackend`` protocol: :meth:`schedule` and
-    :meth:`schedule_at` mirror :class:`~repro.core.pipeliner.ModuloScheduler`
-    (including raising :class:`SchedulingFailure` on declines), while
+    Satisfies the ``SchedulerBackend`` protocol: :meth:`schedule` returns
+    a :class:`~repro.core.pipeliner.PipelineResult` or raises
+    :class:`SchedulingFailure` on a decline, as
+    :class:`~repro.core.pipeliner.ModuloScheduler` does, while
     :meth:`minimum_ii` exposes the certificate-carrying search the
     optimality oracle needs.
 
-    The heuristic scheduler passed in (or constructed) is used for two
-    things: its memoized :meth:`~repro.core.pipeliner.ModuloScheduler.prepare`
-    supplies the MII bounds the search starts from, and it is the fallback
-    when ``fallback=True`` and the budget runs out.
+    The heuristic scheduler passed in (or constructed) does two jobs: its
+    memoized :meth:`~repro.core.pipeliner.ModuloScheduler.prepare`
+    supplies the MII bounds every search starts from, and its schedule is
+    the incumbent :meth:`schedule` tries to beat.  ``max_conflicts`` is
+    the solver's conflict budget per interval.
     """
 
     name = "exact"
@@ -112,32 +104,69 @@ class ExactScheduler:
         machine: MachineDescription,
         policy: PipelinerPolicy = PipelinerPolicy(),
         *,
-        budget: ExactBudget = ExactBudget(),
-        fallback: bool = True,
+        max_conflicts: int = EXACT_MAX_CONFLICTS,
         heuristic: Optional[ModuloScheduler] = None,
     ) -> None:
         self.machine = machine
         self.policy = policy
-        self.budget = budget
-        self.fallback = fallback
+        self.max_conflicts = max_conflicts
         self.heuristic = heuristic or ModuloScheduler(machine, policy)
+
+    # -- SchedulerBackend protocol --------------------------------------------
+
+    def schedule(self, graph: DepGraph) -> PipelineResult:
+        """The heuristic's schedule, replaced by the minimum-II SAT model
+        when one exists below it.
+
+        Only intervals below the incumbent's are probed, so the result's
+        II never exceeds the heuristic's.  Raises
+        :class:`SchedulingFailure` only when the heuristic declines and
+        the SAT search finds no schedule up to the cap either.
+        """
+        incumbent: Optional[PipelineResult]
+        try:
+            incumbent = self.heuristic.schedule(graph)
+        except SchedulingFailure:
+            incumbent = None
+        outcome = self._search(
+            graph, None if incumbent is None else incumbent.ii - 1
+        )
+        if outcome.optimal:
+            assert outcome.result is not None
+            return outcome.result
+        if incumbent is not None:
+            return incumbent
+        if outcome.proved_infeasible:
+            raise SchedulingFailure(
+                f"exact backend proved initiation intervals"
+                f" {outcome.mii.mii if outcome.mii else '?'}..{outcome.cap}"
+                f" infeasible",
+                sorted(outcome.statuses),
+            )
+        raise SchedulingFailure(
+            f"exact backend exceeded its budget ({outcome.status})"
+            f" after the heuristic declined",
+            sorted(outcome.statuses),
+        )
 
     # -- the certificate-carrying search --------------------------------------
 
     def minimum_ii(self, graph: DepGraph) -> ExactOutcome:
         """Search initiation intervals from MII up to the cap.
 
-        Never falls back: the outcome says exactly what was proved, so the
-        optimality oracle can distinguish "minimum is 7" from "gave up".
+        Never reads the heuristic's schedule: the outcome says exactly what
+        was proved, so the optimality oracle can tell "minimum is 7" from
+        "gave up" for the very scheduler it audits.
         """
+        return self._search(graph, None)
+
+    def _search(self, graph: DepGraph, last: Optional[int]) -> ExactOutcome:
+        """Probe intervals from MII up to ``last`` (the cap when ``None``),
+        stopping at the first verdict that is not a refutation."""
         _, mii = self.heuristic.prepare(graph)
         cap = self.policy.max_ii or self.heuristic.default_cap(graph)
         outcome = ExactOutcome(status=INFEASIBLE, mii=mii, cap=cap)
-        if len(graph.nodes) > self.budget.max_nodes:
-            obs.count("exact_too_large")
-            outcome.status = TOO_LARGE
-            return outcome
-        for s in range(max(1, mii.mii), cap + 1):
+        for s in range(max(1, mii.mii), (cap if last is None else last) + 1):
             obs.count("exact_ii_attempts")
             verdict, times, solved = self._attempt(graph, s)
             if verdict == TOO_LARGE:
@@ -181,7 +210,7 @@ class ExactScheduler:
         solved = CdclSolver(
             encoding.num_vars,
             encoding.clauses,
-            max_conflicts=self.budget.max_conflicts,
+            max_conflicts=self.max_conflicts,
         ).solve()
         obs.count("exact_sat_calls")
         if solved.status == SAT:
@@ -189,54 +218,6 @@ class ExactScheduler:
         if solved.status == UNKNOWN:
             obs.count("exact_budget_exhausted")
         return solved.status, None, solved
-
-    # -- SchedulerBackend protocol --------------------------------------------
-
-    def schedule(self, graph: DepGraph) -> PipelineResult:
-        """Minimum-II schedule, falling back to the heuristic when the
-        budget runs out (and ``fallback`` is on).
-
-        Raises :class:`SchedulingFailure` when every interval up to the cap
-        is proved infeasible — the exact backend's decline is a theorem,
-        not a heuristic giving up.
-        """
-        outcome = self.minimum_ii(graph)
-        if outcome.optimal:
-            assert outcome.result is not None
-            return outcome.result
-        if outcome.proved_infeasible:
-            raise SchedulingFailure(
-                f"exact backend proved initiation intervals"
-                f" {outcome.mii.mii if outcome.mii else '?'}..{outcome.cap}"
-                f" infeasible",
-                sorted(outcome.statuses),
-            )
-        if self.fallback:
-            obs.count("exact_fallbacks")
-            return self.heuristic.schedule(graph)
-        raise SchedulingFailure(
-            f"exact backend exceeded its budget ({outcome.status})"
-            f" and fallback is disabled",
-            sorted(outcome.statuses),
-        )
-
-    def schedule_at(self, graph: DepGraph, s: int) -> Optional[PipelineResult]:
-        """Attempt exactly one initiation interval (``None`` if refuted)."""
-        _, mii = self.heuristic.prepare(graph)
-        if s < mii.recurrence:
-            return None
-        if len(graph.nodes) > self.budget.max_nodes:
-            obs.count("exact_too_large")
-            verdict, times = TOO_LARGE, None
-        else:
-            verdict, times, _ = self._attempt(graph, s)
-        if verdict == SAT:
-            return self._package(graph, s, times, mii, [s])
-        if verdict in (TOO_LARGE, UNKNOWN):
-            return (
-                self.heuristic.schedule_at(graph, s) if self.fallback else None
-            )
-        return None
 
     # -- decoding to the shared result type -----------------------------------
 

@@ -113,7 +113,8 @@ class ModuloCnf:
     """One graph at one initiation interval, encoded to CNF.
 
     Exceeding :data:`MAX_TIME_SLOTS` or :data:`MAX_CLAUSES` raises
-    :class:`EncodingTooLarge` so the backend can fall back.
+    :class:`EncodingTooLarge`; the backend's search stops there with
+    ``too_large``.
     """
 
     def __init__(

@@ -15,8 +15,7 @@ of thousands of clauses):
   lowest-numbered one on ties;
 * geometric restarts;
 * a *conflict budget*: the solver gives up with :data:`UNKNOWN` once the
-  budget is exhausted, so a caller can bound worst-case solve time and
-  fall back to the heuristic scheduler.
+  budget is exhausted, so a caller can bound worst-case solve time.
 
 Literals are nonzero ints in DIMACS convention: ``v`` is variable ``v``
 true, ``-v`` is variable ``v`` false.  Variables are numbered from 1.
@@ -353,12 +352,3 @@ class CdclSolver:
             restarts=self.restarts,
         )
 
-
-def solve(
-    num_vars: int,
-    clauses: Sequence[list[int]],
-    *,
-    max_conflicts: Optional[int] = None,
-) -> SolveResult:
-    """One-shot convenience wrapper around :class:`CdclSolver`."""
-    return CdclSolver(num_vars, clauses, max_conflicts=max_conflicts).solve()

@@ -8,6 +8,7 @@ int/float in both).
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, Optional, Union
 
 from repro.ir.operands import FLOAT, Imm, Operand, Reg
@@ -21,8 +22,9 @@ ArrayInit = Callable[[str, int], Number]
 
 
 def default_array_init(name: str, index: int) -> float:
-    """Deterministic, name-dependent initial array contents."""
-    h = (hash((name, index)) % 1000003) / 1000003.0
+    """Deterministic, name-dependent initial array contents: the same in
+    every process, whatever its ``PYTHONHASHSEED``."""
+    h = (zlib.crc32(f"{name}[{index}]".encode()) % 1000003) / 1000003.0
     return round(2.0 * h - 1.0, 6)
 
 

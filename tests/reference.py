@@ -21,6 +21,8 @@ shipped fast paths to.
   one time ceiling shared by every node, the oracle for
   :class:`repro.exact.encode.ModuloCnf`'s per-node windows from the SCC
   condensation.
+* :func:`schedule_at` — one initiation interval probed by either scheduler
+  backend, for the tests that pin what a backend does at a given II.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ from repro.core.emit import (
     flatten_node,
 )
 from repro.core.mve import ExpansionPlan
+from repro.core.pipeliner import ModuloScheduler, PipelineResult
 from repro.core.schedule import KernelSchedule
-from repro.deps.graph import DepEdge, DepNode
+from repro.deps.graph import DepEdge, DepGraph, DepNode
 from repro.deps.paths import NEG_INF, CyclicDependenceError
+from repro.exact.backend import ExactScheduler
 from repro.exact.encode import ModuloCnf
-from repro.exact.solver import CdclSolver
+from repro.exact.solver import SAT, CdclSolver
 from repro.frontend.lexer import KEYWORDS, SYMBOLS, LexError, Pragma, Token
 from repro.ir.ops import Opcode, Operation
 from repro.machine.description import MachineDescription
@@ -329,3 +333,24 @@ class GlobalCeilingModuloCnf(ModuloCnf):
             for v in range(n)
         ]
         return [max(lo, high) for lo in lows]
+
+
+def schedule_at(
+    scheduler: ModuloScheduler | ExactScheduler, graph: DepGraph, s: int
+) -> Optional[PipelineResult]:
+    """Attempt exactly interval ``s`` with ``scheduler``: the heuristic's
+    one-interval attempt, or one SAT probe of the exact backend.  ``None``
+    when ``s`` is below the recurrence bound or the attempt fails (for the
+    exact backend: anything but a satisfiable model)."""
+    if isinstance(scheduler, ExactScheduler):
+        _, mii = scheduler.heuristic.prepare(graph)
+        if s < mii.recurrence:
+            return None
+        verdict, times, _ = scheduler._attempt(graph, s)
+        if verdict != SAT:
+            return None
+        return scheduler._package(graph, s, times, mii, [s])
+    prepared, mii = scheduler.prepare(graph)
+    if s < mii.recurrence:
+        return None
+    return scheduler._try_interval(graph, prepared, s, mii, [s])

@@ -49,6 +49,7 @@ from repro.ir import ProgramBuilder
 from repro.machine import SIMPLE, WARP
 from repro.obs import trace as obs
 from repro.simulator import memory_diffs, values_match
+from repro.workloads import generate_suite
 
 NAN = float("nan")
 
@@ -323,7 +324,10 @@ end.
         assert audit_program("ok", self.SOURCE) == []
 
     def test_loop_audit_uses_the_policy_backend(self):
-        program, _ = parse_program(self.SOURCE)
+        # suite3's loop: the heuristic's II 21 sits above MII 14, so the
+        # exact backend probes the intervals below it.
+        suite3 = next(p for p in generate_suite() if p.name == "suite3")
+        program, _ = parse_program(suite3.source)
         policy = CompilerPolicy(scheduler_backend="exact")
         with obs.observe() as observer:
             violations = audit_loop_schedules(program, WARP, policy, "ok")

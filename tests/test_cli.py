@@ -76,22 +76,29 @@ class TestSchedulerBackendFlag:
         out = capsys.readouterr().out
         assert "pipelined ii=" in out
         assert '"backend": "exact"' in out
-        assert '"exact_sat_calls"' in out
+        # The heuristic schedules this loop at MII: no interval is left
+        # below it for the SAT search to probe.
+        assert '"loops_at_mii": 1' in out
+        assert '"exact_sat_calls"' not in out
 
     def test_run_with_exact_backend_validates(self, source_file, capsys):
         assert main(["run", source_file,
                      "--scheduler-backend", "exact"]) == 0
         assert "validated" in capsys.readouterr().out
 
-    def test_exact_size_budget_falls_back(self, source_file, capsys):
-        # A one-node budget excludes every real loop: the exact backend
-        # must hand the loop to the heuristic, not decline it.
-        assert main(["compile", source_file, "--scheduler-backend",
-                     "exact", "--exact-max-nodes", "1", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "pipelined ii=" in out
-        assert '"exact_fallbacks": 1' in out
-        assert '"backend": "exact"' in out
+    def test_exact_node_cap_flag_is_gone(self, source_file):
+        with pytest.raises(SystemExit):
+            main(["compile", source_file, "--scheduler-backend", "exact",
+                  "--exact-max-nodes", "1"])
+
+    def test_exact_conflict_budget_must_be_positive(self, source_file,
+                                                     capsys):
+        with pytest.raises(SystemExit):
+            main(["compile", source_file, "--scheduler-backend", "exact",
+                  "--exact-max-conflicts", "0"])
+        assert "exact_max_conflicts must be positive" in (
+            capsys.readouterr().err
+        )
 
     def test_exact_conflict_budget_flag_accepted(self, source_file, capsys):
         assert main(["compile", source_file, "--scheduler-backend",

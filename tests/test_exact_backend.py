@@ -20,13 +20,13 @@ from repro.core.pipeliner import (
     SchedulerBackend,
     create_scheduler,
 )
+from repro.core.compile import CompilerPolicy
 from repro.core.schedule import SchedulingFailure
 from repro.deps.graph import DepGraph, DepNode
 from repro.exact import (
     SAT,
     UNSAT,
     CdclSolver,
-    ExactBudget,
     ExactScheduler,
     InfeasibleInterval,
     ModuloCnf,
@@ -37,6 +37,7 @@ from repro.machine import WARP
 from repro.obs import trace as obs
 
 from conftest import cjump_on
+from reference import schedule_at
 
 #: The committed corpus config (seed 2024 batch, bench_scheduler shape).
 CORPUS_CONFIG = GraphConfig(min_nodes=4, max_nodes=10, scc_density=0.35)
@@ -213,7 +214,7 @@ class TestExactScheduler:
     def test_unsat_interval_recorded(self):
         # Corpus seed 2062: MII 5 is UNSAT-refuted, minimum is 6.
         graph = random_dep_graph(2062, WARP, CORPUS_CONFIG)
-        outcome = ExactScheduler(WARP, fallback=False).minimum_ii(graph)
+        outcome = ExactScheduler(WARP).minimum_ii(graph)
         assert outcome.optimal
         assert outcome.mii.mii == 5
         assert outcome.ii == 6
@@ -222,76 +223,69 @@ class TestExactScheduler:
 
     def test_schedule_at_exact_interval(self):
         graph = _graph("load", "store")
-        result = ExactScheduler(WARP).schedule_at(graph, 4)
+        result = schedule_at(ExactScheduler(WARP), graph, 4)
         assert result is not None
         assert result.ii == 4
         assert audit_result(result) == []
 
     def test_schedule_at_below_recurrence_returns_none(self):
         graph = _graph("fadd", edges=[(0, 0, 7, 1)])
-        assert ExactScheduler(WARP).schedule_at(graph, 3) is None
+        assert schedule_at(ExactScheduler(WARP), graph, 3) is None
 
     def test_schedule_at_refuted_interval_returns_none(self):
         graph = random_dep_graph(2062, WARP, CORPUS_CONFIG)
-        assert (
-            ExactScheduler(WARP, fallback=False).schedule_at(graph, 5)
-            is None
-        )
+        assert schedule_at(ExactScheduler(WARP), graph, 5) is None
 
 
 class TestExactBudget:
     def test_validation(self):
-        with pytest.raises(ValueError, match="max_nodes"):
-            ExactBudget(max_nodes=0)
-        with pytest.raises(ValueError, match="max_conflicts"):
-            ExactBudget(max_conflicts=0)
+        with pytest.raises(ValueError, match="exact_max_conflicts"):
+            CompilerPolicy(exact_max_conflicts=0)
 
-    def test_oversized_graph_is_too_large(self):
+    def test_oversized_graph_is_too_large(self, monkeypatch):
+        monkeypatch.setattr(encode, "MAX_TIME_SLOTS", 1)
         graph = _graph("fadd", "load")
-        exact = ExactScheduler(
-            WARP, budget=ExactBudget(max_nodes=1), fallback=False
-        )
-        outcome = exact.minimum_ii(graph)
+        outcome = ExactScheduler(WARP).minimum_ii(graph)
         assert outcome.status == "too_large"
         assert outcome.ii is None
 
-    def test_oversized_graph_falls_back_to_heuristic(self):
-        graph = _graph("fadd", "load")
+    def test_oversized_encoding_keeps_the_incumbent(self, monkeypatch):
+        # Corpus unit gap_2086: heuristic 9, minimum 6.  With no encoding
+        # admitted, the heuristic's schedule stands.
+        monkeypatch.setattr(encode, "MAX_TIME_SLOTS", 1)
+        graph = random_dep_graph(2086, WARP, CORPUS_CONFIG)
         heuristic = ModuloScheduler(WARP)
-        exact = ExactScheduler(
-            WARP, budget=ExactBudget(max_nodes=1), heuristic=heuristic
-        )
+        exact = ExactScheduler(WARP, heuristic=heuristic)
         with obs.observe() as observer:
             result = exact.schedule(graph)
-        assert result.ii == heuristic.schedule(graph).ii
-        assert observer.counters.get("exact_fallbacks") == 1
+        assert result.ii == 9
+        assert observer.counters["exact_too_large"] == 1
+        assert observer.counters.get("exact_sat_calls", 0) == 0
 
-    def test_oversized_without_fallback_raises(self):
-        graph = _graph("fadd", "load")
-        exact = ExactScheduler(
-            WARP, budget=ExactBudget(max_nodes=1), fallback=False
-        )
-        with pytest.raises(SchedulingFailure, match="fallback is disabled"):
-            exact.schedule(graph)
+    def test_oversized_after_a_decline_raises(self, monkeypatch):
+        # Corpus unit decline_2024: the heuristic declines, so only the
+        # SAT search could schedule it, and no encoding is admitted.
+        monkeypatch.setattr(encode, "MAX_TIME_SLOTS", 1)
+        graph = random_dep_graph(2024, WARP, CORPUS_CONFIG)
+        with pytest.raises(SchedulingFailure, match="too_large"):
+            ExactScheduler(WARP).schedule(graph)
 
     def test_clause_budget_is_too_large(self, monkeypatch):
         monkeypatch.setattr(encode, "MAX_CLAUSES", 10)
         graph = random_dep_graph(2154, WARP, CORPUS_CONFIG)
-        exact = ExactScheduler(WARP, fallback=False)
+        exact = ExactScheduler(WARP)
         assert exact.minimum_ii(graph).status == "too_large"
 
     def test_conflict_budget_is_unknown(self):
         # Seed 2062 needs a real UNSAT proof at MII; one conflict is not
         # enough, so the search must answer "unknown", never "infeasible".
         graph = random_dep_graph(2062, WARP, CORPUS_CONFIG)
-        exact = ExactScheduler(
-            WARP, budget=ExactBudget(max_conflicts=1), fallback=False
-        )
+        exact = ExactScheduler(WARP, max_conflicts=1)
         outcome = exact.minimum_ii(graph)
         assert outcome.status == "unknown"
         assert not outcome.proved_infeasible
-        with pytest.raises(SchedulingFailure, match="budget"):
-            exact.schedule(graph)
+        # The compile path keeps the heuristic's II 6.
+        assert exact.schedule(graph).ii == 6
 
 
 class TestOptimalityOracle:
@@ -329,9 +323,7 @@ class TestOptimalityOracle:
 
     def test_blown_budget_verifies_nothing(self):
         graph = random_dep_graph(2062, WARP, CORPUS_CONFIG)
-        report = audit_optimality(
-            graph, WARP, budget=ExactBudget(max_conflicts=1)
-        )
+        report = audit_optimality(graph, WARP, max_conflicts=1)
         assert report.classification == "budget"
         assert not report.verified
         assert report.ok  # a blown budget is not a violation
@@ -352,7 +344,7 @@ class TestExactProperties:
     def test_exact_between_mii_and_heuristic(self, seed):
         graph = random_dep_graph(seed, WARP, SWEEP_CONFIG)
         heuristic = ModuloScheduler(WARP)
-        exact = ExactScheduler(WARP, heuristic=heuristic, fallback=False)
+        exact = ExactScheduler(WARP, heuristic=heuristic)
         outcome = exact.minimum_ii(graph)
         assert outcome.status in ("optimal", "infeasible")
         if not outcome.optimal:
@@ -368,7 +360,7 @@ class TestExactProperties:
     @_settings
     def test_exact_schedules_pass_invariant_oracles(self, seed):
         graph = random_dep_graph(seed, WARP, SWEEP_CONFIG)
-        outcome = ExactScheduler(WARP, fallback=False).minimum_ii(graph)
+        outcome = ExactScheduler(WARP).minimum_ii(graph)
         if not outcome.optimal:
             return
         assert audit_result(outcome.result) == []

@@ -28,7 +28,7 @@ from repro.exact import (
     ExactScheduler,
     ModuloCnf,
 )
-from repro.exact.solver import SolveResult, solve
+from repro.exact.solver import SolveResult
 from repro.machine import SIMPLE, WARP
 
 from reference import ScanDecisionSolver
@@ -53,6 +53,11 @@ def _check_model(clauses, model):
         assert any(model[abs(lit)] == (lit > 0) for lit in clause), (
             f"model violates clause {clause}"
         )
+
+
+def _status(cnf, *units):
+    """The solver's verdict on ``cnf`` with ``units`` added."""
+    return CdclSolver(cnf.num_vars, cnf.clauses + list(units)).solve().status
 
 
 def _pigeonhole(holes):
@@ -109,7 +114,7 @@ def corpus_encodings():
             graph = random_dep_graph(
                 generator["seed"], machine, GraphConfig(**generator["config"])
             )
-            ExactScheduler(machine, fallback=False).minimum_ii(graph)
+            ExactScheduler(machine).minimum_ii(graph)
     assert built
     return built
 
@@ -136,23 +141,23 @@ def _assert_same_search(num_vars, clauses):
 
 class TestCdclSolver:
     def test_empty_formula_is_sat(self):
-        assert solve(0, []).status == SAT
+        assert CdclSolver(0, []).solve().status == SAT
 
     def test_empty_clause_is_unsat(self):
-        assert solve(1, [[]]).status == UNSAT
+        assert CdclSolver(1, [[]]).solve().status == UNSAT
 
     def test_unit_propagation_chain(self):
         # 1, 1->2, 2->3: pure propagation, no decisions needed.
-        result = solve(3, [[1], [-1, 2], [-2, 3]])
+        result = CdclSolver(3, [[1], [-1, 2], [-2, 3]]).solve()
         assert result.status == SAT
         assert result[1] and result[2] and result[3]
         assert result.decisions == 0
 
     def test_contradictory_units(self):
-        assert solve(1, [[1], [-1]]).status == UNSAT
+        assert CdclSolver(1, [[1], [-1]]).solve().status == UNSAT
 
     def test_model_indexing_matches_dict(self):
-        result = solve(2, [[1], [-2]])
+        result = CdclSolver(2, [[1], [-2]]).solve()
         assert result.status == SAT
         assert result[1] is result.model[1]
         assert result[2] is False
@@ -160,7 +165,7 @@ class TestCdclSolver:
     def test_random_formulas_match_brute_force(self):
         for trial, (num_vars, clauses) in enumerate(_random_formulas()):
             expected = _brute_force(num_vars, clauses)
-            result = solve(num_vars, clauses)
+            result = CdclSolver(num_vars, clauses).solve()
             if expected is None:
                 assert result.status == UNSAT, f"trial {trial}: {clauses}"
             else:
@@ -169,7 +174,7 @@ class TestCdclSolver:
 
     def test_pigeonhole_unsat(self):
         cnf = _pigeonhole(4)
-        result = solve(cnf.num_vars, cnf.clauses)
+        result = CdclSolver(cnf.num_vars, cnf.clauses).solve()
         assert result.status == UNSAT
         assert result.conflicts > 0
 
@@ -183,7 +188,7 @@ class TestCdclSolver:
             cnf.add(*(var[p, h] for h in range(4)))
         for h in range(4):
             cnf.add_at_most_k([var[p, h] for p in range(4)], 1)
-        result = solve(cnf.num_vars, cnf.clauses)
+        result = CdclSolver(cnf.num_vars, cnf.clauses).solve()
         assert result.status == SAT
         _check_model(cnf.clauses, result.model)
 
@@ -205,7 +210,7 @@ class TestCdclSolver:
     def test_restarts_preserve_soundness(self):
         # Enough conflicts to force several geometric restarts.
         cnf = _pigeonhole(6)
-        result = solve(cnf.num_vars, cnf.clauses)
+        result = CdclSolver(cnf.num_vars, cnf.clauses).solve()
         assert result.status == UNSAT
         assert result.restarts > 0
 
@@ -240,7 +245,7 @@ class TestDecisionOrder:
         _assert_same_search(cnf.num_vars, cnf.clauses)
         for num_vars, clauses in _random_formulas():
             expected = _brute_force(num_vars, clauses)
-            result = solve(num_vars, [list(c) for c in clauses])
+            result = CdclSolver(num_vars, [list(c) for c in clauses]).solve()
             assert result.status == (UNSAT if expected is None else SAT)
             if expected is not None:
                 _check_model(clauses, result.model)
@@ -287,7 +292,7 @@ class TestCnfBuilder:
         cnf = Cnf()
         vars_ = [cnf.new_var() for _ in range(3)]
         cnf.add_at_most_k(vars_, 0)
-        result = solve(cnf.num_vars, cnf.clauses)
+        result = CdclSolver(cnf.num_vars, cnf.clauses).solve()
         assert result.status == SAT
         assert not any(result[v] for v in vars_)
 
@@ -306,9 +311,9 @@ class TestCnfBuilder:
         cnf.add_at_most_k(base, k)
         for bits in itertools.product((False, True), repeat=n):
             fixed = [v if b else -v for v, b in zip(base, bits)]
-            result = solve(
+            result = CdclSolver(
                 cnf.num_vars, cnf.clauses + [[lit] for lit in fixed]
-            )
+            ).solve()
             expected = sum(bits) <= k
             assert (result.status == SAT) == expected, (bits, k)
 
@@ -319,17 +324,16 @@ class TestCnfBuilder:
         a, b = cnf.new_var(), cnf.new_var()
         cnf.add_at_most_k([a, a, b], 2)
         # a alone costs 2: fine.  a and b cost 3: rejected.
-        assert solve(cnf.num_vars, cnf.clauses + [[a], [-b]]).status == SAT
-        assert solve(cnf.num_vars, cnf.clauses + [[a], [b]]).status == UNSAT
+        assert _status(cnf, [a], [-b]) == SAT
+        assert _status(cnf, [a], [b]) == UNSAT
 
     def test_at_most_k_accepts_negated_literals(self):
         cnf = Cnf()
         a, b = cnf.new_var(), cnf.new_var()
         cnf.add_at_most_k([-a, -b], 1)
         # Both false means both negated literals true: sum 2 > 1.
-        assert solve(cnf.num_vars, cnf.clauses + [[-a], [-b]]).status \
-            == UNSAT
-        assert solve(cnf.num_vars, cnf.clauses + [[a], [-b]]).status == SAT
+        assert _status(cnf, [-a], [-b]) == UNSAT
+        assert _status(cnf, [a], [-b]) == SAT
 
 
 class TestSolveResult:

@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 import repro.exact.backend
-from repro.audit.differential import audit_loop_schedules
+from repro.audit.differential import _innermost_loops, audit_loop_schedules
 from repro.audit.generate import GraphConfig, random_dep_graph
 from repro.batch.driver import compile_one
 from repro.core.compile import CompilerPolicy
+from repro.core.reduction import build_reduced_loop_graph, fresh_uid_scope
 from repro.exact import (
     SAT,
     CdclSolver,
@@ -75,7 +76,7 @@ def _reference_search(graph, machine):
         patch.setattr(
             repro.exact.backend, "ModuloCnf", GlobalCeilingModuloCnf
         )
-        return ExactScheduler(machine, fallback=False).minimum_ii(graph)
+        return ExactScheduler(machine).minimum_ii(graph)
 
 
 def _least_lift(graph, s, times):
@@ -130,7 +131,7 @@ class TestAgainstTheGlobalCeiling:
         reference = _reference_search(graph, machine)
         if reference.status == "too_large":
             pytest.skip("the reference encoding exceeds its cap")
-        outcome = ExactScheduler(machine, fallback=False).minimum_ii(graph)
+        outcome = ExactScheduler(machine).minimum_ii(graph)
         assert outcome.statuses == reference.statuses
         assert (outcome.status, outcome.ii) == (
             reference.status,
@@ -146,7 +147,7 @@ class TestAgainstTheGlobalCeiling:
         """The completeness lemma, checked on the reference's models: each
         model's least lift keeps its rows (same residues) and lands inside
         the per-node windows, which are never wider than the old ones."""
-        outcome = ExactScheduler(machine, fallback=False).minimum_ii(graph)
+        outcome = ExactScheduler(machine).minimum_ii(graph)
         if not outcome.statuses:
             pytest.skip("no interval reaches the encoder")
         checked = 0
@@ -197,7 +198,7 @@ class TestFormulaSize:
             g for g in CORPUS_GRAPHS if g[0] == "gap_2154"
         )
         with obs.observe() as observer:
-            ExactScheduler(machine, fallback=False).minimum_ii(graph)
+            ExactScheduler(machine).minimum_ii(graph)
         assert built
         counters = observer.counters
         assert counters["exact_sat_calls"] == len(built)
@@ -220,8 +221,9 @@ ADMITTED = _admitted_sources()
 
 
 class TestAdmittedLoops:
-    """Loops whose old windows exceeded ``MAX_TIME_SLOTS``: the exact
-    backend now schedules them itself instead of falling back."""
+    """Loops whose old windows exceeded ``MAX_TIME_SLOTS``: the narrower
+    windows bring every loop of these programs under the encoder's size
+    cap, and the exact backend compiles them to code that runs."""
 
     POLICY = CompilerPolicy(scheduler_backend="exact")
 
@@ -229,14 +231,18 @@ class TestAdmittedLoops:
         "name,source", ADMITTED, ids=[name for name, _ in ADMITTED]
     )
     def test_compiles_exactly_and_runs(self, name, source):
+        program, _ = parse_program(source)
+        loops = _innermost_loops(program.body)
+        assert loops
+        for loop in loops:
+            with fresh_uid_scope():
+                lg = build_reduced_loop_graph(loop, WARP)
+            outcome = ExactScheduler(WARP).minimum_ii(lg.graph)
+            assert outcome.status != "too_large", loop
         result = compile_one(
             name, source, WARP, self.POLICY, collect_stats=True
         )
         assert result.ok, result.error
-        counters = result.stats["counters"]
-        assert counters.get("exact_too_large", 0) == 0
-        assert counters.get("exact_fallbacks", 0) == 0
-        assert counters["exact_sat_calls"] >= 1
+        assert result.stats["counters"].get("exact_too_large", 0) == 0
         run_and_check(result.compiled.code)
-        program, _ = parse_program(source)
         assert audit_loop_schedules(program, WARP, self.POLICY, name) == []

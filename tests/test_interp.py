@@ -1,9 +1,16 @@
 """Reference interpreter semantics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ir import FLOAT, INT, Imm, ProgramBuilder, Reg, run_program
-from repro.ir.interp import Interpreter, InterpreterError
+from repro.ir.interp import Interpreter, InterpreterError, default_array_init
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def flat_init(name, index):
@@ -140,3 +147,26 @@ class TestInterpreter:
             body.mov(0)
         pb.store("out", 0, pb.i2f(Reg("i", INT)))
         assert run_program(pb.finish())[("out", 0)] == 4.0
+
+
+class TestDefaultArrayInit:
+    def test_values_in_range_and_name_dependent(self):
+        values = [default_array_init("a", i) for i in range(64)]
+        assert all(-1.0 <= v <= 1.0 for v in values)
+        assert len(set(values)) > 60
+        assert values != [default_array_init("b", i) for i in range(64)]
+
+    def test_independent_of_the_hash_seed(self):
+        script = (
+            "from repro.ir.interp import default_array_init as f;"
+            "print([f(n, i) for n in ('a', 'xs', 'out') for i in range(16)])"
+        )
+
+        def values(seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+            return subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout
+
+        assert values("0") == values("1") != ""

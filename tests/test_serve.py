@@ -86,15 +86,20 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="unknown policy field"):
             policy_from_wire({"warp_speed": 9})
 
+    def test_removed_node_cap_is_an_unknown_field(self):
+        with pytest.raises(ProtocolError, match="exact_max_nodes"):
+            policy_from_wire({"exact_max_nodes": 24})
+
     @pytest.mark.parametrize("overrides", [
         {"pipeline": "no"},
         {"pipeline": 0},
-        {"exact_max_nodes": "x"},
-        {"exact_max_nodes": True},
+        {"exact_max_conflicts": "x"},
+        {"exact_max_conflicts": True},
         {"search": "bogus"},
         {"search": 1},
         {"mve_policy": "nope"},
         {"scheduler_backend": "ilp"},
+        {"scheduler_backend": "exact", "exact_max_conflicts": 0},
     ])
     def test_policy_bad_value_rejected(self, overrides):
         with pytest.raises(ProtocolError):
@@ -167,6 +172,13 @@ class TestCompileService:
         with ServeClient(socket_path=sock_path) as client:
             with pytest.raises(ServeClientError, match="pipeline"):
                 client.compile(SUITE[0].source, policy={"pipeline": "no"})
+            assert client.compile(SUITE[0].source)["ok"]
+
+    def test_zero_conflict_budget_is_an_error_reply(self, server, sock_path):
+        policy = {"scheduler_backend": "exact", "exact_max_conflicts": 0}
+        with ServeClient(socket_path=sock_path) as client:
+            with pytest.raises(ServeClientError, match="exact_max_conflicts"):
+                client.compile(SUITE[0].source, policy=policy)
             assert client.compile(SUITE[0].source)["ok"]
 
     def test_machine_selection_and_unknown_machine(self, server, sock_path):
