@@ -44,6 +44,7 @@ def test_figure_4_1(benchmark):
         assert max(array_mflops) > 4 * (min(array_mflops) + 1e-9)
     report_table(
         "E2_figure_4_1",
-        "E2: Figure 4-1 — array MFLOPS over the 72-program suite",
+        "E2: Figure 4-1 — array MFLOPS over the"
+        f" {len(results)}-program suite",
         lines,
     )

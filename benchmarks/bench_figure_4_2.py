@@ -64,6 +64,7 @@ def test_figure_4_2(benchmark):
         assert statistics.mean(speedups) > 1.8
     report_table(
         "E3_figure_4_2",
-        "E3: Figure 4-2 — speedup over locally compacted code (72 programs)",
+        "E3: Figure 4-2 — speedup over locally compacted code"
+        f" ({len(results)} programs)",
         lines,
     )

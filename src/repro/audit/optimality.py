@@ -35,11 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.audit.oracle import Violation, _report, audit_result
-from repro.core.pipeliner import (
-    EXACT_MAX_CONFLICTS,
-    ModuloScheduler,
-    PipelinerPolicy,
-)
+from repro.core.pipeliner import EXACT_MAX_CONFLICTS, PipelinerPolicy
 from repro.core.schedule import SchedulingFailure
 from repro.deps.graph import DepGraph
 from repro.machine.description import MachineDescription
@@ -92,30 +88,24 @@ def audit_optimality(
     *,
     policy: PipelinerPolicy = PipelinerPolicy(),
     max_conflicts: int = EXACT_MAX_CONFLICTS,
-    heuristic: Optional[ModuloScheduler] = None,
 ) -> OptimalityReport:
     """Schedule ``graph`` with both backends and reconcile the outcomes.
 
-    The exact side is :meth:`~repro.exact.ExactScheduler.minimum_ii`, the
-    full search from MII that never reads the heuristic's schedule — an
-    answer seeded by the very scheduler under audit would make the oracle
-    vacuous.  It shares the heuristic's memoized preparation, so both
-    sides start from the same MII.
+    The exact side is :meth:`~repro.exact.ExactScheduler.search` from MII
+    to the cap, the search :meth:`~repro.exact.ExactScheduler.minimum_ii`
+    runs, which never reads the heuristic's schedule — an answer seeded by
+    the very scheduler under audit would make the oracle vacuous.  Both
+    sides read one prepared graph, so they start from the same MII.
     """
     from repro.exact import ExactScheduler
 
-    scheduler = heuristic or ModuloScheduler(machine, policy)
-    exact = ExactScheduler(
-        machine,
-        scheduler.policy,
-        max_conflicts=max_conflicts,
-        heuristic=scheduler,
-    )
+    exact = ExactScheduler(machine, policy, max_conflicts=max_conflicts)
+    prepared = exact.heuristic.prepare(graph)
     try:
-        heuristic_ii: Optional[int] = scheduler.schedule(graph).ii
+        heuristic_ii: Optional[int] = exact.heuristic.search(prepared).ii
     except SchedulingFailure:
         heuristic_ii = None
-    outcome = exact.minimum_ii(graph)
+    outcome = exact.search(prepared)
 
     report = OptimalityReport(
         classification="budget",

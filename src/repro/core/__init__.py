@@ -25,7 +25,7 @@ Submodules:
 """
 
 from repro.core.mrt import ModuloReservationTable
-from repro.core.mii import MiiReport, compute_mii, recurrence_mii, resource_mii
+from repro.core.mii import MiiReport, resource_mii
 from repro.core.schedule import BlockSchedule, KernelSchedule, SchedulingFailure
 from repro.core.listsched import list_schedule_block
 from repro.core.pipeliner import ModuloScheduler, PipelinerPolicy, PipelineResult
@@ -46,9 +46,7 @@ from repro.core.display import (
 __all__ = [
     "ModuloReservationTable",
     "MiiReport",
-    "compute_mii",
     "resource_mii",
-    "recurrence_mii",
     "BlockSchedule",
     "KernelSchedule",
     "SchedulingFailure",

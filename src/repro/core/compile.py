@@ -136,6 +136,10 @@ class LoopReport:
     two_version: bool = False
     #: Which scheduler backend produced (or declined) the kernel.
     backend: str = "heuristic"
+    #: The exact backend's terminal search status (``optimal``,
+    #: ``infeasible``, ``unknown`` or ``too_large``); empty under the
+    #: heuristic and for loops no backend scheduled.
+    exact_search: str = ""
 
     @property
     def achieved_lower_bound(self) -> bool:
@@ -393,6 +397,7 @@ class _Compiler:
             unpipelined_length=report.unpipelined_length,
             reason=report.reason,
             backend=report.backend,
+            exact_search=report.exact_search,
         )
         return regions
 
@@ -429,6 +434,7 @@ class _Compiler:
             report.attempts = failure.attempts
             return None
         schedule = result.schedule
+        report.exact_search = result.exact_search
         report.attempts = schedule.attempts
         report.mii = schedule.mii.mii
         report.resource_mii = schedule.mii.resource

@@ -8,6 +8,10 @@ Two bounds are combined:
   ``r``.
 * *Recurrence bound*: every dependence cycle ``c`` forces
   ``d(c) - s*p(c) <= 0``, so ``s >= max over cycles of ceil(d(c)/p(c))``.
+  Each strongly connected component's symbolic closure
+  (:class:`repro.deps.paths.SymbolicPaths`) carries its exact bound, so
+  :meth:`repro.core.pipeliner.ModuloScheduler.prepare` reads the graph's
+  off the closures it builds anyway.
 """
 
 from __future__ import annotations
@@ -16,30 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.deps.graph import DepEdge, DepGraph, DepNode
-from repro.deps.paths import SymbolicPaths
-from repro.deps.scc import strongly_connected_components
+from repro.deps.graph import DepNode
 from repro.machine.description import MachineDescription
-
-
-def component_internal_edges(
-    graph: DepGraph, components: Sequence[Sequence[DepNode]]
-) -> list[list[DepEdge]]:
-    """Bucket the graph's edges by owning component in one O(V + E) pass
-    (replacing the per-component O(V * E) edge filter): slot ``i`` holds the
-    edges internal to ``components[i]``; cross-component edges are skipped.
-    """
-    component_of = {
-        node.index: slot
-        for slot, component in enumerate(components)
-        for node in component
-    }
-    internal: list[list[DepEdge]] = [[] for _ in components]
-    for edge in graph.edges:
-        slot = component_of[edge.src.index]
-        if component_of[edge.dst.index] == slot:
-            internal[slot].append(edge)
-    return internal
 
 
 @dataclass(frozen=True)
@@ -80,35 +62,3 @@ def resource_mii(
         if need > bound or (need == bound and not critical):
             bound, critical = need, resource
     return bound, critical
-
-
-def recurrence_mii(graph: DepGraph) -> int:
-    """Recurrence-constrained bound, from per-SCC minimum-ratio cycles.
-
-    Each component's bound comes from the Lawler ratio search that
-    :class:`repro.deps.paths.SymbolicPaths` runs when it is built; the
-    scheduler shares those closures instead of calling this, so the
-    standalone function builds and discards them.
-
-    Raises :class:`repro.deps.CyclicDependenceError` when a
-    zero-iteration-difference cycle has positive delay.
-    """
-    bound = 0
-    components = strongly_connected_components(graph)
-    for component, local in zip(
-        components, component_internal_edges(graph, components)
-    ):
-        if not local:
-            continue
-        bound = max(bound, SymbolicPaths(component, local).recurrence_bound)
-    return bound
-
-
-def compute_mii(
-    graph: DepGraph,
-    machine: MachineDescription,
-    extra_uses: Mapping[str, int] | None = None,
-) -> MiiReport:
-    res, critical = resource_mii(graph.nodes, machine, extra_uses)
-    rec = recurrence_mii(graph)
-    return MiiReport(resource=res, recurrence=rec, critical_resource=critical)

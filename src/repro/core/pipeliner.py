@@ -66,10 +66,16 @@ class PipelinerPolicy:
 
 @dataclass
 class PipelineResult:
-    """A kernel schedule plus the component structure needed downstream."""
+    """A kernel schedule plus the component structure needed downstream.
+
+    ``exact_search`` is the exact backend's terminal search status
+    (``optimal``, ``infeasible``, ``unknown`` or ``too_large``; see
+    :mod:`repro.exact.backend`); it stays empty under the heuristic.
+    """
 
     schedule: KernelSchedule
     clusters: list[Cluster]
+    exact_search: str = ""
 
     @property
     def ii(self) -> int:
@@ -81,15 +87,15 @@ class PreparedGraph:
     """Everything about one dependence graph that does not depend on the
     candidate initiation interval, computed once before the search.
 
+    graph / mii
+        The graph and its lower bounds; the recurrence side is the maximum
+        of the closures' fused per-component bounds.
     components / paths / orders
         Condensation-ordered components and, aligned by slot, each
         nontrivial component's symbolic closure and zero-omega topological
         order (``None`` for singletons without self-recurrences — the
         order, like the closure, is interval-independent, so attempts
         share one).
-    recurrence
-        The graph's recurrence-constrained bound: the maximum of the
-        closures' fused per-component bounds.
     item_of
         node index -> condensed item slot.
     base_items / base_clusters
@@ -103,10 +109,11 @@ class PreparedGraph:
         ``None`` when it depends on the attempt's component schedules.
     """
 
+    graph: DepGraph
+    mii: MiiReport
     components: list[list[DepNode]]
     paths: list[Optional[SymbolicPaths]]
     orders: list[Optional[list[DepNode]]]
-    recurrence: int
     item_of: dict[int, int]
     base_items: list[Optional[SchedItem]]
     base_clusters: list[Optional[Cluster]]
@@ -171,13 +178,6 @@ def create_scheduler(
     )
 
 
-#: How many prepared graphs one scheduler instance keeps alive.  Campaign
-#: drivers reuse a scheduler across hundreds of graphs; the cache exists
-#: to share closures *within* one graph's lifecycle (search, re-probe,
-#: exact cross-check), not to hold the whole campaign in memory.
-_PREPARED_CACHE_LIMIT = 8
-
-
 class ModuloScheduler:
     """Software-pipelines dependence graphs for one machine.
 
@@ -194,38 +194,29 @@ class ModuloScheduler:
     ) -> None:
         self.machine = machine
         self.policy = policy
-        # id(graph) -> (graph, prepared, mii).  The strong graph reference
-        # keeps the id from being recycled while the entry is alive.
-        self._prepared: dict[int, tuple[DepGraph, PreparedGraph, MiiReport]] = {}
 
     # -- public API ----------------------------------------------------------
 
-    def prepare(self, graph: DepGraph) -> tuple[PreparedGraph, MiiReport]:
-        """The graph's interval-independent state and its MII bounds,
-        memoized per graph object.
+    def prepare(self, graph: DepGraph) -> PreparedGraph:
+        """The graph's interval-independent state and its MII bounds.
 
-        Every consumer of the same :class:`PreparedGraph` shares its SCC
-        condensation and symbolic closures, whose frontier tables are
-        built once — e.g. an exact-backend cross-check at the heuristic's
-        chosen interval reuses the closures the search already built.
+        The result is the one per-graph analysis: :meth:`search` and the
+        exact backend's SAT encoder read the same SCC condensation and
+        symbolic closures, whose frontier tables are built once.
         """
-        cached = self._prepared.get(id(graph))
-        if cached is not None and cached[0] is graph:
-            return cached[1], cached[2]
         with obs.phase("mii"):
-            prepared = self._prepare_components(graph, condensation_order(graph))
-            mii = self._mii_report(graph, prepared)
-        if len(self._prepared) >= _PREPARED_CACHE_LIMIT:
-            self._prepared.pop(next(iter(self._prepared)))
-        self._prepared[id(graph)] = (graph, prepared, mii)
-        return prepared, mii
+            return self._prepare_components(graph, condensation_order(graph))
 
     def schedule(self, graph: DepGraph) -> PipelineResult:
         """Find the smallest schedulable initiation interval.
 
         Raises :class:`SchedulingFailure` if none is found below the cap.
         """
-        prepared, mii = self.prepare(graph)
+        return self.search(self.prepare(graph))
+
+    def search(self, prepared: PreparedGraph) -> PipelineResult:
+        """The interval search over an already prepared graph."""
+        graph, mii = prepared.graph, prepared.mii
         obs.count("sccs", prepared.scc_count)
         max_ii = self.policy.max_ii or self.default_cap(graph)
 
@@ -235,12 +226,12 @@ class ModuloScheduler:
                 attempts.append(s)
                 obs.count("ii_attempts")
                 with obs.phase("ii_attempt", ii=s) as meta:
-                    result = self._try_interval(graph, prepared, s, mii, attempts)
+                    result = self._try_interval(prepared, s, attempts)
                     meta["schedulable"] = result is not None
                 if result is not None:
                     return result
         else:
-            result = self._binary_search(graph, prepared, mii, max_ii, attempts)
+            result = self._binary_search(prepared, max_ii, attempts)
             if result is not None:
                 return result
         raise SchedulingFailure(
@@ -250,18 +241,6 @@ class ModuloScheduler:
 
     # -- preprocessing -------------------------------------------------------
 
-    def _mii_report(self, graph: DepGraph, prepared: PreparedGraph) -> MiiReport:
-        """Both lower bounds; the recurrence side comes for free from the
-        prepared closures instead of a separate numeric search."""
-        branch = self.machine.branch_reservation
-        extra = {res: branch.total_use(res) for res in branch.resources()}
-        resource, critical = resource_mii(graph.nodes, self.machine, extra)
-        return MiiReport(
-            resource=resource,
-            recurrence=prepared.recurrence,
-            critical_resource=critical,
-        )
-
     def _prepare_components(
         self,
         graph: DepGraph,
@@ -270,7 +249,8 @@ class ModuloScheduler:
         """One pass over the edges buckets them by component; one symbolic
         closure per nontrivial component (the paper's preprocessing step,
         now also yielding the recurrence bound); everything an attempt does
-        not have to recompute is materialized here."""
+        not have to recompute is materialized here.  The resource bound
+        charges the machine's loop-back branch once per iteration."""
         item_of = {
             node.index: slot
             for slot, component in enumerate(components)
@@ -317,11 +297,19 @@ class ModuloScheduler:
              and base_items[dst_item] is not None else None)
             for edge, src_item, dst_item, _ in cross
         ]
+        branch = self.machine.branch_reservation
+        extra = {res: branch.total_use(res) for res in branch.resources()}
+        resource, critical = resource_mii(graph.nodes, self.machine, extra)
         return PreparedGraph(
+            graph=graph,
+            mii=MiiReport(
+                resource=resource,
+                recurrence=recurrence,
+                critical_resource=critical,
+            ),
             components=components,
             paths=paths,
             orders=orders,
-            recurrence=recurrence,
             item_of=item_of,
             base_items=base_items,
             base_clusters=base_clusters,
@@ -340,10 +328,8 @@ class ModuloScheduler:
 
     def _try_interval(
         self,
-        graph: DepGraph,
         prepared: PreparedGraph,
         s: int,
-        mii: MiiReport,
         attempts: list[int],
     ) -> Optional[PipelineResult]:
         clusters: list[Cluster] = list(prepared.base_clusters)
@@ -386,7 +372,8 @@ class ModuloScheduler:
             for node in cluster.members:
                 times[node.index] = base + cluster.offset_of(node)
         schedule = KernelSchedule(
-            graph, self.machine, s, times, mii, list(attempts)
+            prepared.graph, self.machine, s, times, prepared.mii,
+            list(attempts),
         )
         return PipelineResult(schedule, clusters)
 
@@ -394,20 +381,18 @@ class ModuloScheduler:
 
     def _binary_search(
         self,
-        graph: DepGraph,
         prepared: PreparedGraph,
-        mii: MiiReport,
         max_ii: int,
         attempts: list[int],
     ) -> Optional[PipelineResult]:
-        lo, hi = mii.mii, max_ii
+        lo, hi = prepared.mii.mii, max_ii
         best: Optional[PipelineResult] = None
         while lo <= hi:
             mid = (lo + hi) // 2
             attempts.append(mid)
             obs.count("ii_attempts")
             with obs.phase("ii_attempt", ii=mid) as meta:
-                result = self._try_interval(graph, prepared, mid, mii, attempts)
+                result = self._try_interval(prepared, mid, attempts)
                 meta["schedulable"] = result is not None
             if result is not None:
                 best = result

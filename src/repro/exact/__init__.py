@@ -20,16 +20,18 @@ This package implements that formulation with no external dependency:
   the clause contract the solver relies on, including the
   sequential-counter cardinality encoding used for multi-unit resources;
 * :mod:`repro.exact.encode` — the modulo-scheduling encoding at one fixed
-  initiation interval: order-encoded per-node time windows, precedence
-  clauses ``sigma(v) - sigma(u) >= d - omega * s``, and per-modulo-row
-  resource cardinality constraints derived from the machine description;
+  initiation interval: order-encoded per-node time windows read off the
+  scheduler's prepared SCC closures, precedence clauses
+  ``sigma(v) - sigma(u) >= d - omega * s``, and per-modulo-row resource
+  cardinality constraints derived from the machine description;
 * :mod:`repro.exact.backend` — :class:`ExactScheduler`, a drop-in
-  :class:`~repro.core.pipeliner.SchedulerBackend` that starts from the
-  heuristic's schedule, searches the initiation intervals below it from
-  MII upward, and decodes the first satisfiable model into a
-  :class:`~repro.core.pipeliner.PipelineResult`.  When no smaller interval
-  is satisfiable, or the conflict budget or the encoder's size caps end
-  the search, the heuristic's schedule stands.
+  :class:`~repro.core.pipeliner.SchedulerBackend` that prepares each graph
+  once, starts from the heuristic's schedule, searches the initiation
+  intervals below it from MII upward, and decodes the first satisfiable
+  model into a :class:`~repro.core.pipeliner.PipelineResult`.  When no
+  smaller interval is satisfiable, or the conflict budget or the encoder's
+  size caps end the search, the heuristic's schedule stands, and the
+  result's ``exact_search`` says which of these ended the search.
 
 The backend serves three distinct jobs: closing real II gaps on small
 loops (``--scheduler-backend exact``), acting as the differential
@@ -39,7 +41,7 @@ per-suite ``optimality_gap`` metric in ``python -m repro bench``.
 
 from repro.exact.backend import ExactOutcome, ExactScheduler
 from repro.exact.cnf import Cnf
-from repro.exact.encode import EncodingTooLarge, InfeasibleInterval, ModuloCnf
+from repro.exact.encode import EncodingTooLarge, ModuloCnf
 from repro.exact.solver import SAT, UNKNOWN, UNSAT, CdclSolver, SolveResult
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "EncodingTooLarge",
     "ExactOutcome",
     "ExactScheduler",
-    "InfeasibleInterval",
     "ModuloCnf",
     "SAT",
     "SolveResult",

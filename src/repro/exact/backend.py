@@ -8,24 +8,29 @@ Probes run from MII upward, so the first satisfiable interval is the
 *provably minimum* II: every smaller interval was either below a certified
 lower bound (resource or recurrence MII) or refuted by an UNSAT proof.
 
-Two searches share that interval loop.  :meth:`ExactScheduler.minimum_ii`
-probes up to the cap and never reads the heuristic's schedule; its
-outcome is the optimality certificate :mod:`repro.audit.optimality` and
-the ``optimality_gap`` benchmark metric consume.
-:meth:`ExactScheduler.schedule` first runs the heuristic and keeps its
-schedule as the incumbent, then probes only the intervals below the
-incumbent's: a loop the heuristic schedules at MII costs no SAT call.
+Every search starts from one
+:meth:`~repro.core.pipeliner.ModuloScheduler.prepare` of the graph: its
+MII is where the probes start, and its SCC closures give the encoder its
+time windows.  Two searches share that interval loop.
+:meth:`ExactScheduler.minimum_ii` probes up to the cap and never reads
+the heuristic's schedule; its outcome is the optimality certificate
+:mod:`repro.audit.optimality` and the ``optimality_gap`` benchmark metric
+consume.  :meth:`ExactScheduler.schedule` first runs the heuristic's
+search on the same prepared graph and keeps its schedule as the
+incumbent, then probes only the intervals below the incumbent's: a loop
+the heuristic schedules at MII costs no SAT call.
 
 Solving is exponential in the worst case, so every solver call runs under
 a conflict budget and the encoder refuses formulas beyond its size caps
 (``MAX_TIME_SLOTS``, ``MAX_CLAUSES``).  Either ends a search as an
 ``unknown``/``too_large`` outcome; :meth:`~ExactScheduler.schedule` then
-keeps the incumbent.
+keeps the incumbent.  Either way the result records the search's terminal
+status in :attr:`~repro.core.pipeliner.PipelineResult.exact_search`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.cyclic import Cluster
@@ -35,17 +40,18 @@ from repro.core.pipeliner import (
     ModuloScheduler,
     PipelineResult,
     PipelinerPolicy,
+    PreparedGraph,
 )
 from repro.core.schedule import KernelSchedule, SchedulingFailure
 from repro.deps.graph import DepGraph
-from repro.exact.encode import EncodingTooLarge, InfeasibleInterval, ModuloCnf
+from repro.exact.encode import EncodingTooLarge, ModuloCnf
 from repro.exact.solver import SAT, UNKNOWN, CdclSolver, SolveResult
 from repro.machine.description import MachineDescription
 from repro.obs import trace as obs
 
 #: Terminal statuses of one exact minimum-II search.
 OPTIMAL = "optimal"          # found and proved the minimum feasible II
-INFEASIBLE = "infeasible"    # every probed II refuted (closure or UNSAT)
+INFEASIBLE = "infeasible"    # every probed II refuted by UNSAT
 BUDGET = "unknown"           # a solver call exhausted its conflict budget
 TOO_LARGE = "too_large"      # an encoding exceeds the encoder's size caps
 
@@ -54,12 +60,14 @@ TOO_LARGE = "too_large"      # an encoding exceeds the encoder's size caps
 class ExactOutcome:
     """The full record of one minimum-II search.
 
-    ``statuses`` maps each probed interval to its verdict (``"sat"``,
-    ``"unsat"``, ``"recurrence"`` for closure-certified infeasibility, or
-    ``"unknown"``); ``ii``/``result`` are set only for :data:`OPTIMAL`.
-    :data:`INFEASIBLE` covers the probed intervals only: up to ``cap`` for
-    :meth:`ExactScheduler.minimum_ii`, below the incumbent's II for
-    :meth:`ExactScheduler.schedule`.
+    ``statuses`` maps each probed interval to its solver verdict
+    (``"sat"``, ``"unsat"`` or ``"unknown"``); probes start at MII, which
+    is never below the recurrence bound, so the closures refute nothing
+    the solver would have to.  ``ii``/``result`` are set only for
+    :data:`OPTIMAL`.  :data:`INFEASIBLE` covers the probed intervals only:
+    up to ``cap`` for :meth:`ExactScheduler.minimum_ii`, below the
+    incumbent's II for :meth:`ExactScheduler.schedule` (none at all when
+    the incumbent is at MII).
     """
 
     status: str
@@ -90,11 +98,12 @@ class ExactScheduler:
     :meth:`minimum_ii` exposes the certificate-carrying search the
     optimality oracle needs.
 
-    The heuristic scheduler passed in (or constructed) does two jobs: its
-    memoized :meth:`~repro.core.pipeliner.ModuloScheduler.prepare`
-    supplies the MII bounds every search starts from, and its schedule is
-    the incumbent :meth:`schedule` tries to beat.  ``max_conflicts`` is
-    the solver's conflict budget per interval.
+    :attr:`heuristic` does two jobs: its
+    :meth:`~repro.core.pipeliner.ModuloScheduler.prepare` is the one
+    analysis of the graph every search reads (MII, SCC closures), and its
+    :meth:`~repro.core.pipeliner.ModuloScheduler.search` on that same
+    prepared graph gives the incumbent :meth:`schedule` tries to beat.
+    ``max_conflicts`` is the solver's conflict budget per interval.
     """
 
     name = "exact"
@@ -105,12 +114,11 @@ class ExactScheduler:
         policy: PipelinerPolicy = PipelinerPolicy(),
         *,
         max_conflicts: int = EXACT_MAX_CONFLICTS,
-        heuristic: Optional[ModuloScheduler] = None,
     ) -> None:
         self.machine = machine
         self.policy = policy
         self.max_conflicts = max_conflicts
-        self.heuristic = heuristic or ModuloScheduler(machine, policy)
+        self.heuristic = ModuloScheduler(machine, policy)
 
     # -- SchedulerBackend protocol --------------------------------------------
 
@@ -119,28 +127,29 @@ class ExactScheduler:
         when one exists below it.
 
         Only intervals below the incumbent's are probed, so the result's
-        II never exceeds the heuristic's.  Raises
-        :class:`SchedulingFailure` only when the heuristic declines and
-        the SAT search finds no schedule up to the cap either.
+        II never exceeds the heuristic's; its ``exact_search`` is the
+        search's terminal status.  Raises :class:`SchedulingFailure` only
+        when the heuristic declines and the SAT search finds no schedule
+        up to the cap either.
         """
+        prepared = self.heuristic.prepare(graph)
         incumbent: Optional[PipelineResult]
         try:
-            incumbent = self.heuristic.schedule(graph)
+            incumbent = self.heuristic.search(prepared)
         except SchedulingFailure:
             incumbent = None
-        outcome = self._search(
-            graph, None if incumbent is None else incumbent.ii - 1
+        outcome = self.search(
+            prepared, None if incumbent is None else incumbent.ii - 1
         )
         if outcome.optimal:
             assert outcome.result is not None
             return outcome.result
         if incumbent is not None:
-            return incumbent
+            return replace(incumbent, exact_search=outcome.status)
         if outcome.proved_infeasible:
             raise SchedulingFailure(
                 f"exact backend proved initiation intervals"
-                f" {outcome.mii.mii if outcome.mii else '?'}..{outcome.cap}"
-                f" infeasible",
+                f" {prepared.mii.mii}..{outcome.cap} infeasible",
                 sorted(outcome.statuses),
             )
         raise SchedulingFailure(
@@ -158,29 +167,31 @@ class ExactScheduler:
         was proved, so the optimality oracle can tell "minimum is 7" from
         "gave up" for the very scheduler it audits.
         """
-        return self._search(graph, None)
+        return self.search(self.heuristic.prepare(graph))
 
-    def _search(self, graph: DepGraph, last: Optional[int]) -> ExactOutcome:
-        """Probe intervals from MII up to ``last`` (the cap when ``None``),
-        stopping at the first verdict that is not a refutation."""
-        _, mii = self.heuristic.prepare(graph)
-        cap = self.policy.max_ii or self.heuristic.default_cap(graph)
+    def search(
+        self, prepared: PreparedGraph, last: Optional[int] = None
+    ) -> ExactOutcome:
+        """Probe intervals from MII up to ``last`` (the cap when ``None``)
+        on an already prepared graph, stopping at the first verdict that
+        is not a refutation."""
+        mii = prepared.mii
+        cap = self.policy.max_ii or self.heuristic.default_cap(prepared.graph)
         outcome = ExactOutcome(status=INFEASIBLE, mii=mii, cap=cap)
-        for s in range(max(1, mii.mii), (cap if last is None else last) + 1):
+        for s in range(mii.mii, (cap if last is None else last) + 1):
             obs.count("exact_ii_attempts")
-            verdict, times, solved = self._attempt(graph, s)
+            verdict, times, solved = self._attempt(prepared, s)
             if verdict == TOO_LARGE:
                 outcome.status = TOO_LARGE
                 return outcome
             outcome.statuses[s] = verdict
-            if solved is not None:
-                outcome.conflicts += solved.conflicts
-                outcome.decisions += solved.decisions
+            outcome.conflicts += solved.conflicts
+            outcome.decisions += solved.decisions
             if verdict == SAT:
                 outcome.status = OPTIMAL
                 outcome.ii = s
                 outcome.result = self._package(
-                    graph, s, times, mii, sorted(outcome.statuses)
+                    prepared, s, times, sorted(outcome.statuses)
                 )
                 return outcome
             if verdict == UNKNOWN:
@@ -189,19 +200,16 @@ class ExactScheduler:
         return outcome
 
     def _attempt(
-        self, graph: DepGraph, s: int
+        self, prepared: PreparedGraph, s: int
     ) -> tuple[str, Optional[dict[int, int]], Optional[SolveResult]]:
         """One SAT attempt at interval ``s``.
 
-        Returns the verdict (``"sat"``, ``"unsat"``, ``"unknown"``,
-        ``"recurrence"`` when the closure already refutes ``s``, or
+        Returns the verdict (``"sat"``, ``"unsat"``, ``"unknown"``, or
         :data:`TOO_LARGE`), the decoded start times on ``"sat"``, and the
         solver's result whenever the solver ran.
         """
         try:
-            encoding = ModuloCnf(graph, self.machine, s)
-        except InfeasibleInterval:
-            return "recurrence", None, None
+            encoding = ModuloCnf(prepared, self.machine, s)
         except EncodingTooLarge:
             obs.count("exact_too_large")
             return TOO_LARGE, None, None
@@ -223,10 +231,9 @@ class ExactScheduler:
 
     def _package(
         self,
-        graph: DepGraph,
+        prepared: PreparedGraph,
         s: int,
         times: dict[int, int],
-        mii: MiiReport,
         attempts: list[int],
     ) -> PipelineResult:
         """A decoded SAT model as a :class:`PipelineResult`.
@@ -236,11 +243,12 @@ class ExactScheduler:
         — exactly the shape downstream emission and the cluster audit
         expect for unclustered nodes.
         """
+        graph = prepared.graph
         clusters = [
             Cluster([node], {node.index: 0}, node.reservation)
             for node in graph.nodes
         ]
         schedule = KernelSchedule(
-            graph, self.machine, s, dict(times), mii, list(attempts)
+            graph, self.machine, s, dict(times), prepared.mii, list(attempts)
         )
-        return PipelineResult(schedule, clusters)
+        return PipelineResult(schedule, clusters, exact_search=OPTIMAL)

@@ -22,38 +22,46 @@ multiple of ``s`` (preserving all rows and all differences) so its minimum
 time lies in ``[0, s)``, and then each time can be replaced by the *least*
 solution of the difference constraints with the same residues — the
 pointwise minimum of two solutions with equal residues is again a
-solution, so a least one exists.  Lower bounds come from the all-points
-longest paths ``dist`` at ``s``.  Upper bounds bound the least solution:
+solution, so a least one exists.  Within one strongly connected component
+``dist`` is the component's longest-path matrix at ``s``, the dense form of
+the scheduler's symbolic closure (paths between two nodes of a component
+never leave it).  Both bounds come from one walk over the components in
+topological order, the order :class:`~repro.core.pipeliner.PreparedGraph`
+already keeps them in:
 
-* Call an edge ``u -> v`` *tight* in the least solution when
-  ``sigma(v) - s < sigma(u) + c`` with ``c = delay - omega * s``.  Let
-  ``S`` be the set of nodes that no node below ``s`` reaches by a path of
-  tight edges.  Every node of ``S`` could move down by ``s``: edges into
-  ``S`` are not tight, and edges leaving ``S`` only gain slack.  That
+* The low of ``v`` is the least solution with every node at 0 or later:
+  a node ``w`` of component ``C`` is entered no earlier than
+  ``lo_entry(w) = max(0, lo(u) + c for edges u -> w from outside C)``,
+  with ``c = delay - omega * s``, and
+  ``lo(v) = max over w in C of (lo_entry(w) + dist[w][v])``.
+* Upper bounds bound the least solution.  Call an edge ``u -> v`` *tight*
+  in the least solution when ``sigma(v) - s < sigma(u) + c``.  Let ``S``
+  be the set of nodes that no node below ``s`` reaches by a path of tight
+  edges.  Every node of ``S`` could move down by ``s``: edges into ``S``
+  are not tight, and edges leaving ``S`` only gain slack.  That
   contradicts leastness, so ``S`` is empty.
 * So some node below ``s`` reaches ``v`` by a simple path of tight
   edges, and each tight edge adds at most ``c + s - 1``.  The path
   crosses each strongly connected component once, and inside a component
-  it stays inside it, so ``dist`` bounds its weight there.
+  it stays inside it, so ``dist`` bounds its weight there.  A node ``w``
+  of ``C`` is entered no later than
+  ``hi_entry(w) = max(s - 1, hi(u) + c + s - 1 for edges u -> w from
+  outside C)``, and a node ``v`` of ``C`` gets
+  ``hi(v) = max over w in C of (hi_entry(w) + dist[w][v]) + (|C| - 1) * (s - 1)``:
+  at most ``|C| - 1`` tight edges inside ``C``, each at most ``s - 1``
+  above its ``dist`` weight.
 
-Walking the components in topological order, a node ``w`` of component
-``C`` is entered no later than
-``entry(w) = max(s - 1, hi(u) + c + s - 1 for edges u -> w from outside C)``,
-and a node ``v`` of ``C`` gets
-``hi(v) = max over w in C of (entry(w) + dist[w][v]) + (|C| - 1) * (s - 1)``
-with ``dist[v][v]`` read as 0: at most ``|C| - 1`` tight edges inside
-``C``, each at most ``s - 1`` above its ``dist`` weight.  The lows are
-themselves a least solution, so every window is nonempty.
+``dist[v][v]`` is read as 0 in both.  The lows are themselves a least
+solution, so every window is nonempty.  ``s`` must be at least the
+recurrence bound, as every probe of the exact backend's search is: below
+it a recurrence is positive and the closures are not valid.
 """
 
 from __future__ import annotations
 
-from repro.deps.graph import DepGraph
-from repro.deps.scc import condensation_order
+from repro.core.pipeliner import PreparedGraph
 from repro.exact.cnf import Cnf
 from repro.machine.description import MachineDescription
-
-NEG_INF = float("-inf")
 
 #: Size caps on one encoding: the total (node, time) slots the windows
 #: may span, and the formula's clause count.
@@ -65,50 +73,6 @@ class EncodingTooLarge(Exception):
     """The formula would exceed the caller's size budget."""
 
 
-class InfeasibleInterval(Exception):
-    """The interval violates a recurrence: no schedule exists at this
-    ``s`` regardless of resources (a positive cycle in the difference
-    constraints)."""
-
-
-def _longest_paths_at(graph: DepGraph, s: int) -> list[list[float]]:
-    """All-points longest paths with weights ``delay - s * omega``
-    (Floyd-Warshall).
-
-    Raises :class:`InfeasibleInterval` on a positive cycle.
-    """
-    nodes = graph.nodes
-    n = len(nodes)
-    local = {node.index: i for i, node in enumerate(nodes)}
-    dist: list[list[float]] = [[NEG_INF] * n for _ in range(n)]
-    for edge in graph.edges:
-        i, j = local[edge.src.index], local[edge.dst.index]
-        weight = edge.delay - s * edge.omega
-        if i == j:
-            if weight > 0:
-                raise InfeasibleInterval(
-                    f"self-recurrence on node {edge.src.index} positive at s={s}"
-                )
-            continue
-        if weight > dist[i][j]:
-            dist[i][j] = weight
-    for k in range(n):
-        dist_k = dist[k]
-        for i in range(n):
-            d_ik = dist[i][k]
-            if d_ik == NEG_INF:
-                continue
-            row = dist[i]
-            for j in range(n):
-                via = d_ik + dist_k[j]
-                if via > row[j]:
-                    row[j] = via
-    for i in range(n):
-        if dist[i][i] > 0:
-            raise InfeasibleInterval(f"positive dependence cycle at s={s}")
-    return dist
-
-
 class ModuloCnf:
     """One graph at one initiation interval, encoded to CNF.
 
@@ -118,31 +82,22 @@ class ModuloCnf:
     """
 
     def __init__(
-        self, graph: DepGraph, machine: MachineDescription, s: int
+        self, prepared: PreparedGraph, machine: MachineDescription, s: int
     ) -> None:
-        if s < 1:
-            raise ValueError(f"initiation interval must be >= 1, got {s}")
-        self.graph = graph
+        floor = max(1, prepared.mii.recurrence)
+        if s < floor:
+            raise ValueError(
+                f"initiation interval must be >= {floor} (at least 1 and the"
+                f" recurrence bound), got {s}"
+            )
+        self.graph = prepared.graph
         self.machine = machine
         self.s = s
         self.cnf = Cnf()
-        self._nodes = graph.nodes
+        self._nodes = self.graph.nodes
         self._local = {node.index: i for i, node in enumerate(self._nodes)}
 
-        dist = _longest_paths_at(graph, s)
-        n = len(self._nodes)
-        lows = [
-            max(
-                0,
-                max(
-                    (int(dist[u][v]) for u in range(n) if dist[u][v] != NEG_INF),
-                    default=0,
-                ),
-            )
-            for v in range(n)
-        ]
-        highs = self._highs(dist)
-        self._windows = list(zip(lows, highs))
+        self._windows = self.time_windows(prepared, s)
         total_slots = sum(hi - lo + 1 for lo, hi in self._windows)
         if total_slots > MAX_TIME_SLOTS:
             raise EncodingTooLarge(
@@ -186,38 +141,49 @@ class ModuloCnf:
                 f"{len(self.cnf.clauses)} clauses exceed the budget {MAX_CLAUSES}"
             )
 
-    def _highs(self, dist: list[list[float]]) -> list[int]:
-        """Each node's upper bound on the least solution, read off the SCC
-        condensation (see the module docstring)."""
-        s = self.s
-        local = self._local
-        highs = [0] * len(self._nodes)
-        for component in condensation_order(self.graph):
-            members = [local[node.index] for node in component]
-            inside = set(members)
+    @staticmethod
+    def time_windows(prepared: PreparedGraph, s: int) -> list[tuple[int, int]]:
+        """Each node's ``(lo, hi)`` window at ``s``, in graph node order,
+        from one walk over the condensation (see the module docstring)."""
+        graph = prepared.graph
+        local = {node.index: i for i, node in enumerate(graph.nodes)}
+        item_of = prepared.item_of
+        lows = [0] * len(graph.nodes)
+        highs = [0] * len(graph.nodes)
+        for slot, component in enumerate(prepared.components):
             entries = []
             for node in component:
-                entry = s - 1
-                for edge in self.graph.preds(node):
-                    u = local[edge.src.index]
-                    if u not in inside:
+                lo_entry, hi_entry = 0, s - 1
+                for edge in graph.preds(node):
+                    if item_of[edge.src.index] != slot:
+                        u = local[edge.src.index]
                         c = edge.delay - s * edge.omega
-                        entry = max(entry, highs[u] + c + s - 1)
-                entries.append(entry)
-            spread = (len(members) - 1) * (s - 1)
-            for v in members:
+                        lo_entry = max(lo_entry, lows[u] + c)
+                        hi_entry = max(hi_entry, highs[u] + c + s - 1)
+                entries.append((lo_entry, hi_entry))
+            paths = prepared.paths[slot]
+            if paths is None:
+                v = local[component[0].index]
+                lows[v], highs[v] = entries[0]
+                continue
+            dist = paths.dense(s)
+            n = paths.n
+            spread = (n - 1) * (s - 1)
+            for j, node in enumerate(component):
+                column = [0 if i == j else dist[i * n + j] for i in range(n)]
+                v = local[node.index]
+                lows[v] = max(lo + d for (lo, _), d in zip(entries, column))
                 highs[v] = spread + max(
-                    entry + (0 if w == v else int(dist[w][v]))
-                    for w, entry in zip(members, entries)
+                    hi + d for (_, hi), d in zip(entries, column)
                 )
-        return highs
+        return list(zip(lows, highs))
 
     # -- constraint families --------------------------------------------------
 
     def _encode_precedence(self) -> None:
         for edge in self.graph.edges:
             if edge.src is edge.dst:
-                continue  # feasibility already checked by the closure
+                continue  # holds at any s >= the recurrence bound
             u = self._local[edge.src.index]
             v = self._local[edge.dst.index]
             c = edge.delay - self.s * edge.omega

@@ -8,10 +8,9 @@ Five benchmarks, all seeded and deterministic in the work they measure:
     numeric reference on the same corpus).
 ``scheduler``
     End-to-end modulo scheduling of random dependence graphs, each
-    scheduled twice on a shared scheduler so the prepared-graph memo sees
-    service-shaped traffic: wall time, the observability layer's counter
-    deltas (II attempts, SCC schedules, backtracks, MRT bitmask fast
-    path), and achieved-II-versus-MII gaps.
+    scheduled once: wall time, the observability layer's counter deltas
+    (II attempts, SCC schedules, backtracks, MRT bitmask fast path), and
+    achieved-II-versus-MII gaps.
 ``optimality``
     The optimality-gap audit: every scheduler-benchmark graph through the
     heuristic *and* the exact SAT backend, reporting how often the
@@ -57,11 +56,9 @@ from typing import Any, Optional, Sequence
 from repro.audit.generate import GraphConfig, random_dep_graph
 from repro.batch.driver import compile_many
 from repro.batch.pool import WorkerPool
-from repro.core.mii import component_internal_edges
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.schedule import SchedulingFailure
 from repro.deps.paths import SymbolicPaths
-from repro.deps.scc import strongly_connected_components
 from repro.machine import WARP
 from repro.obs import trace as obs
 from repro.workloads import generate_suite
@@ -176,17 +173,17 @@ _CLOSURE_CONFIG = GraphConfig(min_nodes=5, max_nodes=12, scc_density=0.5)
 
 def _scc_corpus(seed: int, graphs: int) -> list[tuple[list, list]]:
     """(component, internal edges) pairs from seeded random graphs,
-    restricted to components that can carry a recurrence."""
-    corpus = []
-    for i in range(graphs):
-        graph = random_dep_graph(seed + i, WARP, _CLOSURE_CONFIG)
-        components = strongly_connected_components(graph)
-        for component, internal in zip(
-            components, component_internal_edges(graph, components)
-        ):
-            if internal:
-                corpus.append((component, internal))
-    return corpus
+    restricted to components that can carry a recurrence: the closures
+    :meth:`ModuloScheduler.prepare` builds."""
+    scheduler = ModuloScheduler(WARP)
+    return [
+        (paths.nodes, paths.edges)
+        for i in range(graphs)
+        for paths in scheduler.prepare(
+            random_dep_graph(seed + i, WARP, _CLOSURE_CONFIG)
+        ).paths
+        if paths is not None
+    ]
 
 
 def bench_closure(seed: int, graphs: int) -> dict[str, Any]:
@@ -217,20 +214,11 @@ _SCHED_COUNTERS = (
     "mrt_bitmask_fast_path",
 )
 
-#: Consecutive schedules of each scheduler-bench graph.  Real traffic
-#: (the audit loop's exact cross-check) re-schedules shared graphs, so the
-#: repeat exercises :meth:`ModuloScheduler.prepare`'s memo: the second
-#: schedule reuses the first one's SCCs and symbolic closures.
-_SCHED_REPEATS = 2
-
-
 def bench_scheduler(seed: int, graphs: int) -> dict[str, Any]:
     """End-to-end modulo scheduling: wall time, counters, II gaps.
 
-    Each graph is scheduled :data:`_SCHED_REPEATS` times back to back on
-    one shared :class:`ModuloScheduler`; a unit is one schedule, so
-    ``units = graphs * repeats`` and the per-unit time averages the cold
-    first pass with the memo-served repeats — the service-shaped mix.
+    Each graph is scheduled once on one shared :class:`ModuloScheduler`;
+    a unit is one schedule.
     """
     inputs = [
         random_dep_graph(seed + i, WARP, _SCHED_CONFIG)
@@ -240,29 +228,24 @@ def bench_scheduler(seed: int, graphs: int) -> dict[str, Any]:
     counters = {name: 0 for name in _SCHED_COUNTERS}
     gaps: list[int] = []
     declines = 0
-    units = graphs * _SCHED_REPEATS
 
     t0 = time.perf_counter()
     for graph in inputs:
-        for _ in range(_SCHED_REPEATS):
-            with obs.observe() as observer:
-                try:
-                    result = scheduler.schedule(graph)
-                except SchedulingFailure:
-                    declines += 1
-                else:
-                    gaps.append(
-                        result.schedule.ii - result.schedule.mii.mii
-                    )
-            for name in _SCHED_COUNTERS:
-                counters[name] += observer.counters.get(name, 0)
+        with obs.observe() as observer:
+            try:
+                result = scheduler.schedule(graph)
+            except SchedulingFailure:
+                declines += 1
+            else:
+                gaps.append(result.schedule.ii - result.schedule.mii.mii)
+        for name in _SCHED_COUNTERS:
+            counters[name] += observer.counters.get(name, 0)
     wall = time.perf_counter() - t0
 
     return {
-        "units": units,
-        "repeats": _SCHED_REPEATS,
+        "units": graphs,
         "wall_seconds": round(wall, 6),
-        "per_unit_seconds": round(wall / max(1, units), 9),
+        "per_unit_seconds": round(wall / max(1, graphs), 9),
         "scheduled": len(gaps),
         "declines": declines,
         "counters": counters,
@@ -291,7 +274,6 @@ def bench_optimality(seed: int, graphs: int) -> dict[str, Any]:
         random_dep_graph(seed + i, WARP, _SCHED_CONFIG)
         for i in range(graphs)
     ]
-    heuristic = ModuloScheduler(WARP)
     classes = {name: 0 for name in CLASSIFICATIONS}
     gaps: list[int] = []
     violations = 0
@@ -299,7 +281,7 @@ def bench_optimality(seed: int, graphs: int) -> dict[str, Any]:
     t0 = time.perf_counter()
     for graph in inputs:
         with obs.observe():
-            report = audit_optimality(graph, WARP, heuristic=heuristic)
+            report = audit_optimality(graph, WARP)
         classes[report.classification] += 1
         if report.gap:
             gaps.append(report.gap)

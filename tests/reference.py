@@ -17,10 +17,13 @@ shipped fast paths to.
 * :class:`ScanDecisionSolver` — the CDCL solver deciding by a scan of
   every variable, the oracle for :class:`repro.exact.solver.CdclSolver`'s
   order heap.
+* :func:`whole_graph_windows` — the exact encoder's time windows from
+  one numeric all-pairs closure of the whole graph, the oracle for
+  :meth:`repro.exact.encode.ModuloCnf.time_windows`'s walk over the
+  scheduler's prepared SCC closures.
 * :class:`GlobalCeilingModuloCnf` — the modulo-scheduling encoding with
-  one time ceiling shared by every node, the oracle for
-  :class:`repro.exact.encode.ModuloCnf`'s per-node windows from the SCC
-  condensation.
+  one time ceiling shared by every node, the oracle for the per-node
+  highs of those windows.
 * :func:`schedule_at` — one initiation interval probed by either scheduler
   backend, for the tests that pin what a backend does at a given II.
 """
@@ -37,10 +40,11 @@ from repro.core.emit import (
     flatten_node,
 )
 from repro.core.mve import ExpansionPlan
-from repro.core.pipeliner import ModuloScheduler, PipelineResult
+from repro.core.pipeliner import ModuloScheduler, PipelineResult, PreparedGraph
 from repro.core.schedule import KernelSchedule
 from repro.deps.graph import DepEdge, DepGraph, DepNode
 from repro.deps.paths import NEG_INF, CyclicDependenceError
+from repro.deps.scc import condensation_order
 from repro.exact.backend import ExactScheduler
 from repro.exact.encode import ModuloCnf
 from repro.exact.solver import SAT, CdclSolver
@@ -309,30 +313,72 @@ class ScanDecisionSolver(CdclSolver):
         return best_var if self._phase[best_var] else -best_var
 
 
+def _whole_graph_lows(
+    graph: DepGraph, s: int
+) -> tuple[list[int], list[list[float]]]:
+    """Each node's least start at ``s``, in graph node order: its longest
+    incoming path from anywhere, or 0; plus the closure it came from."""
+    nodes = graph.nodes
+    dist = longest_paths(nodes, graph.edges, s)
+    if dist is None:
+        raise ValueError(f"a recurrence is positive at s={s}")
+    n = len(nodes)
+    lows = [
+        max([0] + [int(dist[u][v]) for u in range(n) if dist[u][v] != NEG_INF])
+        for v in range(n)
+    ]
+    return lows, dist
+
+
+def whole_graph_windows(graph: DepGraph, s: int) -> list[tuple[int, int]]:
+    """The encoder's ``(lo, hi)`` windows in graph node order, read off a
+    numeric all-pairs closure of the whole graph: the lows scan every
+    pair, and the highs walk the condensation with the whole-graph
+    matrix (the rule of :mod:`repro.exact.encode`'s docstring)."""
+    lows, dist = _whole_graph_lows(graph, s)
+    local = {node.index: i for i, node in enumerate(graph.nodes)}
+    highs = [0] * len(graph.nodes)
+    for component in condensation_order(graph):
+        members = [local[node.index] for node in component]
+        inside = set(members)
+        entries = []
+        for node in component:
+            entry = s - 1
+            for edge in graph.preds(node):
+                u = local[edge.src.index]
+                if u not in inside:
+                    c = edge.delay - s * edge.omega
+                    entry = max(entry, highs[u] + c + s - 1)
+            entries.append(entry)
+        spread = (len(members) - 1) * (s - 1)
+        for v in members:
+            highs[v] = spread + max(
+                entry + (0 if w == v else int(dist[w][v]))
+                for w, entry in zip(members, entries)
+            )
+    return list(zip(lows, highs))
+
+
 class GlobalCeilingModuloCnf(ModuloCnf):
     """:class:`ModuloCnf` with every window closed by one ceiling: ``s - 1``
     for the grounded end of a tight chain, plus the ``n - 1`` largest edge
     terms ``max(delay - omega * s, 0) + s - 1``, one per tight edge of a
-    chain through distinct nodes."""
+    chain through distinct nodes.  The lows are the whole-graph ones."""
 
-    def _highs(self, dist: list[list[float]]) -> list[int]:
-        s = self.s
-        n = len(self._nodes)
+    @staticmethod
+    def time_windows(prepared: PreparedGraph, s: int) -> list[tuple[int, int]]:
+        graph = prepared.graph
         terms = sorted(
             (
                 max(edge.delay - s * edge.omega, 0) + s - 1
-                for edge in self.graph.edges
+                for edge in graph.edges
                 if edge.src is not edge.dst
             ),
             reverse=True,
         )
-        high = (s - 1) + sum(terms[: max(0, n - 1)])
-        lows = [
-            max([0] + [int(dist[u][v]) for u in range(n)
-                       if dist[u][v] != NEG_INF])
-            for v in range(n)
-        ]
-        return [max(lo, high) for lo in lows]
+        high = (s - 1) + sum(terms[: max(0, len(graph.nodes) - 1)])
+        lows, _ = _whole_graph_lows(graph, s)
+        return [(lo, max(lo, high)) for lo in lows]
 
 
 def schedule_at(
@@ -343,14 +389,14 @@ def schedule_at(
     when ``s`` is below the recurrence bound or the attempt fails (for the
     exact backend: anything but a satisfiable model)."""
     if isinstance(scheduler, ExactScheduler):
-        _, mii = scheduler.heuristic.prepare(graph)
-        if s < mii.recurrence:
+        prepared = scheduler.heuristic.prepare(graph)
+        if s < prepared.mii.recurrence:
             return None
-        verdict, times, _ = scheduler._attempt(graph, s)
+        verdict, times, _ = scheduler._attempt(prepared, s)
         if verdict != SAT:
             return None
-        return scheduler._package(graph, s, times, mii, [s])
-    prepared, mii = scheduler.prepare(graph)
-    if s < mii.recurrence:
+        return scheduler._package(prepared, s, times, [s])
+    prepared = scheduler.prepare(graph)
+    if s < prepared.mii.recurrence:
         return None
-    return scheduler._try_interval(graph, prepared, s, mii, [s])
+    return scheduler._try_interval(prepared, s, [s])

@@ -77,8 +77,7 @@ def test_current_behavior_matches(path):
         f" an improvement or regression; refresh the corpus entry"
     )
 
-    exact = ExactScheduler(machine, heuristic=heuristic)
-    outcome = exact.minimum_ii(graph)
+    outcome = ExactScheduler(machine).minimum_ii(graph)
     assert outcome.status == expected["exact_status"]
     assert outcome.ii == expected["exact_ii"]
     assert outcome.mii.mii == expected["mii"]

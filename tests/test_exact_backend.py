@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.exact.backend
 from repro.audit.generate import GraphConfig, random_dep_graph
 from repro.audit.optimality import audit_optimality
 from repro.audit.oracle import audit_result
@@ -28,7 +29,6 @@ from repro.exact import (
     UNSAT,
     CdclSolver,
     ExactScheduler,
-    InfeasibleInterval,
     ModuloCnf,
     encode,
 )
@@ -72,6 +72,10 @@ def _graph(*op_classes, edges=()):
     return graph
 
 
+def _encode(graph, machine, s):
+    return ModuloCnf(ModuloScheduler(machine).prepare(graph), machine, s)
+
+
 def _solve(encoding):
     return CdclSolver(encoding.num_vars, encoding.clauses).solve()
 
@@ -80,7 +84,7 @@ class TestModuloCnfEncoder:
     def test_chain_precedence_roundtrip(self):
         # u -(7,0)-> v on one fadd unit: at s=2 both fit, 7 cycles apart.
         graph = _graph("fadd", "fadd", edges=[(0, 1, 7, 0)])
-        encoding = ModuloCnf(graph, WARP, 2)
+        encoding = _encode(graph, WARP, 2)
         result = _solve(encoding)
         assert result.status == SAT
         times = encoding.decode(result.model)
@@ -88,7 +92,7 @@ class TestModuloCnfEncoder:
 
     def test_decode_normalizes_min_time(self):
         graph = _graph("fadd", "fadd", edges=[(0, 1, 7, 0)])
-        encoding = ModuloCnf(graph, WARP, 3)
+        encoding = _encode(graph, WARP, 3)
         result = _solve(encoding)
         assert result.status == SAT
         times = encoding.decode(result.model)
@@ -97,13 +101,13 @@ class TestModuloCnfEncoder:
     def test_resource_conflict_unsat_at_one(self):
         # Two loads, one memory port: II=1 puts both on modulo row 0.
         graph = _graph("load", "load")
-        assert _solve(ModuloCnf(graph, WARP, 1)).status == UNSAT
-        assert _solve(ModuloCnf(graph, WARP, 2)).status == SAT
+        assert _solve(_encode(graph, WARP, 1)).status == UNSAT
+        assert _solve(_encode(graph, WARP, 2)).status == SAT
 
     def test_modulo_resource_rows_respected(self):
         # Three ALU ops at II=3 must land on three distinct modulo rows.
         graph = _graph("add", "add", "add")
-        encoding = ModuloCnf(graph, WARP, 3)
+        encoding = _encode(graph, WARP, 3)
         result = _solve(encoding)
         assert result.status == SAT
         times = encoding.decode(result.model)
@@ -113,13 +117,13 @@ class TestModuloCnfEncoder:
         # One sequencer op at II=1: the loop-back branch owns row 0, unless
         # the machine's cjump reserves another unit.
         graph = _graph("cbr")
-        assert _solve(ModuloCnf(graph, WARP, 1)).status == UNSAT
-        assert _solve(ModuloCnf(graph, cjump_on("br"), 1)).status == SAT
+        assert _solve(_encode(graph, WARP, 1)).status == UNSAT
+        assert _solve(_encode(graph, cjump_on("br"), 1)).status == SAT
 
     def test_reserved_branch_row_is_last_slot(self):
         # At II=2 the branch owns row 1; a sequencer op must avoid it.
         graph = _graph("cbr")
-        encoding = ModuloCnf(graph, WARP, 2)
+        encoding = _encode(graph, WARP, 2)
         result = _solve(encoding)
         assert result.status == SAT
         times = encoding.decode(result.model)
@@ -130,23 +134,16 @@ class TestModuloCnfEncoder:
         graph = _graph(
             "fadd", "fadd", edges=[(0, 1, 7, 0), (1, 0, 7, 1)]
         )
-        encoding = ModuloCnf(graph, WARP, 14)
+        encoding = _encode(graph, WARP, 14)
         result = _solve(encoding)
         assert result.status == SAT
         times = encoding.decode(result.model)
         assert times[1] - times[0] >= 7
         assert times[0] - times[1] >= 7 - 14
 
-    def test_below_recurrence_raises_infeasible(self):
-        # Self-recurrence delay 7: any s < 7 is closure-infeasible.
-        graph = _graph("fadd", edges=[(0, 0, 7, 1)])
-        with pytest.raises(InfeasibleInterval):
-            ModuloCnf(graph, WARP, 6)
-        assert _solve(ModuloCnf(graph, WARP, 7)).status == SAT
-
     def test_windows_cover_each_node(self):
         graph = _graph("fadd", "fadd", "load", edges=[(0, 1, 7, 0)])
-        encoding = ModuloCnf(graph, WARP, 2)
+        encoding = _encode(graph, WARP, 2)
         result = _solve(encoding)
         times = encoding.decode(result.model)
         for node in graph.nodes:
@@ -155,7 +152,7 @@ class TestModuloCnfEncoder:
 
     def test_var_and_clause_counts_positive(self):
         graph = _graph("fadd", "load", edges=[(0, 1, 7, 0)])
-        encoding = ModuloCnf(graph, WARP, 2)
+        encoding = _encode(graph, WARP, 2)
         assert encoding.num_vars > 0
         assert len(encoding.clauses) > 0
 
@@ -200,6 +197,30 @@ class TestExactScheduler:
         assert sorted(
             node.index for c in result.clusters for node in c.members
         ) == [0, 1]
+
+    def test_minimum_ii_never_probes_below_the_recurrence_bound(
+        self, monkeypatch
+    ):
+        # Probes start at MII >= RecMII, so no encoding is ever built
+        # below the recurrence bound, where the closures are not valid.
+        built = []
+
+        class Recording(ModuloCnf):
+            def __init__(self, prepared, machine, s):
+                built.append((prepared.mii.recurrence, s))
+                super().__init__(prepared, machine, s)
+
+        monkeypatch.setattr(repro.exact.backend, "ModuloCnf", Recording)
+        graphs = [_graph("fadd", edges=[(0, 0, 7, 1)])] + [
+            random_dep_graph(seed, WARP, CORPUS_CONFIG)
+            for seed in range(2050, 2090)
+        ]
+        for graph in graphs:
+            ExactScheduler(WARP).minimum_ii(graph)
+        assert any(recurrence > 1 for recurrence, _ in built)
+        assert all(s >= max(1, recurrence) for recurrence, s in built)
+        # The first graph's minimum is its recurrence bound, probed first.
+        assert built[0] == (7, 7)
 
     def test_proved_infeasible_raises(self):
         # Cap below the recurrence bound: every interval is certified
@@ -254,11 +275,10 @@ class TestExactBudget:
         # admitted, the heuristic's schedule stands.
         monkeypatch.setattr(encode, "MAX_TIME_SLOTS", 1)
         graph = random_dep_graph(2086, WARP, CORPUS_CONFIG)
-        heuristic = ModuloScheduler(WARP)
-        exact = ExactScheduler(WARP, heuristic=heuristic)
         with obs.observe() as observer:
-            result = exact.schedule(graph)
+            result = ExactScheduler(WARP).schedule(graph)
         assert result.ii == 9
+        assert result.exact_search == "too_large"
         assert observer.counters["exact_too_large"] == 1
         assert observer.counters.get("exact_sat_calls", 0) == 0
 
@@ -284,8 +304,10 @@ class TestExactBudget:
         outcome = exact.minimum_ii(graph)
         assert outcome.status == "unknown"
         assert not outcome.proved_infeasible
-        # The compile path keeps the heuristic's II 6.
-        assert exact.schedule(graph).ii == 6
+        # The compile path keeps the heuristic's II 6 and records why.
+        result = exact.schedule(graph)
+        assert result.ii == 6
+        assert result.exact_search == "unknown"
 
 
 class TestOptimalityOracle:
@@ -343,15 +365,14 @@ class TestExactProperties:
     @_settings
     def test_exact_between_mii_and_heuristic(self, seed):
         graph = random_dep_graph(seed, WARP, SWEEP_CONFIG)
-        heuristic = ModuloScheduler(WARP)
-        exact = ExactScheduler(WARP, heuristic=heuristic)
+        exact = ExactScheduler(WARP)
         outcome = exact.minimum_ii(graph)
         assert outcome.status in ("optimal", "infeasible")
         if not outcome.optimal:
             return
         assert outcome.ii >= outcome.mii.mii
         try:
-            heuristic_ii = heuristic.schedule(graph).ii
+            heuristic_ii = exact.heuristic.schedule(graph).ii
         except SchedulingFailure:
             return
         assert heuristic_ii >= outcome.ii

@@ -74,10 +74,9 @@ def _compile(name, source, policy):
 )
 def test_graph_ii_never_above_the_heuristic(name, seed, config, machine):
     graph = random_dep_graph(seed, machine, config)
-    heuristic = ModuloScheduler(machine)
-    exact = ExactScheduler(machine, heuristic=heuristic)
+    exact = ExactScheduler(machine)
     try:
-        heuristic_ii = heuristic.schedule(graph).ii
+        heuristic_ii = ModuloScheduler(machine).schedule(graph).ii
     except SchedulingFailure:
         heuristic_ii = None
     try:
@@ -133,6 +132,9 @@ class TestSatCallsFire:
         assert counters["loops_at_mii"] == 1
         assert counters.get("exact_sat_calls", 0) == 0
         assert counters.get("exact_ii_attempts", 0) == 0
+        # Nothing below MII to probe: vacuously, every interval below the
+        # incumbent was refuted.
+        assert loop.exact_search == "infeasible"
 
     def test_loop_above_mii_probes_below_the_incumbent(self):
         # suite3: the heuristic's II is 21, the proven minimum MII 14.
@@ -145,10 +147,37 @@ class TestSatCallsFire:
 
     def test_graph_at_mii_makes_no_sat_call(self):
         graph = random_dep_graph(2000, WARP, FUZZ_CONFIG)
-        heuristic = ModuloScheduler(WARP)
         with obs.observe() as observer:
-            result = ExactScheduler(WARP, heuristic=heuristic).schedule(
-                graph
-            )
+            result = ExactScheduler(WARP).schedule(graph)
         assert result.ii == result.schedule.mii.mii
         assert observer.counters.get("exact_sat_calls", 0) == 0
+        assert observer.phase_calls["mii"] == 1  # one prepare per graph
+
+
+class TestSearchStatusRecorded:
+    """Each loop's report says how the exact search ended, so a loop that
+    keeps the incumbent tells a refuted interval from a blown budget."""
+
+    def test_closed_gap_records_optimal(self):
+        suite3 = next(p for p in generate_suite() if p.name == "suite3")
+        exact = _compile("suite3", suite3.source, EXACT)
+        (loop,) = exact.compiled.loops
+        assert loop.exact_search == "optimal"
+        (record,) = exact.stats["loops"]
+        assert record["exact_search"] == "optimal"
+
+    def test_heuristic_records_nothing(self):
+        suite3 = next(p for p in generate_suite() if p.name == "suite3")
+        heuristic = _compile("suite3", suite3.source, HEURISTIC)
+        (loop,) = heuristic.compiled.loops
+        assert loop.exact_search == ""
+        (record,) = heuristic.stats["loops"]
+        assert record["exact_search"] == ""
+
+    def test_blown_budget_records_unknown(self):
+        # Corpus seed 2062: MII 5 needs a real UNSAT proof, which one
+        # conflict cannot give, so the heuristic's II 6 stands.
+        graph = random_dep_graph(2062, WARP, FUZZ_CONFIG)
+        result = ExactScheduler(WARP, max_conflicts=1).schedule(graph)
+        assert result.ii == 6
+        assert result.exact_search == "unknown"

@@ -1,12 +1,15 @@
 """The exact encoder's per-node time windows.
 
-``ModuloCnf`` closes each node's window with a bound read off the SCC
-condensation of the dependence graph.  These tests hold it to the old
-rule, one ceiling for every node
-(:class:`tests.reference.GlobalCeilingModuloCnf`): the same verdict at
-every interval, no window wider, and every least schedule the old
-encoding admits inside the new windows.  They also compile the loops the
-narrower windows bring under the encoder's size cap.
+``ModuloCnf`` reads each node's window off one walk over the scheduler's
+prepared SCC closures.  These tests hold the walk to the same rule read
+off a numeric closure of the whole graph
+(:func:`tests.reference.whole_graph_windows`) on the corpus graphs, the
+seeded random graphs and the innermost loops of the 98 programs, each at
+MII..MII+3.  They hold the per-node highs to the older rule, one ceiling
+for every node (:class:`tests.reference.GlobalCeilingModuloCnf`): the
+same verdict at every interval, no window wider, and every least schedule
+the old encoding admits inside the new windows.  They also compile the
+loops the narrower windows bring under the encoder's size cap.
 """
 
 import json
@@ -19,13 +22,13 @@ from repro.audit.differential import _innermost_loops, audit_loop_schedules
 from repro.audit.generate import GraphConfig, random_dep_graph
 from repro.batch.driver import compile_one
 from repro.core.compile import CompilerPolicy
+from repro.core.pipeliner import ModuloScheduler
 from repro.core.reduction import build_reduced_loop_graph, fresh_uid_scope
 from repro.exact import (
     SAT,
     CdclSolver,
     EncodingTooLarge,
     ExactScheduler,
-    InfeasibleInterval,
     ModuloCnf,
 )
 from repro.frontend import parse_program
@@ -34,7 +37,7 @@ from repro.obs import trace as obs
 from repro.simulator import run_and_check
 from repro.workloads import LIVERMORE_KERNELS, USER_PROGRAMS, generate_suite
 
-from reference import GlobalCeilingModuloCnf
+from reference import GlobalCeilingModuloCnf, whole_graph_windows
 
 CORPUS = Path(__file__).parent / "corpus" / "graphs"
 
@@ -65,6 +68,25 @@ def _random_graphs():
         (f"seed{seed}", random_dep_graph(seed, WARP, RANDOM_CONFIG), WARP)
         for seed in RANDOM_SEEDS
     ]
+
+
+def _program_loops():
+    """The innermost loop graphs of the 98 programs: the 19 Livermore
+    kernels, the 7 Table 4-1 programs and the 72-program suite."""
+    sources = (
+        [(f"livermore{k.number}", k.source)
+         for k in LIVERMORE_KERNELS.values()]
+        + [(p.name, p.source) for p in USER_PROGRAMS.values()]
+        + [(p.name, p.source) for p in generate_suite()]
+    )
+    graphs = []
+    for name, source in sources:
+        program, _ = parse_program(source)
+        for i, loop in enumerate(_innermost_loops(program.body)):
+            with fresh_uid_scope():
+                lg = build_reduced_loop_graph(loop, WARP)
+            graphs.append((f"{name}.{i}", lg.graph, WARP))
+    return graphs
 
 
 CORPUS_GRAPHS = _corpus_graphs()
@@ -123,6 +145,39 @@ def _residue_models(encoding, limit):
     return found
 
 
+class TestAgainstTheWholeGraphClosure:
+    #: Intervals checked above each graph's MII.
+    SPAN = 4
+
+    def _check(self, graphs):
+        checked = 0
+        for name, graph, machine in graphs:
+            prepared = ModuloScheduler(machine).prepare(graph)
+            for s in range(prepared.mii.mii, prepared.mii.mii + self.SPAN):
+                assert ModuloCnf.time_windows(prepared, s) == (
+                    whole_graph_windows(graph, s)
+                ), (name, s)
+                checked += 1
+        return checked
+
+    def test_graphs(self):
+        assert self._check(ALL_GRAPHS) == self.SPAN * len(ALL_GRAPHS)
+
+    def test_program_loops(self):
+        loops = _program_loops()
+        assert len(loops) > 98
+        assert self._check(loops) == self.SPAN * len(loops)
+
+    def test_below_the_recurrence_bound_is_rejected(self):
+        _, graph, machine = next(
+            g for g in CORPUS_GRAPHS if g[0] == "gap_2086"
+        )
+        prepared = ModuloScheduler(machine).prepare(graph)
+        assert prepared.mii.recurrence > 1
+        with pytest.raises(ValueError, match="recurrence bound"):
+            ModuloCnf(prepared, machine, prepared.mii.recurrence - 1)
+
+
 class TestAgainstTheGlobalCeiling:
     @pytest.mark.parametrize(
         "name,graph,machine", ALL_GRAPHS, ids=[g[0] for g in ALL_GRAPHS]
@@ -147,16 +202,17 @@ class TestAgainstTheGlobalCeiling:
         """The completeness lemma, checked on the reference's models: each
         model's least lift keeps its rows (same residues) and lands inside
         the per-node windows, which are never wider than the old ones."""
+        prepared = ModuloScheduler(machine).prepare(graph)
         outcome = ExactScheduler(machine).minimum_ii(graph)
         if not outcome.statuses:
             pytest.skip("no interval reaches the encoder")
         checked = 0
         for s in sorted(outcome.statuses):
             try:
-                old = GlobalCeilingModuloCnf(graph, machine, s)
-            except (InfeasibleInterval, EncodingTooLarge):
+                old = GlobalCeilingModuloCnf(prepared, machine, s)
+            except EncodingTooLarge:
                 continue
-            new = ModuloCnf(graph, machine, s)
+            new = ModuloCnf(prepared, machine, s)
             for node in graph.nodes:
                 old_lo, old_hi = old.window(node.index)
                 lo, hi = new.window(node.index)
@@ -178,8 +234,9 @@ class TestFormulaSize:
             g for g in CORPUS_GRAPHS if g[0] == "gap_2086"
         )
         s = 6  # the proven minimum
-        new = ModuloCnf(graph, machine, s)
-        old = GlobalCeilingModuloCnf(graph, machine, s)
+        prepared = ModuloScheduler(machine).prepare(graph)
+        new = ModuloCnf(prepared, machine, s)
+        old = GlobalCeilingModuloCnf(prepared, machine, s)
         assert len(new.clauses) < len(old.clauses)
         assert new.num_vars < old.num_vars
 

@@ -51,7 +51,6 @@ class TestImpossibleSchedules:
     def test_zero_omega_positive_cycle_rejected(self):
         from repro.deps.graph import DepGraph, DepNode
         from repro.machine.resources import ReservationTable
-        from repro.core.mii import recurrence_mii
 
         graph = DepGraph()
         a = DepNode(0, ReservationTable.single("alu"), Operation(Opcode.NOP))
@@ -61,7 +60,7 @@ class TestImpossibleSchedules:
         graph.add_edge(a, b, 3, 0)
         graph.add_edge(b, a, 3, 0)
         with pytest.raises(CyclicDependenceError):
-            recurrence_mii(graph)
+            ModuloScheduler(WARP).prepare(graph)
 
 
 class TestHostileSource:

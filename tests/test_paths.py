@@ -262,7 +262,8 @@ class TestDense:
 
 class TestFusedRecurrenceEquivalence:
     """The closure's fused recurrence bound must agree with the numeric
-    binary search it replaced, per component and through compute_mii."""
+    binary search it replaced, per component and through the scheduler's
+    prepared MII."""
 
     def test_closure_bench_corpus_matches_numeric(self):
         # The ``closure`` benchmark's own corpus at its default seed and
@@ -280,7 +281,7 @@ class TestFusedRecurrenceEquivalence:
         from hypothesis import strategies as st
 
         from repro.audit.generate import GraphConfig, random_dep_graph
-        from repro.core.mii import component_internal_edges, compute_mii
+        from repro.core.pipeliner import ModuloScheduler
         from repro.deps.scc import strongly_connected_components
         from repro.machine import WARP
 
@@ -294,16 +295,19 @@ class TestFusedRecurrenceEquivalence:
         @given(seed=st.integers(min_value=0, max_value=100_000))
         def check(seed):
             graph = random_dep_graph(seed, WARP, config)
-            components = strongly_connected_components(graph)
             expected = 0
-            for component, internal in zip(
-                components, component_internal_edges(graph, components)
-            ):
+            for component in strongly_connected_components(graph):
+                members = {node.index for node in component}
+                internal = [
+                    edge for edge in graph.edges
+                    if edge.src.index in members and edge.dst.index in members
+                ]
                 if not internal:
                     continue
                 fused = SymbolicPaths(component, internal).recurrence_bound
                 assert fused == numeric_recurrence_bound(component, internal)
                 expected = max(expected, fused)
-            assert compute_mii(graph, WARP).recurrence == expected
+            prepared = ModuloScheduler(WARP).prepare(graph)
+            assert prepared.mii.recurrence == expected
 
         check()

@@ -9,7 +9,7 @@ from repro.audit.oracle import (
     audit_precedence,
 )
 from repro.core.listsched import block_heights, list_schedule_block
-from repro.core.mii import compute_mii, recurrence_mii, resource_mii
+from repro.core.mii import resource_mii
 from repro.core.mrt import ModuloReservationTable
 from repro.core.pipeliner import ModuloScheduler, PipelinerPolicy
 from repro.core.schedule import SchedulingFailure
@@ -132,8 +132,8 @@ class TestMii:
 
     def test_extra_uses_counted(self):
         graph = build_loop_graph(_vadd_loop(), WARP)
-        report = compute_mii(graph, WARP, {"mem": 2})
-        assert report.resource == 4
+        bound, _ = resource_mii(graph.nodes, WARP, {"mem": 2})
+        assert bound == 4
 
     def test_recurrence_bound_of_accumulator(self):
         pb = ProgramBuilder("acc")
@@ -142,7 +142,8 @@ class TestMii:
         with pb.loop("i", 0, 9) as body:
             body.fadd(s, body.load("a", body.var), dest=s)
         graph = build_reduced_loop_graph(pb.finish().body[-1], WARP).graph
-        assert recurrence_mii(graph) == 7  # fadd latency
+        mii = ModuloScheduler(WARP).prepare(graph).mii
+        assert mii.recurrence == 7  # fadd latency
 
     def test_critical_resource_reported_at_bound_one(self):
         # The bound starts at 1; a resource that *attains* 1 is still the
@@ -159,12 +160,12 @@ class TestMii:
 
     def test_critical_resource_in_full_report(self):
         graph = build_loop_graph(_vadd_loop(), WARP)
-        report = compute_mii(graph, WARP)
+        report = ModuloScheduler(WARP).prepare(graph).mii
         assert report.critical_resource == "mem"
 
     def test_mii_is_max_of_bounds(self):
         graph = build_loop_graph(_vadd_loop(), WARP)
-        report = compute_mii(graph, WARP)
+        report = ModuloScheduler(WARP).prepare(graph).mii
         assert report.mii == max(report.resource, report.recurrence)
 
 
@@ -241,6 +242,19 @@ class TestModuloScheduler:
         result = ModuloScheduler(WARP).schedule(lg.graph)
         assert result.schedule.attempts[0] == result.schedule.mii.mii
 
+    def test_search_reuses_the_prepared_graph(self):
+        lg = _acc_loop()
+        scheduler = ModuloScheduler(WARP)
+        with obs.observe() as observer:
+            prepared = scheduler.prepare(lg.graph)
+            first = scheduler.search(prepared)
+            again = scheduler.search(prepared)
+        assert again.ii == first.ii == 7
+        assert first.schedule.mii is prepared.mii
+        # Preparation (SCCs, closures, MII) runs in the "mii" phase, and
+        # searches on the prepared graph never repeat it.
+        assert observer.phase_calls["mii"] == 1
+
     def test_binary_search_finds_schedule(self):
         lg = build_reduced_loop_graph(_vadd_loop(), WARP)
         result = ModuloScheduler(
@@ -299,44 +313,3 @@ class TestModuloScheduler:
         )
         schedule.times[edge.dst.index] = schedule.times[edge.src.index]
         assert [v.kind for v in audit_precedence(schedule)] == [PRECEDENCE]
-
-
-class TestPreparedSharing:
-    """The per-scheduler prepare() memo: repeat schedules of one graph
-    (the exact backend's cross-check) reuse its SCCs and closures."""
-
-    def test_prepare_memoizes_by_graph_identity(self):
-        lg = _acc_loop()
-        scheduler = ModuloScheduler(WARP)
-        first = scheduler.prepare(lg.graph)
-        second = scheduler.prepare(lg.graph)
-        assert first[0] is second[0]
-        assert first[1] is second[1]
-
-    def test_prepare_distinguishes_graph_objects(self):
-        scheduler = ModuloScheduler(WARP)
-        one = scheduler.prepare(_acc_loop().graph)
-        other = scheduler.prepare(_acc_loop().graph)
-        assert one[0] is not other[0]
-
-    def test_prepare_cache_evicts_oldest(self):
-        from repro.core.pipeliner import _PREPARED_CACHE_LIMIT
-
-        scheduler = ModuloScheduler(WARP)
-        keep = _acc_loop()  # hold a strong ref so id() is not recycled
-        first = scheduler.prepare(keep.graph)
-        others = [_acc_loop() for _ in range(_PREPARED_CACHE_LIMIT)]
-        for lg in others:
-            scheduler.prepare(lg.graph)
-        assert scheduler.prepare(keep.graph)[0] is not first[0]
-
-    def test_second_search_rebuilds_nothing(self):
-        lg = _acc_loop()
-        scheduler = ModuloScheduler(WARP)
-        with obs.observe() as observer:
-            first = scheduler.schedule(lg.graph)
-            again = scheduler.schedule(lg.graph)
-        assert again.ii == first.ii
-        # Preparation (SCCs, closures, MII) runs in the "mii" phase, and
-        # only the first search pays for it.
-        assert observer.phase_calls["mii"] == 1
