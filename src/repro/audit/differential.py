@@ -66,7 +66,9 @@ def audit_loop_schedules(
 
     The compiler discards its :class:`PipelineResult` after emission; this
     rebuilds one per loop under the same policy, with the scheduler backend
-    the policy names, so the oracles can see it.
+    the policy names, so the oracles can see it.  The audited graph is
+    always the one a pipelining compile schedules, also when the policy
+    turns pipelining off.
     Scheduler declines (no interval found, oversized bodies) are counted
     but are not violations — the compiler falls back to the unpipelined
     loop in those cases.
@@ -81,7 +83,6 @@ def audit_loop_schedules(
             lg = build_reduced_loop_graph(
                 loop, machine, options,
                 serialize_ifs=policy.serialize_ifs,
-                expand=policy.pipeline,
             )
             scheduler = scheduler_for(machine, policy)
             try:

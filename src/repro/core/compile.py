@@ -54,6 +54,7 @@ from repro.core.pipeliner import (
     create_scheduler,
 )
 from repro.core.reduction import (
+    LoopGraph,
     _reduce_stmt,
     build_reduced_loop_graph,
     fresh_uid_scope,
@@ -131,7 +132,10 @@ class LoopReport:
     total_size: int = 0
     attempts: list[int] = field(default_factory=list)
     has_conditionals: bool = False
-    has_recurrence: bool = False
+    #: A dependence cycle beyond the induction variable's own increment,
+    #: read off the scheduler's condensation; ``None`` for loops no backend
+    #: scheduled, as ``mii`` is.
+    has_recurrence: Optional[bool] = None
     #: True when the loop was emitted with the runtime two-version scheme.
     two_version: bool = False
     #: Which scheduler backend produced (or declined) the kernel.
@@ -216,6 +220,12 @@ class _Compiler:
             return self.alloc.scalar(operand)
         return operand
 
+    def _trip_spec(self, loop: ForLoop) -> TripSpec:
+        """The loop's pass count, computed at run time from its bounds."""
+        return TripSpec(
+            self._operand(loop.start), self._operand(loop.stop), loop.step
+        )
+
     def _mov(self, dest: Reg, src: Operand) -> Operation:
         opcode = Opcode.FMOV if dest.kind == FLOAT else Opcode.MOV
         return Operation(opcode, dest, (src,))
@@ -274,7 +284,10 @@ class _Compiler:
         for stmt in stmts:
             if isinstance(stmt, ForLoop):
                 flush()
-                regions.extend(self._emit_loop(stmt))
+                if _contains_loop(stmt.body):
+                    regions.extend(self._emit_outer_loop(stmt))
+                else:
+                    regions.extend(self._emit_inner_loop(stmt))
             elif isinstance(stmt, IfStmt) and (
                 _contains_loop(stmt.then_body) or _contains_loop(stmt.else_body)
             ):
@@ -311,11 +324,6 @@ class _Compiler:
             emit_block(schedule, self.scalar_renamer), "segment"
         )
 
-    def _emit_loop(self, loop: ForLoop) -> list[Region]:
-        if _contains_loop(loop.body):
-            return self._emit_outer_loop(loop)
-        return self._emit_inner_loop(loop)
-
     def _emit_outer_loop(self, loop: ForLoop) -> list[Region]:
         iv = self.alloc.scalar(loop.var)
         setup = self._glue([self._mov(iv, self._operand(loop.start))])
@@ -325,9 +333,7 @@ class _Compiler:
         )
         passes = loop.trip_count
         if passes is None:
-            passes = TripSpec(
-                self._operand(loop.start), self._operand(loop.stop), loop.step
-            )
+            passes = self._trip_spec(loop)
         regions = setup + [
             SequentialLoopRegion(body, passes, label=f"outer({loop.var.name})")
         ]
@@ -349,18 +355,9 @@ class _Compiler:
             lg = build_reduced_loop_graph(
                 loop, self.machine, options,
                 serialize_ifs=self.policy.serialize_ifs,
-                expand=self.policy.pipeline,
-            )
-            # The unpipelined copy shares no registers with rotated copies,
-            # so it is scheduled from a graph that keeps all anti/output
-            # edges.
-            lg_block = build_reduced_loop_graph(
-                loop, self.machine, options,
-                serialize_ifs=self.policy.serialize_ifs,
-                expand=False,
             )
         with obs.phase("listsched", loop=label):
-            block = list_schedule_block(lg_block.graph, self.machine)
+            block = list_schedule_block(lg.block_graph, self.machine)
         unpip_len = max(block.completion_length, 1)
         trip = loop.trip_count
 
@@ -370,13 +367,14 @@ class _Compiler:
             unpipelined_length=unpip_len,
             trip_count=trip,
             has_conditionals=lg.has_conditionals,
-            has_recurrence=_has_nontrivial_recurrence(lg),
         )
 
         regions = self._try_pipeline(loop, lg, block, trip, report, label)
         if regions is None:
             with obs.phase("emit", loop=label):
-                regions = self._emit_fallback(loop, block, trip, report, label)
+                regions = self._emit_unpipelined_regions(
+                    loop, block, trip, label
+                )
         report.total_size = sum(region_size(r) for r in regions)
         self.loops.append(report)
         obs.count("loops")
@@ -404,7 +402,7 @@ class _Compiler:
     def _try_pipeline(
         self,
         loop: ForLoop,
-        lg,
+        lg: LoopGraph,
         block: BlockSchedule,
         trip: Optional[int],
         report: LoopReport,
@@ -435,6 +433,11 @@ class _Compiler:
             return None
         schedule = result.schedule
         report.exact_search = result.exact_search
+        prepared = result.prepared
+        report.has_recurrence = any(
+            paths is not None and component != [lg.increment]
+            for component, paths in zip(prepared.components, prepared.paths)
+        )
         report.attempts = schedule.attempts
         report.mii = schedule.mii.mii
         report.resource_mii = schedule.mii.resource
@@ -504,10 +507,7 @@ class _Compiler:
             # runs all n iterations; otherwise the unpipelined copy runs
             # the (n - k) mod u leftover iterations and the pipelined
             # loop takes the rest.
-            trip_spec = TripSpec(
-                self._operand(loop.start), self._operand(loop.stop),
-                loop.step,
-            )
+            trip_spec = self._trip_spec(loop)
             main = self._emit_pipelined(
                 loop, plan, schedule, block,
                 PeelCount(trip_spec, k, u),
@@ -605,9 +605,11 @@ class _Compiler:
         self,
         loop: ForLoop,
         block: BlockSchedule,
-        passes,
+        trip: Union[None, int, TripSpec],
         label: str,
     ) -> list[Region]:
+        """The whole loop unpipelined; a ``None`` trip is read at run time."""
+        passes = self._trip_spec(loop) if trip is None else trip
         iv = self.alloc.scalar(loop.var)
         regions: list[Region] = []
         regions.extend(self._glue([self._mov(iv, self._operand(loop.start))]))
@@ -619,23 +621,6 @@ class _Compiler:
                 self._glue([Operation(Opcode.ADD, iv, (iv, Imm(-loop.step)))])
             )
         return regions
-
-    def _emit_fallback(
-        self,
-        loop: ForLoop,
-        block: BlockSchedule,
-        trip: Optional[int],
-        report: LoopReport,
-        label: str,
-    ) -> list[Region]:
-        passes: Union[int, TripSpec]
-        if trip is not None:
-            passes = trip
-        else:
-            passes = TripSpec(
-                self._operand(loop.start), self._operand(loop.stop), loop.step
-            )
-        return self._emit_unpipelined_regions(loop, block, passes, label)
 
 
 def scheduler_for(
@@ -650,19 +635,6 @@ def scheduler_for(
         PipelinerPolicy(search=policy.search, max_ii=max_ii),
         backend=policy.scheduler_backend,
         max_conflicts=policy.exact_max_conflicts,
-    )
-
-
-def _has_nontrivial_recurrence(lg) -> bool:
-    """Whether the loop has a connected component in the paper's sense: a
-    dependence cycle beyond the induction variable's own increment chain."""
-    from repro.deps.scc import strongly_connected_components
-
-    for component in strongly_connected_components(lg.graph):
-        if len(component) > 1:
-            return True
-    return any(
-        e.src is e.dst and e.src is not lg.increment for e in lg.graph.edges
     )
 
 

@@ -68,6 +68,9 @@ class PipelinerPolicy:
 class PipelineResult:
     """A kernel schedule plus the component structure needed downstream.
 
+    ``prepared`` is the one :meth:`ModuloScheduler.prepare` analysis the
+    schedule was searched on, so callers read the graph's condensation
+    (which components recur) off it instead of computing their own.
     ``exact_search`` is the exact backend's terminal search status
     (``optimal``, ``infeasible``, ``unknown`` or ``too_large``; see
     :mod:`repro.exact.backend`); it stays empty under the heuristic.
@@ -75,6 +78,7 @@ class PipelineResult:
 
     schedule: KernelSchedule
     clusters: list[Cluster]
+    prepared: PreparedGraph
     exact_search: str = ""
 
     @property
@@ -375,7 +379,7 @@ class ModuloScheduler:
             prepared.graph, self.machine, s, times, prepared.mii,
             list(attempts),
         )
-        return PipelineResult(schedule, clusters)
+        return PipelineResult(schedule, clusters, prepared)
 
     # -- binary search (FPS-164 style, for the ablation) ----------------------
 

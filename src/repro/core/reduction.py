@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from repro.core.listsched import list_schedule_block
@@ -46,9 +46,11 @@ from repro.ir.stmts import ForLoop, IfStmt, Stmt
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
 
-# Reduced-IF uids only need to be unique within one compiled program (the
-# simulator keys recorded branch outcomes on (uid, iteration)).  They are
-# drawn from a per-compilation scope installed by
+# Each conditional is reduced once and has one uid, shared by every emitted
+# copy of its loop (unpipelined, peel, kernel, passes of an outer loop): the
+# simulator keys branch outcomes on (uid, iteration), and a dispatch records
+# its outcome before any guard of that iteration reads it.  Uids are unique
+# within one compiled program, drawn from a per-compilation scope installed by
 # :func:`repro.core.compile.compile_program`, so compiling the same program
 # always numbers its conditionals identically — byte-identical output
 # regardless of process history or of other compilations running in
@@ -96,10 +98,18 @@ class ReducedIf:
 
 @dataclass
 class LoopGraph:
-    """A dependence graph for one innermost loop, after reduction."""
+    """The dependence graphs of one innermost loop, after reduction.
+
+    ``graph``, which the modulo scheduler sees, drops the cross-iteration
+    anti and output edges of the registers modulo variable expansion
+    renames (``options.expanded_regs``).  ``block_graph`` keeps them over
+    the same node objects, for the unpipelined copy; it is ``graph``
+    itself when nothing is expanded.
+    """
 
     loop: ForLoop
     graph: DepGraph
+    block_graph: DepGraph
     increment: DepNode
     options: DependenceOptions
     machine: MachineDescription
@@ -261,14 +271,14 @@ def build_reduced_loop_graph(
     options: DependenceOptions = DependenceOptions(),
     *,
     serialize_ifs: bool = True,
-    expand: bool = True,
 ) -> LoopGraph:
-    """Reduce an innermost loop body to a flat dependence graph.
+    """Reduce an innermost loop body to flat dependence graphs.
 
-    Conditionals become single nodes and the induction-variable increment
-    is materialised.  Registers are qualified for modulo variable
-    expansion on the nodes before the edges are connected (qualification
-    does not depend on edges); ``expand=False`` qualifies none.
+    Conditionals become single nodes, once, and the induction-variable
+    increment is materialised.  Registers are qualified for modulo
+    variable expansion on the nodes (qualification does not depend on
+    edges), then the nodes are connected with those registers expanded
+    (``graph``) and without (``block_graph``).
     """
     from repro.core.mve import expandable_registers
 
@@ -277,10 +287,11 @@ def build_reduced_loop_graph(
         graph.add_node(_reduce_stmt(stmt, machine, index, serialize_ifs))
     increment = make_increment_node(loop, machine, len(loop.body))
     graph.add_node(increment)
-    expanded = expandable_registers(graph) if expand else frozenset()
-    options = DependenceOptions(
-        independent_arrays=options.independent_arrays,
-        expanded_regs=expanded,
-    )
+    block_options = DependenceOptions(options.independent_arrays)
+    options = replace(block_options, expanded_regs=expandable_registers(graph))
     connect_loop_edges(graph, loop, options)
-    return LoopGraph(loop, graph, increment, options, machine)
+    block_graph = graph
+    if options.expanded_regs:
+        block_graph = DepGraph(graph.nodes)
+        connect_loop_edges(block_graph, loop, block_options)
+    return LoopGraph(loop, graph, block_graph, increment, options, machine)

@@ -251,4 +251,6 @@ class ExactScheduler:
         schedule = KernelSchedule(
             graph, self.machine, s, dict(times), prepared.mii, list(attempts)
         )
-        return PipelineResult(schedule, clusters, exact_search=OPTIMAL)
+        return PipelineResult(
+            schedule, clusters, prepared, exact_search=OPTIMAL
+        )

@@ -26,6 +26,9 @@ shipped fast paths to.
   highs of those windows.
 * :func:`schedule_at` — one initiation interval probed by either scheduler
   backend, for the tests that pin what a backend does at a given II.
+* :func:`has_nontrivial_recurrence` — a loop's recurrence test by its own
+  Tarjan pass, the oracle for ``LoopReport.has_recurrence``, which the
+  compiler reads off the scheduler's prepared condensation.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from repro.core.emit import (
 )
 from repro.core.mve import ExpansionPlan
 from repro.core.pipeliner import ModuloScheduler, PipelineResult, PreparedGraph
+from repro.core.reduction import LoopGraph
 from repro.core.schedule import KernelSchedule
 from repro.deps.graph import DepEdge, DepGraph, DepNode
 from repro.deps.paths import NEG_INF, CyclicDependenceError
-from repro.deps.scc import condensation_order
+from repro.deps.scc import condensation_order, strongly_connected_components
 from repro.exact.backend import ExactScheduler
 from repro.exact.encode import ModuloCnf
 from repro.exact.solver import SAT, CdclSolver
@@ -400,3 +404,14 @@ def schedule_at(
     if s < prepared.mii.recurrence:
         return None
     return scheduler._try_interval(prepared, s, [s])
+
+
+def has_nontrivial_recurrence(lg: LoopGraph) -> bool:
+    """Whether the loop has a connected component in the paper's sense: a
+    dependence cycle beyond the induction variable's own increment chain."""
+    for component in strongly_connected_components(lg.graph):
+        if len(component) > 1:
+            return True
+    return any(
+        e.src is e.dst and e.src is not lg.increment for e in lg.graph.edges
+    )

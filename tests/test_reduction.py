@@ -1,9 +1,16 @@
 """Hierarchical reduction of conditionals (Lam 1988, section 3)."""
 
+import re
+
 import pytest
 
+import repro.core.reduction as reduction
+from repro.core.compile import compile_program
+from repro.core.display import disassemble
 from repro.core.reduction import ReducedIf, build_reduced_loop_graph, reduce_if
-from repro.deps.graph import DefInfo, UseInfo
+from repro.deps.build import DependenceOptions, connect_loop_edges
+from repro.deps.graph import DefInfo, DepGraph, UseInfo
+from repro.frontend import parse_program
 from repro.ir import FLOAT, IfStmt, Imm, Opcode, Operation, ProgramBuilder, Reg
 from repro.machine import WARP
 
@@ -157,3 +164,86 @@ class TestLoopGraphWithConditionals:
                 bj.store("a", bj.var, 1.0)
         with pytest.raises(TypeError, match="innermost"):
             build_reduced_loop_graph(pb.finish().body[-1], WARP)
+
+
+def _conditional_loop():
+    pb = ProgramBuilder("p")
+    pb.array("a", 64)
+    with pb.loop("i", 0, 9) as body:
+        x = body.load("a", body.var)
+        cond = body.fgt(x, 0.0)
+        with body.if_(cond) as (then, other):
+            then.store("a", then.var, then.fmul(x, 2.0))
+            other.store("a", other.var, other.fadd(x, 1.0))
+    return pb.finish().body[-1]
+
+
+def _edges(graph):
+    return [(e.src, e.dst, e.delay, e.omega, e.kind) for e in graph.edges]
+
+
+#: One conditional loop whose 50 iterations leave one to peel at compile
+#: time (II 14, two stages, unrolled three times on WARP).
+PEELED_IF_SOURCE = """
+program v;
+var a: array[64] of float;
+begin
+  for i := 0 to 49 do
+    if a[i] > 0.0 then
+      a[i] := a[i] * 2.0
+    else
+      a[i] := a[i] + 1.0;
+end.
+"""
+
+
+class TestOneReductionPerLoop:
+    def test_block_graph_shares_the_nodes(self):
+        lg = build_reduced_loop_graph(_conditional_loop(), WARP)
+        assert lg.options.expanded_regs
+        assert lg.block_graph is not lg.graph
+        assert len(lg.block_graph.nodes) == len(lg.graph.nodes)
+        assert all(
+            a is b for a, b in zip(lg.block_graph.nodes, lg.graph.nodes)
+        )
+
+    def test_block_graph_keeps_every_register_edge(self):
+        loop = _conditional_loop()
+        options = DependenceOptions(independent_arrays=frozenset({"a"}))
+        lg = build_reduced_loop_graph(loop, WARP, options)
+        fresh = DepGraph(lg.graph.nodes)
+        connect_loop_edges(fresh, loop, options)
+        assert _edges(lg.block_graph) == _edges(fresh)
+        assert len(lg.block_graph.edges) > len(lg.graph.edges)
+
+    def test_block_graph_is_graph_when_nothing_is_expanded(self):
+        # The body also writes the induction variable, so no register is
+        # defined exactly once per iteration.
+        pb = ProgramBuilder("p")
+        pb.array("a", 64)
+        with pb.loop("i", 0, 9) as body:
+            body.store("a", body.var, 1.0)
+            body.op(Opcode.ADD, body.var, Imm(0), dest=body.var)
+        lg = build_reduced_loop_graph(pb.finish().body[-1], WARP)
+        assert lg.options.expanded_regs == frozenset()
+        assert lg.block_graph is lg.graph
+
+    def test_peeled_conditional_is_reduced_once(self, monkeypatch):
+        calls = []
+
+        def counting_reduce_if(stmt, *args, **kwargs):
+            calls.append(stmt)
+            return reduce_if(stmt, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "reduce_if", counting_reduce_if)
+        program, _ = parse_program(PEELED_IF_SOURCE)
+        compiled = compile_program(program, WARP)
+        (loop,) = compiled.loops
+        assert loop.pipelined and loop.peeled == 1
+        assert len(calls) == 1
+        # The peel copy and the kernel are guarded by the same uid.
+        text = disassemble(compiled.code)
+        peel, _, pipelined = text.partition("pipelined loop")
+        guards = re.compile(r"\b(\d+):(?:then|else)")
+        assert set(guards.findall(peel)) == {"1"}
+        assert set(guards.findall(pipelined)) == {"1"}
