@@ -36,7 +36,12 @@ def test_figure_4_1(benchmark):
     lines.append(
         f"median array MFLOPS: {sorted(array_mflops)[len(array_mflops)//2]:.1f}"
     )
-    lines.append(f"batch compile: {batch.summary()}")
+    # No wall time: this file is committed, and must not move by host.
+    lines.append(
+        f"batch compile: {len(batch.ok_results)}/{len(batch.results)}"
+        f" programs compiled, jobs={batch.jobs},"
+        f" {len(batch.errors)} errors"
+    )
     assert len(results) == len(suite_slice())
     assert all(m >= 0 for m in array_mflops)
     if len(results) == 72:

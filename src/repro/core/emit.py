@@ -323,64 +323,34 @@ class Renamer:
         self.alloc = alloc
         self.plan = plan
 
-    def _read(self, reg: Reg, top_index: int, iteration: int) -> Reg:
-        plan = self.plan
-        if plan is not None and reg in plan.copies:
-            return self.alloc.copy_reg(
-                reg, plan.copy_for_use(top_index, reg, iteration)
-            )
-        return self.alloc.scalar(reg)
-
-    def _write(self, reg: Reg, iteration: int) -> Reg:
-        plan = self.plan
-        if plan is not None and reg in plan.copies:
-            return self.alloc.copy_reg(reg, plan.copy_for_def(reg, iteration))
-        return self.alloc.scalar(reg)
-
     def rename(self, atom: Atom, iteration: int) -> Operation:
+        """Iteration ``iteration`` of ``atom``: an expanded register is read
+        from copy ``(iteration - omega) mod copies`` and written to copy
+        ``iteration mod copies``; every other register has one location.
+        Sources are allocated before the destination, in operand order."""
         op = atom.op
-        srcs = tuple(
-            self._read(src, atom.top_index, iteration)
-            if isinstance(src, Reg) else src
+        plan = self.plan
+        copies = plan.copies if plan is not None else {}
+        alloc = self.alloc
+        # A list, not a generator, which would resume once per operand.
+        srcs = tuple([
+            src if not isinstance(src, Reg)
+            else alloc.copy_reg(
+                src, plan.copy_for_use(atom.top_index, src, iteration)
+            ) if src in copies
+            else alloc.scalar(src)
             for src in op.srcs
-        )
-        dest = self._write(op.dest, iteration) if op.dest is not None else None
+        ])
+        dest = op.dest
+        if dest is not None:
+            dest = (
+                alloc.copy_reg(dest, iteration % copies[dest])
+                if dest in copies else alloc.scalar(dest)
+            )
         return op.with_operands(dest, srcs)
 
 
 # -- instruction assembly -----------------------------------------------------
-
-
-class InstructionBuffer:
-    def __init__(self, length: int) -> None:
-        self.instructions = [WideInstruction() for _ in range(max(0, length))]
-
-    def add(self, time: int, slot: SlotOp) -> None:
-        if time < 0:
-            raise ValueError(f"slot scheduled at negative time {time}")
-        while time >= len(self.instructions):
-            self.instructions.append(WideInstruction())
-        self.instructions[time].slots.append(slot)
-
-
-def _place(
-    buffer: InstructionBuffer,
-    atom: Atom,
-    time: int,
-    iteration: int,
-    renamer: Renamer,
-) -> None:
-    """Place an atom renamed for ``iteration``, which also tags the slot
-    for the simulator's iteration arithmetic."""
-    buffer.add(
-        time,
-        SlotOp(
-            renamer.rename(atom, iteration),
-            iteration=iteration,
-            preds=atom.preds,
-            cbr_uid=atom.cbr_uid,
-        ),
-    )
 
 
 def _touches(op: Operation, regs: dict[Reg, int]) -> bool:
@@ -401,17 +371,18 @@ def emit_block(
     block ends (regions never overlap in time, which is also why the
     loop-back branch may sit in the final instruction)."""
     length = max(schedule.completion_length, 1)
-    buffer = InstructionBuffer(length)
+    instructions = [WideInstruction() for _ in range(length)]
     for node in sorted(schedule.graph.nodes, key=lambda n: n.index):
         time = schedule.times[node.index]
         for atom in flatten_node(node):
-            _place(buffer, atom, time + atom.delta, 0, renamer)
+            instructions[time + atom.delta].slots.append(
+                SlotOp(renamer.rename(atom, 0), 0, atom.preds, atom.cbr_uid)
+            )
     if loop_back:
-        buffer.add(
-            length - 1,
-            SlotOp(Operation(Opcode.CJUMP, target=label or "loop")),
+        instructions[-1].slots.append(
+            SlotOp(Operation(Opcode.CJUMP, target=label or "loop"))
         )
-    return buffer.instructions
+    return instructions
 
 
 def emit_straightline(
@@ -423,15 +394,15 @@ def emit_straightline(
     final latency."""
     if not ops:
         return []
-    buffer = InstructionBuffer(0)
-    time = 0
-    last_commit = 1
-    for op in ops:
-        buffer.add(time, SlotOp(op))
-        last_commit = max(last_commit, time + machine.latency(op.opcode.value))
-        time += 1
-    buffer.add(max(time, last_commit) - 1, SlotOp(Operation(Opcode.NOP)))
-    return buffer.instructions
+    last_commit = max(
+        time + machine.latency(op.opcode.value) for time, op in enumerate(ops)
+    )
+    instructions = [WideInstruction([SlotOp(op)]) for op in ops]
+    instructions.extend(
+        WideInstruction() for _ in range(len(ops), last_commit)
+    )
+    instructions[-1].slots.append(SlotOp(Operation(Opcode.NOP)))
+    return instructions
 
 
 def fold_into_epilog(
@@ -514,11 +485,17 @@ def emit_pipelined_loop(
     u = plan.unroll
     k = schedule.stage_count - 1
 
-    prolog = InstructionBuffer(k * s)
-    kernel = InstructionBuffer(u * s)
-    # The epilog both finishes the iterations still in flight and pads until
-    # the final results commit, so following code may read them safely.
-    epilog = InstructionBuffer(max(0, schedule.completion_length - s))
+    # Every slot lands inside these lengths (an atom issues before its
+    # node's completion), so slots are appended straight to their
+    # instruction.  The epilog both finishes the iterations still in
+    # flight and pads until the final results commit, so following code
+    # may read them safely.
+    prolog = [WideInstruction() for _ in range(k * s)]
+    kernel = [WideInstruction() for _ in range(u * s)]
+    epilog = [
+        WideInstruction()
+        for _ in range(max(0, schedule.completion_length - s))
+    ]
 
     for node in sorted(graph.nodes, key=lambda n: n.index):
         sigma = schedule.times[node.index]
@@ -538,11 +515,15 @@ def emit_pipelined_loop(
             for i in range(k):
                 t = i * s + e
                 if t < k * s:
-                    prolog.add(t, SlotOp(ops[i % period], i, preds, cbr_uid))
+                    prolog[t].slots.append(
+                        SlotOp(ops[i % period], i, preds, cbr_uid)
+                    )
             # Kernel: positions congruent to e modulo s.
             for tau in range(e % s, u * s, s):
                 c = k + (tau - e) // s
-                kernel.add(tau, SlotOp(ops[c % period], c, preds, cbr_uid))
+                kernel[tau].slots.append(
+                    SlotOp(ops[c % period], c, preds, cbr_uid)
+                )
             # Epilog: the last k iterations' tails.  The slot names
             # iteration n - j, which is congruent to k - j modulo every
             # copy count, so the renaming is independent of the runtime
@@ -550,16 +531,17 @@ def emit_pipelined_loop(
             for j in range(1, k + 1):
                 t = e - j * s
                 if t >= 0:
-                    epilog.add(t, SlotOp(ops[(k - j) % period], -j, preds,
-                                         cbr_uid))
+                    epilog[t].slots.append(
+                        SlotOp(ops[(k - j) % period], -j, preds, cbr_uid)
+                    )
 
-    kernel.add(
-        u * s - 1, SlotOp(Operation(Opcode.CJUMP, target=label or "kernel"))
+    kernel[-1].slots.append(
+        SlotOp(Operation(Opcode.CJUMP, target=label or "kernel"))
     )
     return PipelinedLoopRegion(
-        prolog=prolog.instructions,
-        kernel=kernel.instructions,
-        epilog=epilog.instructions,
+        prolog=prolog,
+        kernel=kernel,
+        epilog=epilog,
         passes=passes,
         unroll=u,
         started_in_prolog=k,

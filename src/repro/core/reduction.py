@@ -277,8 +277,8 @@ def build_reduced_loop_graph(
     Conditionals become single nodes, once, and the induction-variable
     increment is materialised.  Registers are qualified for modulo
     variable expansion on the nodes (qualification does not depend on
-    edges), then the nodes are connected with those registers expanded
-    (``graph``) and without (``block_graph``).
+    edges), then one dependence walk connects the nodes with those
+    registers expanded (``graph``) and without (``block_graph``).
     """
     from repro.core.mve import expandable_registers
 
@@ -287,11 +287,11 @@ def build_reduced_loop_graph(
         graph.add_node(_reduce_stmt(stmt, machine, index, serialize_ifs))
     increment = make_increment_node(loop, machine, len(loop.body))
     graph.add_node(increment)
-    block_options = DependenceOptions(options.independent_arrays)
-    options = replace(block_options, expanded_regs=expandable_registers(graph))
-    connect_loop_edges(graph, loop, options)
-    block_graph = graph
+    options = replace(options, expanded_regs=expandable_registers(graph))
     if options.expanded_regs:
         block_graph = DepGraph(graph.nodes)
-        connect_loop_edges(block_graph, loop, block_options)
+        connect_loop_edges(graph, loop, options, block_graph=block_graph)
+    else:
+        block_graph = graph
+        connect_loop_edges(graph, loop, options)
     return LoopGraph(loop, graph, block_graph, increment, options, machine)

@@ -86,12 +86,15 @@ def make_increment_node(
 
 
 def _register_edges(
-    graph: DepGraph,
+    graphs: tuple[DepGraph, ...],
     nodes: Sequence[DepNode],
     *,
     cyclic: bool,
     expanded: frozenset[Reg],
 ) -> None:
+    """Flow, anti and output edges, each added to every graph in
+    ``graphs``, except that the anti and output edges of an ``expanded``
+    register go only to ``graphs[1:]`` (see :func:`connect_loop_edges`)."""
     writers: dict[Reg, list[tuple[DepNode, DefInfo]]] = {}
     readers: dict[Reg, list[tuple[DepNode, UseInfo]]] = {}
     for node in nodes:
@@ -102,7 +105,13 @@ def _register_edges(
 
     for reg, defs in writers.items():
         uses = readers.get(reg, [])
-        expand = cyclic and reg in expanded
+        # Anti and output dependences protect a storage *location*; modulo
+        # variable expansion gives consecutive iterations distinct rotated
+        # locations, so for expanded registers the modulo graph drops every
+        # anti/output edge (only the block graph keeps them) and the
+        # register-count computation (repro.core.mve) takes over the job of
+        # keeping live values apart.
+        location_graphs = graphs[1:] if cyclic and reg in expanded else graphs
         # Flow: each use depends on its reaching definition.  True data flow
         # is never dropped by expansion — each iteration still reads the
         # value its predecessor produced, just from a rotated location.
@@ -113,22 +122,19 @@ def _register_edges(
                     reaching = (def_node, info)
             if reaching is not None:
                 def_node, info = reaching
-                graph.add_edge(
-                    def_node, use_node, info.write_latency - use.read_offset, 0,
-                    "flow",
-                )
+                for graph in graphs:
+                    graph.add_edge(
+                        def_node, use_node,
+                        info.write_latency - use.read_offset, 0, "flow",
+                    )
             elif cyclic:
                 def_node, info = defs[-1]
-                graph.add_edge(
-                    def_node, use_node, info.write_latency - use.read_offset, 1,
-                    "flow",
-                )
-        # Anti and output dependences protect a storage *location*; modulo
-        # variable expansion gives consecutive iterations distinct rotated
-        # locations, so for expanded registers every anti/output edge is
-        # dropped and the register-count computation (repro.core.mve) takes
-        # over the job of keeping live values apart.
-        if expand:
+                for graph in graphs:
+                    graph.add_edge(
+                        def_node, use_node,
+                        info.write_latency - use.read_offset, 1, "flow",
+                    )
+        if not location_graphs:
             continue
         # Anti: a definition must not clobber the value a use still needs;
         # assume the clobbering write lands as early as it possibly can.
@@ -140,30 +146,36 @@ def _register_edges(
                     break
             if next_def is not None:
                 def_node, info = next_def
-                graph.add_edge(
-                    use_node, def_node,
-                    use.read_offset - info.earliest_write + 1, 0, "anti",
-                )
+                for graph in location_graphs:
+                    graph.add_edge(
+                        use_node, def_node,
+                        use.read_offset - info.earliest_write + 1, 0, "anti",
+                    )
             elif cyclic:
                 def_node, info = defs[0]
-                graph.add_edge(
-                    use_node, def_node,
-                    use.read_offset - info.earliest_write + 1, 1, "anti",
-                )
+                for graph in location_graphs:
+                    graph.add_edge(
+                        use_node, def_node,
+                        use.read_offset - info.earliest_write + 1, 1, "anti",
+                    )
         # Output: consecutive definitions commit in order (transitively
         # implied for non-adjacent pairs).
         for (node_a, info_a), (node_b, info_b) in zip(defs, defs[1:]):
-            graph.add_edge(
-                node_a, node_b,
-                info_a.write_latency - info_b.earliest_write + 1, 0, "output",
-            )
+            for graph in location_graphs:
+                graph.add_edge(
+                    node_a, node_b,
+                    info_a.write_latency - info_b.earliest_write + 1, 0,
+                    "output",
+                )
         if cyclic:
             node_a, info_a = defs[-1]
             node_b, info_b = defs[0]
-            graph.add_edge(
-                node_a, node_b,
-                info_a.write_latency - info_b.earliest_write + 1, 1, "output",
-            )
+            for graph in location_graphs:
+                graph.add_edge(
+                    node_a, node_b,
+                    info_a.write_latency - info_b.earliest_write + 1, 1,
+                    "output",
+                )
 
 
 # -- memory dependences ------------------------------------------------------
@@ -181,7 +193,7 @@ def _mem_delay(first: MemAccess, second: MemAccess) -> int:
 
 
 def _memory_edges(
-    graph: DepGraph,
+    graphs: tuple[DepGraph, ...],
     nodes: Sequence[DepNode],
     loop: Optional[ForLoop],
     options: DependenceOptions,
@@ -202,17 +214,18 @@ def _memory_edges(
             if not (acc_a.is_store or acc_b.is_store):
                 continue
             free_of_carried = acc_a.array in options.independent_arrays
-            _dependence_for_pair(
-                graph, node_a, acc_a, node_b, acc_b,
+            for src, dst, delay, omega in _pair_edges(
+                node_a, acc_a, node_b, acc_b,
                 step=step,
                 cyclic=cyclic and not free_of_carried,
                 fa=access_affine(acc_a, affine_map, iv, invariant),
                 fb=access_affine(acc_b, affine_map, iv, invariant),
-            )
+            ):
+                for graph in graphs:
+                    graph.add_edge(src, dst, delay, omega, "mem")
 
 
-def _dependence_for_pair(
-    graph: DepGraph,
+def _pair_edges(
     node_a: DepNode,
     acc_a: MemAccess,
     node_b: DepNode,
@@ -222,14 +235,14 @@ def _dependence_for_pair(
     cyclic: bool,
     fa: Optional[Affine],
     fb: Optional[Affine],
-) -> None:
-    """Add dependence edges for one (source-ordered) pair of accesses.
+) -> list[tuple[DepNode, DepNode, int, int]]:
+    """Dependence edges ``(src, dst, delay, omega)`` for one
+    (source-ordered) pair of accesses.
 
     Same-iteration (omega = 0) edges are skipped when both accesses live in
     the same reduced node: they are either ordered by the construct's
     internal schedule or belong to mutually exclusive branch arms.
     """
-    same_node = node_a is node_b
     if fa is not None and fb is not None and fa.shape() == fb.shape():
         # Subscripts differ by a compile-time constant in every iteration:
         # iteration j's A-access and iteration j+k's B-access collide iff
@@ -238,36 +251,31 @@ def _dependence_for_pair(
         diff = fa.const - fb.const
         if denom == 0:
             if diff != 0:
-                return  # provably distinct, this and every other iteration
-            if not same_node:
-                graph.add_edge(node_a, node_b, _mem_delay(acc_a, acc_b), 0, "mem")
-            if cyclic:
-                graph.add_edge(node_b, node_a, _mem_delay(acc_b, acc_a), 1, "mem")
-            return
-        if diff % denom != 0:
-            return  # subscripts never coincide
-        distance = diff // denom
-        if distance == 0:
-            if not same_node:
-                graph.add_edge(node_a, node_b, _mem_delay(acc_a, acc_b), 0, "mem")
-        elif distance > 0:
-            if cyclic:
-                graph.add_edge(
-                    node_a, node_b, _mem_delay(acc_a, acc_b), distance, "mem"
-                )
-        elif cyclic:
-            graph.add_edge(
-                node_b, node_a, _mem_delay(acc_b, acc_a), -distance, "mem"
-            )
-        return
+                return []  # provably distinct, this and every other iteration
+            # Otherwise they collide in every iteration: ordered as below.
+        else:
+            if diff % denom != 0:
+                return []  # subscripts never coincide
+            distance = diff // denom
+            if distance == 0:
+                if node_a is node_b:
+                    return []
+                return [(node_a, node_b, _mem_delay(acc_a, acc_b), 0)]
+            if not cyclic:
+                return []
+            if distance > 0:
+                return [(node_a, node_b, _mem_delay(acc_a, acc_b), distance)]
+            return [(node_b, node_a, _mem_delay(acc_b, acc_a), -distance)]
 
     # May-alias: serialize in source order within an iteration and across
     # consecutive iterations (larger distances are implied by the schedule's
     # per-iteration regularity).
-    if not same_node:
-        graph.add_edge(node_a, node_b, _mem_delay(acc_a, acc_b), 0, "mem")
+    edges = []
+    if node_a is not node_b:
+        edges.append((node_a, node_b, _mem_delay(acc_a, acc_b), 0))
     if cyclic:
-        graph.add_edge(node_b, node_a, _mem_delay(acc_b, acc_a), 1, "mem")
+        edges.append((node_b, node_a, _mem_delay(acc_b, acc_a), 1))
+    return edges
 
 
 # -- entry points ------------------------------------------------------------
@@ -283,22 +291,31 @@ def connect_loop_edges(
     graph: DepGraph,
     loop: ForLoop,
     options: DependenceOptions = DependenceOptions(),
+    *,
+    block_graph: Optional[DepGraph] = None,
 ) -> None:
-    """Add all dependence edges for a loop body already turned into nodes."""
+    """Add all dependence edges for a loop body already turned into nodes.
+
+    ``block_graph``, a second graph over the same nodes, is connected by
+    the same walk as if no register were expanded: it receives every edge
+    ``graph`` does, in the same order, and also the anti and output edges
+    of ``options.expanded_regs``.
+    """
     nodes = sorted(graph.nodes, key=lambda n: n.index)
     invariant = _invariant_regs(nodes)
+    graphs = (graph,) if block_graph is None else (graph, block_graph)
     _register_edges(
-        graph, nodes, cyclic=True, expanded=options.expanded_regs
+        graphs, nodes, cyclic=True, expanded=options.expanded_regs
     )
-    _memory_edges(graph, nodes, loop, options, invariant)
+    _memory_edges(graphs, nodes, loop, options, invariant)
 
 
 def connect_block_edges(graph: DepGraph) -> None:
     """Add same-iteration edges only (basic-block scheduling)."""
     nodes = sorted(graph.nodes, key=lambda n: n.index)
     invariant = _invariant_regs(nodes)
-    _register_edges(graph, nodes, cyclic=False, expanded=frozenset())
-    _memory_edges(graph, nodes, None, DependenceOptions(), invariant)
+    _register_edges((graph,), nodes, cyclic=False, expanded=frozenset())
+    _memory_edges((graph,), nodes, None, DependenceOptions(), invariant)
 
 
 def build_block_graph(

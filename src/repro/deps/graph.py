@@ -10,7 +10,7 @@ construction rules produce exactly the adjusted constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.ir.operands import Reg
@@ -91,11 +91,12 @@ class DepNode:
     uses: tuple[UseInfo, ...] = ()
     mem: tuple[MemAccess, ...] = ()
     label: str = ""
+    #: Cycles spanned by the node's reservation pattern (>= 1), fixed at
+    #: construction: the schedulers read it once per placement.
+    length: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def length(self) -> int:
-        """Cycles spanned by the node's reservation pattern (>= 1)."""
-        return max(1, self.reservation.length)
+    def __post_init__(self) -> None:
+        self.length = max(1, self.reservation.length)
 
     def def_of(self, reg: Reg) -> Optional[DefInfo]:
         for info in self.defs:

@@ -52,37 +52,43 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        # The token at ``pos``, kept in step by ``_advance``: a plain
+        # attribute, since the grammar reads it several times per token.
+        self.current = tokens[0]
 
     # -- token plumbing -------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    # Nothing consumes the final eof token (``parse_program`` checks for it
+    # in place), so stepping never runs past the end of ``tokens``.
 
     def _advance(self) -> Token:
         token = self.current
-        if token.kind != "eof":
-            self.pos += 1
+        self.pos += 1
+        self.current = self.tokens[self.pos]
         return token
 
     def _error(self, message: str) -> ParseError:
         return ParseError(f"line {self.current.line}: {message},"
                           f" found {self.current.text!r}")
 
+    # ``_accept`` and ``_expect`` step inline rather than through
+    # ``_advance``: between them they consume most tokens of a program.
+
     def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         token = self.current
         if token.kind == kind and (text is None or token.text == text):
-            return self._advance()
+            self.pos += 1
+            self.current = self.tokens[self.pos]
+            return token
         return None
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self._accept(kind, text)
-        if token is None:
-            raise self._error(f"expected {text or kind}")
-        return token
-
-    def _keyword(self, word: str) -> Optional[Token]:
-        return self._accept("keyword", word)
+        token = self.current
+        if token.kind == kind and (text is None or token.text == text):
+            self.pos += 1
+            self.current = self.tokens[self.pos]
+            return token
+        raise self._error(f"expected {text or kind}")
 
     # -- grammar ---------------------------------------------------------------
 
@@ -93,7 +99,8 @@ class _Parser:
         decls = self._parse_vars() if self.current.text == "var" else []
         body = self._parse_block()
         self._accept("symbol", ".")
-        self._expect("eof")
+        if self.current.kind != "eof":
+            raise self._error("expected eof")
         return SourceProgram(name, decls, body)
 
     def _parse_vars(self) -> list[VarDecl]:
@@ -106,14 +113,14 @@ class _Parser:
             line = self.current.line
             self._expect("symbol", ":")
             size: Optional[int] = None
-            if self._keyword("array"):
+            if self._accept("keyword", "array"):
                 self._expect("symbol", "[")
                 size = int(self._expect("int").value)
                 self._expect("symbol", "]")
                 self._expect("keyword", "of")
-            if self._keyword("float"):
+            if self._accept("keyword", "float"):
                 kind = "float"
-            elif self._keyword("int"):
+            elif self._accept("keyword", "int"):
                 kind = "int"
             else:
                 raise self._error("expected element type 'int' or 'float'")
@@ -124,7 +131,7 @@ class _Parser:
     def _parse_block(self) -> list[Stmt]:
         self._expect("keyword", "begin")
         stmts: list[Stmt] = []
-        while not self._keyword("end"):
+        while not self._accept("keyword", "end"):
             stmts.append(self._parse_stmt())
             # Semicolons are separators; a trailing one before "end" is fine.
             while self._accept("symbol", ";"):
@@ -162,14 +169,14 @@ class _Parser:
         var = self._expect("ident").text
         self._expect("symbol", ":=")
         start = self._parse_expr()
-        if self._keyword("to"):
+        if self._accept("keyword", "to"):
             step = 1
-        elif self._keyword("downto"):
+        elif self._accept("keyword", "downto"):
             step = -1
         else:
             raise self._error("expected 'to' or 'downto'")
         stop = self._parse_expr()
-        if self._keyword("by"):
+        if self._accept("keyword", "by"):
             sign = -1 if self._accept("symbol", "-") else 1
             step *= sign * int(self._expect("int").value)
         self._expect("keyword", "do")
@@ -183,7 +190,7 @@ class _Parser:
         self._expect("keyword", "then")
         then_body = self._parse_body()
         else_body: list[Stmt] = []
-        if self._keyword("else"):
+        if self._accept("keyword", "else"):
             else_body = self._parse_body()
         return If(cond, then_body, else_body, line)
 
@@ -266,7 +273,9 @@ class _Parser:
             return expr
         if token.kind == "ident":
             name = self._advance().text
-            if self._accept("symbol", "("):
+            follow = self.current
+            if follow.kind == "symbol" and follow.text == "(":
+                self._advance()
                 if name.lower() not in INTRINSICS:
                     raise ParseError(
                         f"line {token.line}: unknown intrinsic {name!r}"
@@ -277,7 +286,8 @@ class _Parser:
                     args.append(self._parse_expr())
                 self._expect("symbol", ")")
                 return Call(name.lower(), tuple(args), token.line)
-            if self._accept("symbol", "["):
+            if follow.kind == "symbol" and follow.text == "[":
+                self._advance()
                 index = self._parse_expr()
                 self._expect("symbol", "]")
                 return ArrayRef(name, index, token.line)

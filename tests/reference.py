@@ -29,6 +29,9 @@ shipped fast paths to.
 * :func:`has_nontrivial_recurrence` — a loop's recurrence test by its own
   Tarjan pass, the oracle for ``LoopReport.has_recurrence``, which the
   compiler reads off the scheduler's prepared condensation.
+* :func:`two_walk_loop_graphs` — a loop's modulo and block dependence
+  graphs from one dependence walk each, the oracle for
+  :func:`repro.deps.build.connect_loop_edges` feeding both from one walk.
 """
 
 from __future__ import annotations
@@ -36,24 +39,35 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.emit import (
-    InstructionBuffer,
     PipelinedLoopRegion,
     Renamer,
     SlotOp,
+    WideInstruction,
     flatten_node,
 )
 from repro.core.mve import ExpansionPlan
 from repro.core.pipeliner import ModuloScheduler, PipelineResult, PreparedGraph
 from repro.core.reduction import LoopGraph
 from repro.core.schedule import KernelSchedule
-from repro.deps.graph import DepEdge, DepGraph, DepNode
+from repro.deps.affine import Affine, access_affine, compute_affine_map
+from repro.deps.build import DependenceOptions, _invariant_regs, _mem_delay
+from repro.deps.graph import (
+    DefInfo,
+    DepEdge,
+    DepGraph,
+    DepNode,
+    MemAccess,
+    UseInfo,
+)
 from repro.deps.paths import NEG_INF, CyclicDependenceError
 from repro.deps.scc import condensation_order, strongly_connected_components
 from repro.exact.backend import ExactScheduler
 from repro.exact.encode import ModuloCnf
 from repro.exact.solver import SAT, CdclSolver
 from repro.frontend.lexer import KEYWORDS, SYMBOLS, LexError, Pragma, Token
+from repro.ir.operands import Reg
 from repro.ir.ops import Opcode, Operation
+from repro.ir.stmts import ForLoop
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
 
@@ -245,6 +259,20 @@ def reference_tokenize(source: str) -> tuple[list[Token], list[Pragma]]:
     return tokens, pragmas
 
 
+class InstructionBuffer:
+    """Wide instructions that grow to take a slot at any time."""
+
+    def __init__(self, length: int) -> None:
+        self.instructions = [WideInstruction() for _ in range(max(0, length))]
+
+    def add(self, time: int, slot: SlotOp) -> None:
+        if time < 0:
+            raise ValueError(f"slot scheduled at negative time {time}")
+        while time >= len(self.instructions):
+            self.instructions.append(WideInstruction())
+        self.instructions[time].slots.append(slot)
+
+
 def reference_emit_pipelined_loop(
     schedule: KernelSchedule,
     plan: ExpansionPlan,
@@ -415,3 +443,197 @@ def has_nontrivial_recurrence(lg: LoopGraph) -> bool:
     return any(
         e.src is e.dst and e.src is not lg.increment for e in lg.graph.edges
     )
+
+
+# -- the two-walk dependence builder ------------------------------------------
+
+
+def _reference_register_edges(
+    graph: DepGraph,
+    nodes: Sequence[DepNode],
+    *,
+    cyclic: bool,
+    expanded: frozenset[Reg],
+) -> None:
+    writers: dict[Reg, list[tuple[DepNode, DefInfo]]] = {}
+    readers: dict[Reg, list[tuple[DepNode, UseInfo]]] = {}
+    for node in nodes:
+        for info in node.defs:
+            writers.setdefault(info.reg, []).append((node, info))
+        for use in node.uses:
+            readers.setdefault(use.reg, []).append((node, use))
+
+    for reg, defs in writers.items():
+        uses = readers.get(reg, [])
+        expand = cyclic and reg in expanded
+        # Flow: each use depends on its reaching definition.  True data flow
+        # is never dropped by expansion — each iteration still reads the
+        # value its predecessor produced, just from a rotated location.
+        for use_node, use in uses:
+            reaching = None
+            for def_node, info in defs:
+                if def_node.index < use_node.index:
+                    reaching = (def_node, info)
+            if reaching is not None:
+                def_node, info = reaching
+                graph.add_edge(
+                    def_node, use_node, info.write_latency - use.read_offset, 0,
+                    "flow",
+                )
+            elif cyclic:
+                def_node, info = defs[-1]
+                graph.add_edge(
+                    def_node, use_node, info.write_latency - use.read_offset, 1,
+                    "flow",
+                )
+        # Anti and output dependences protect a storage *location*; modulo
+        # variable expansion gives consecutive iterations distinct rotated
+        # locations, so for expanded registers every anti/output edge is
+        # dropped and the register-count computation (repro.core.mve) takes
+        # over the job of keeping live values apart.
+        if expand:
+            continue
+        # Anti: a definition must not clobber the value a use still needs;
+        # assume the clobbering write lands as early as it possibly can.
+        for use_node, use in uses:
+            next_def = None
+            for def_node, info in defs:
+                if def_node.index > use_node.index:
+                    next_def = (def_node, info)
+                    break
+            if next_def is not None:
+                def_node, info = next_def
+                graph.add_edge(
+                    use_node, def_node,
+                    use.read_offset - info.earliest_write + 1, 0, "anti",
+                )
+            elif cyclic:
+                def_node, info = defs[0]
+                graph.add_edge(
+                    use_node, def_node,
+                    use.read_offset - info.earliest_write + 1, 1, "anti",
+                )
+        # Output: consecutive definitions commit in order (transitively
+        # implied for non-adjacent pairs).
+        for (node_a, info_a), (node_b, info_b) in zip(defs, defs[1:]):
+            graph.add_edge(
+                node_a, node_b,
+                info_a.write_latency - info_b.earliest_write + 1, 0, "output",
+            )
+        if cyclic:
+            node_a, info_a = defs[-1]
+            node_b, info_b = defs[0]
+            graph.add_edge(
+                node_a, node_b,
+                info_a.write_latency - info_b.earliest_write + 1, 1, "output",
+            )
+
+
+def _reference_memory_edges(
+    graph: DepGraph,
+    nodes: Sequence[DepNode],
+    loop: Optional[ForLoop],
+    options: DependenceOptions,
+    invariant: set[Reg],
+) -> None:
+    accesses: list[tuple[DepNode, MemAccess]] = [
+        (node, acc) for node in nodes for acc in node.mem
+    ]
+    cyclic = loop is not None
+    step = loop.step if loop is not None else 1
+    iv = loop.var if loop is not None else None
+    affine_map = compute_affine_map(nodes, iv, invariant)
+
+    for i, (node_a, acc_a) in enumerate(accesses):
+        for node_b, acc_b in accesses[i + 1:]:
+            if acc_a.array != acc_b.array:
+                continue
+            if not (acc_a.is_store or acc_b.is_store):
+                continue
+            free_of_carried = acc_a.array in options.independent_arrays
+            _reference_pair(
+                graph, node_a, acc_a, node_b, acc_b,
+                step=step,
+                cyclic=cyclic and not free_of_carried,
+                fa=access_affine(acc_a, affine_map, iv, invariant),
+                fb=access_affine(acc_b, affine_map, iv, invariant),
+            )
+
+
+def _reference_pair(
+    graph: DepGraph,
+    node_a: DepNode,
+    acc_a: MemAccess,
+    node_b: DepNode,
+    acc_b: MemAccess,
+    *,
+    step: int,
+    cyclic: bool,
+    fa: Optional[Affine],
+    fb: Optional[Affine],
+) -> None:
+    """Add dependence edges for one (source-ordered) pair of accesses.
+
+    Same-iteration (omega = 0) edges are skipped when both accesses live in
+    the same reduced node: they are either ordered by the construct's
+    internal schedule or belong to mutually exclusive branch arms.
+    """
+    same_node = node_a is node_b
+    if fa is not None and fb is not None and fa.shape() == fb.shape():
+        # Subscripts differ by a compile-time constant in every iteration:
+        # iteration j's A-access and iteration j+k's B-access collide iff
+        # k * iv_coef * step == const_a - const_b.
+        denom = fa.iv_coef * step
+        diff = fa.const - fb.const
+        if denom == 0:
+            if diff != 0:
+                return  # provably distinct, this and every other iteration
+            if not same_node:
+                graph.add_edge(node_a, node_b, _mem_delay(acc_a, acc_b), 0, "mem")
+            if cyclic:
+                graph.add_edge(node_b, node_a, _mem_delay(acc_b, acc_a), 1, "mem")
+            return
+        if diff % denom != 0:
+            return  # subscripts never coincide
+        distance = diff // denom
+        if distance == 0:
+            if not same_node:
+                graph.add_edge(node_a, node_b, _mem_delay(acc_a, acc_b), 0, "mem")
+        elif distance > 0:
+            if cyclic:
+                graph.add_edge(
+                    node_a, node_b, _mem_delay(acc_a, acc_b), distance, "mem"
+                )
+        elif cyclic:
+            graph.add_edge(
+                node_b, node_a, _mem_delay(acc_b, acc_a), -distance, "mem"
+            )
+        return
+
+    # May-alias: serialize in source order within an iteration and across
+    # consecutive iterations (larger distances are implied by the schedule's
+    # per-iteration regularity).
+    if not same_node:
+        graph.add_edge(node_a, node_b, _mem_delay(acc_a, acc_b), 0, "mem")
+    if cyclic:
+        graph.add_edge(node_b, node_a, _mem_delay(acc_b, acc_a), 1, "mem")
+
+
+def two_walk_loop_graphs(lg: LoopGraph) -> tuple[DepGraph, DepGraph]:
+    """``lg.graph`` and ``lg.block_graph`` rebuilt over ``lg``'s nodes by
+    one walk each: the first with ``lg.options.expanded_regs`` dropping
+    those registers' anti and output edges, the second with nothing
+    expanded."""
+    walks = (lg.options, DependenceOptions(lg.options.independent_arrays))
+    graphs = []
+    for options in walks:
+        graph = DepGraph(lg.graph.nodes)
+        nodes = sorted(graph.nodes, key=lambda n: n.index)
+        _reference_register_edges(
+            graph, nodes, cyclic=True, expanded=options.expanded_regs
+        )
+        _reference_memory_edges(
+            graph, nodes, lg.loop, options, _invariant_regs(nodes)
+        )
+        graphs.append(graph)
+    return graphs[0], graphs[1]
