@@ -29,7 +29,9 @@ class SchedItem:
     span: int = 1  # cycles of internal extent, for height computation
 
 
-@dataclass(frozen=True)
+# Plain and slotted, not frozen: one per condensed edge per II attempt, and none outlives the attempt,
+# and a frozen record costs several times as much to build.
+@dataclass(slots=True)
 class ItemEdge:
     src: int
     dst: int

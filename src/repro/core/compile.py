@@ -355,6 +355,7 @@ class _Compiler:
             lg = build_reduced_loop_graph(
                 loop, self.machine, options,
                 serialize_ifs=self.policy.serialize_ifs,
+                pipeline=self.policy.pipeline,
             )
         with obs.phase("listsched", loop=label):
             block = list_schedule_block(lg.block_graph, self.machine)

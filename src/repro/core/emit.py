@@ -265,7 +265,9 @@ class CodeObject:
 # -- atoms: the emission view of a dependence node ----------------------------
 
 
-@dataclass(frozen=True)
+# Plain and slotted, not frozen: one per operation per emitted loop, and none outlives emission,
+# and a frozen record costs several times as much to build.
+@dataclass(slots=True)
 class Atom:
     """One concrete operation within a (possibly reduced) node."""
 

@@ -31,20 +31,27 @@ class _ResourceGrid:
         self._nres = len(machine.resource_names)
         self._used: dict[int, int] = {}
 
-    def fits(self, reservation: ReservationTable, time: int) -> bool:
+    def place_earliest(self, reservation: ReservationTable, time: int) -> int:
+        """Place the pattern at the first time from ``time`` on where it
+        fits, and return that time.  The packed cells are read once, from
+        the table's ``packing`` slot when it holds this machine's."""
+        machine, packed = reservation.packing
+        if machine is not self.machine:
+            packed = self.machine.packed(reservation)
+        cells = packed.cells
         used = self._used
         nres = self._nres
-        for offset, rid, amount, limit in self.machine.packed(reservation).cells:
-            if used.get((time + offset) * nres + rid, 0) + amount > limit:
-                return False
-        return True
-
-    def place(self, reservation: ReservationTable, time: int) -> None:
-        used = self._used
-        nres = self._nres
-        for offset, rid, amount, _limit in self.machine.packed(reservation).cells:
+        while True:
+            for offset, rid, amount, limit in cells:
+                if used.get((time + offset) * nres + rid, 0) + amount > limit:
+                    break
+            else:
+                break
+            time += 1
+        for offset, rid, amount, _limit in cells:
             key = (time + offset) * nres + rid
             used[key] = used.get(key, 0) + amount
+        return time
 
 
 def block_heights(graph: DepGraph) -> dict[int, int]:
@@ -89,10 +96,7 @@ def list_schedule_block(
         ready.sort(key=lambda index: (-heights[index], index))
         index = ready.pop(0)
         node = by_index[index]
-        time = max(0, earliest[index])
-        while not grid.fits(node.reservation, time):
-            time += 1
-        grid.place(node.reservation, time)
+        time = grid.place_earliest(node.reservation, max(0, earliest[index]))
         times[index] = time
         for edge in graph.succs(node):
             if edge.omega != 0:

@@ -9,7 +9,8 @@ modulo table exceeds the machine's per-cycle resource limits.
 The table is integer-packed.  Each modulo row keeps one bitmask of its
 occupied unit-capacity resources plus a flat usage-count array over all
 interned resources; reservation patterns arrive pre-compiled (see
-:class:`repro.machine.packed.PackedReservation`), so a feasibility probe
+:class:`repro.machine.packed.PackedReservation`, read from the table's
+own ``packing`` slot with no call per probe), so a feasibility probe
 on an all-unit-capacity machine like WARP is a handful of
 ``row_mask & pattern_mask`` tests and ``earliest_fit`` is a tight scan
 over precomputed row masks (counted as ``mrt_bitmask_fast_path`` by the
@@ -52,7 +53,9 @@ class ModuloReservationTable:
     def fits(self, reservation: ReservationTable, time: int) -> bool:
         """Would placing this pattern at issue time ``time`` stay within the
         machine's limits in every affected row?"""
-        packed = self.machine.packed(reservation)
+        machine, packed = reservation.packing
+        if machine is not self.machine:
+            packed = self.machine.packed(reservation)
         s = self.s
         if packed.pure:
             masks = self._masks
@@ -68,14 +71,16 @@ class ModuloReservationTable:
         return True
 
     def place(self, reservation: ReservationTable, time: int) -> None:
-        packed = self.machine.packed(reservation)
+        machine, packed = reservation.packing
+        if machine is not self.machine:
+            packed = self.machine.packed(reservation)
         s = self.s
         counts = self._counts
         masks = self._masks
         nres = self._nres
         # Inline fits() on the already-fetched pattern: place is always
         # preceded by a fit probe on the hot path, so the validation here
-        # must not pay a second packed() lookup.
+        # must not pay a second call.
         if packed.pure:
             for offset, mask in packed.mask_cells:
                 if masks[(time + offset) % s] & mask:
@@ -105,7 +110,9 @@ class ModuloReservationTable:
         one by one against the unmodified table would accept removals the
         cell cannot cover.
         """
-        packed = self.machine.packed(reservation)
+        machine, packed = reservation.packing
+        if machine is not self.machine:
+            packed = self.machine.packed(reservation)
         s = self.s
         counts = self._counts
         nres = self._nres
@@ -137,7 +144,9 @@ class ModuloReservationTable:
         cap = earliest + s - 1
         if latest is not None and latest < cap:
             cap = latest
-        packed = self.machine.packed(reservation)
+        machine, packed = reservation.packing
+        if machine is not self.machine:
+            packed = self.machine.packed(reservation)
         if packed.pure:
             obs.count("mrt_bitmask_fast_path")
             masks = self._masks

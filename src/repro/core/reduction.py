@@ -104,7 +104,8 @@ class LoopGraph:
     anti and output edges of the registers modulo variable expansion
     renames (``options.expanded_regs``).  ``block_graph`` keeps them over
     the same node objects, for the unpipelined copy; it is ``graph``
-    itself when nothing is expanded.
+    itself when nothing is expanded.  A loop built for a compile that
+    does not pipeline leaves ``graph`` without edges.
     """
 
     loop: ForLoop
@@ -271,6 +272,7 @@ def build_reduced_loop_graph(
     options: DependenceOptions = DependenceOptions(),
     *,
     serialize_ifs: bool = True,
+    pipeline: bool = True,
 ) -> LoopGraph:
     """Reduce an innermost loop body to flat dependence graphs.
 
@@ -279,6 +281,10 @@ def build_reduced_loop_graph(
     variable expansion on the nodes (qualification does not depend on
     edges), then one dependence walk connects the nodes with those
     registers expanded (``graph``) and without (``block_graph``).
+
+    With ``pipeline=False`` nothing will modulo-schedule ``graph``, so
+    the walk connects only ``block_graph`` and ``graph`` keeps the nodes
+    with no edges.
     """
     from repro.core.mve import expandable_registers
 
@@ -288,7 +294,12 @@ def build_reduced_loop_graph(
     increment = make_increment_node(loop, machine, len(loop.body))
     graph.add_node(increment)
     options = replace(options, expanded_regs=expandable_registers(graph))
-    if options.expanded_regs:
+    if not pipeline:
+        block_graph = DepGraph(graph.nodes)
+        connect_loop_edges(
+            block_graph, loop, replace(options, expanded_regs=frozenset())
+        )
+    elif options.expanded_regs:
         block_graph = DepGraph(graph.nodes)
         connect_loop_edges(graph, loop, options, block_graph=block_graph)
     else:

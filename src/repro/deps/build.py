@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.deps.affine import Affine, access_affine, compute_affine_map
-from repro.deps.graph import DefInfo, DepGraph, DepNode, MemAccess, UseInfo
+from repro.deps.graph import (
+    DefInfo,
+    DepEdge,
+    DepGraph,
+    DepNode,
+    MemAccess,
+    UseInfo,
+)
 from repro.ir.operands import Imm, Reg
 from repro.ir.ops import Opcode, Operation
 from repro.ir.stmts import ForLoop
@@ -92,9 +99,10 @@ def _register_edges(
     cyclic: bool,
     expanded: frozenset[Reg],
 ) -> None:
-    """Flow, anti and output edges, each added to every graph in
-    ``graphs``, except that the anti and output edges of an ``expanded``
-    register go only to ``graphs[1:]`` (see :func:`connect_loop_edges`)."""
+    """Flow, anti and output edges, each built once and added to every
+    graph in ``graphs``, except that the anti and output edges of an
+    ``expanded`` register go only to ``graphs[1:]`` (see
+    :func:`connect_loop_edges`)."""
     writers: dict[Reg, list[tuple[DepNode, DefInfo]]] = {}
     readers: dict[Reg, list[tuple[DepNode, UseInfo]]] = {}
     for node in nodes:
@@ -122,18 +130,20 @@ def _register_edges(
                     reaching = (def_node, info)
             if reaching is not None:
                 def_node, info = reaching
-                for graph in graphs:
-                    graph.add_edge(
-                        def_node, use_node,
-                        info.write_latency - use.read_offset, 0, "flow",
-                    )
+                edge = DepEdge(
+                    def_node, use_node,
+                    info.write_latency - use.read_offset, 0, "flow",
+                )
             elif cyclic:
                 def_node, info = defs[-1]
-                for graph in graphs:
-                    graph.add_edge(
-                        def_node, use_node,
-                        info.write_latency - use.read_offset, 1, "flow",
-                    )
+                edge = DepEdge(
+                    def_node, use_node,
+                    info.write_latency - use.read_offset, 1, "flow",
+                )
+            else:
+                continue
+            for graph in graphs:
+                graph.add(edge)
         if not location_graphs:
             continue
         # Anti: a definition must not clobber the value a use still needs;
@@ -146,36 +156,38 @@ def _register_edges(
                     break
             if next_def is not None:
                 def_node, info = next_def
-                for graph in location_graphs:
-                    graph.add_edge(
-                        use_node, def_node,
-                        use.read_offset - info.earliest_write + 1, 0, "anti",
-                    )
+                edge = DepEdge(
+                    use_node, def_node,
+                    use.read_offset - info.earliest_write + 1, 0, "anti",
+                )
             elif cyclic:
                 def_node, info = defs[0]
-                for graph in location_graphs:
-                    graph.add_edge(
-                        use_node, def_node,
-                        use.read_offset - info.earliest_write + 1, 1, "anti",
-                    )
+                edge = DepEdge(
+                    use_node, def_node,
+                    use.read_offset - info.earliest_write + 1, 1, "anti",
+                )
+            else:
+                continue
+            for graph in location_graphs:
+                graph.add(edge)
         # Output: consecutive definitions commit in order (transitively
         # implied for non-adjacent pairs).
         for (node_a, info_a), (node_b, info_b) in zip(defs, defs[1:]):
+            edge = DepEdge(
+                node_a, node_b,
+                info_a.write_latency - info_b.earliest_write + 1, 0, "output",
+            )
             for graph in location_graphs:
-                graph.add_edge(
-                    node_a, node_b,
-                    info_a.write_latency - info_b.earliest_write + 1, 0,
-                    "output",
-                )
+                graph.add(edge)
         if cyclic:
             node_a, info_a = defs[-1]
             node_b, info_b = defs[0]
+            edge = DepEdge(
+                node_a, node_b,
+                info_a.write_latency - info_b.earliest_write + 1, 1, "output",
+            )
             for graph in location_graphs:
-                graph.add_edge(
-                    node_a, node_b,
-                    info_a.write_latency - info_b.earliest_write + 1, 1,
-                    "output",
-                )
+                graph.add(edge)
 
 
 # -- memory dependences ------------------------------------------------------
@@ -221,8 +233,9 @@ def _memory_edges(
                 fa=access_affine(acc_a, affine_map, iv, invariant),
                 fb=access_affine(acc_b, affine_map, iv, invariant),
             ):
+                edge = DepEdge(src, dst, delay, omega, "mem")
                 for graph in graphs:
-                    graph.add_edge(src, dst, delay, omega, "mem")
+                    graph.add(edge)
 
 
 def _pair_edges(

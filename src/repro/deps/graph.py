@@ -10,6 +10,7 @@ construction rules produce exactly the adjusted constraints.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -144,14 +145,16 @@ class DepGraph:
     """A dependence graph over :class:`DepNode` objects.
 
     Parallel edges with equal ``(src, dst, omega)`` are collapsed to the one
-    with the largest delay: every weaker constraint is implied.
+    with the largest delay: every weaker constraint is implied.  Edges are
+    frozen, so one :class:`DepEdge` may sit in several graphs over the same
+    nodes (see :func:`repro.deps.build.connect_loop_edges`).
     """
 
     def __init__(self, nodes: Iterable[DepNode] = ()) -> None:
         self.nodes: list[DepNode] = list(nodes)
         self._edge_map: dict[tuple[int, int, int], DepEdge] = {}
-        self._succs: dict[int, list[DepEdge]] = {}
-        self._preds: dict[int, list[DepEdge]] = {}
+        self._succs: defaultdict[int, list[DepEdge]] = defaultdict(list)
+        self._preds: defaultdict[int, list[DepEdge]] = defaultdict(list)
 
     def add_node(self, node: DepNode) -> DepNode:
         self.nodes.append(node)
@@ -159,23 +162,28 @@ class DepGraph:
 
     def add_edge(self, src: DepNode, dst: DepNode, delay: int, omega: int,
                  kind: str = "flow") -> None:
-        if omega == 0 and src is dst:
-            if delay > 0:
+        self.add(DepEdge(src, dst, delay, omega, kind))
+
+    def add(self, edge: DepEdge) -> None:
+        """Add ``edge`` unless an edge with the same ``(src, dst, omega)``
+        and at least its delay is already here; a weaker one is replaced."""
+        src = edge.src
+        if edge.omega == 0 and src is edge.dst:
+            if edge.delay > 0:
                 raise ValueError(
-                    f"illegal zero-iteration self-dependence with delay {delay}"
-                    f" on {src!r}"
+                    f"illegal zero-iteration self-dependence with delay"
+                    f" {edge.delay} on {src!r}"
                 )
             return  # vacuous constraint
-        key = (src.index, dst.index, omega)
+        key = (src.index, edge.dst.index, edge.omega)
         existing = self._edge_map.get(key)
         if existing is not None:
-            if delay <= existing.delay:
+            if edge.delay <= existing.delay:
                 return
             self._unlink(existing)
-        edge = DepEdge(src, dst, delay, omega, kind)
         self._edge_map[key] = edge
-        self._succs.setdefault(src.index, []).append(edge)
-        self._preds.setdefault(dst.index, []).append(edge)
+        self._succs[src.index].append(edge)
+        self._preds[edge.dst.index].append(edge)
 
     def _unlink(self, edge: DepEdge) -> None:
         self._succs[edge.src.index].remove(edge)

@@ -24,7 +24,9 @@ class LexError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# Plain and slotted, not frozen: one per token, and none outlives the parse,
+# and a frozen record costs several times as much to build.
+@dataclass(slots=True)
 class Token:
     kind: str  # "ident" | "keyword" | "int" | "float" | "symbol" | "eof"
     text: str

@@ -215,11 +215,22 @@ class Operation:
         dest: Optional[Reg],
         srcs: tuple[Operand, ...],
     ) -> "Operation":
-        """Copy with substituted operands (used by unrolling and renaming)."""
-        return Operation(
-            self.opcode, dest, srcs, array=self.array, offset=self.offset,
-            target=self.target,
-        )
+        """Copy with substituted operands (used by CSE, unrolling and
+        emit's renaming).
+
+        Contract: ``dest`` and ``srcs`` map this operation's operands one
+        to one (``dest`` is ``None`` exactly when ``self.dest`` is, and
+        ``srcs`` has as many entries as ``self.srcs``), so the copy has
+        this operation's shape.  The checks of ``__post_init__`` depend
+        only on that shape, which this operation already passed, so the
+        copy is made from ``__dict__`` without running them again.
+        """
+        fields = self.__dict__.copy()
+        fields["dest"] = dest
+        fields["srcs"] = srcs
+        copy = object.__new__(Operation)
+        object.__setattr__(copy, "__dict__", fields)
+        return copy
 
     def __repr__(self) -> str:
         if self.opcode is Opcode.LOAD:

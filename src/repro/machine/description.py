@@ -31,13 +31,6 @@ class OpClass:
             raise ValueError(f"op class {self.name!r}: negative latency")
 
 
-#: Packed-reservation memo size per machine.  Op-class tables (a few
-#: dozen, shared across nodes) plus the working set of transient cluster
-#: aggregates fit comfortably; a full memo is cleared, which merely costs
-#: a repack.
-_PACKED_CACHE_LIMIT = 512
-
-
 class MachineDescription:
     """A VLIW target: named resources plus an opcode -> :class:`OpClass` map.
 
@@ -77,7 +70,6 @@ class MachineDescription:
             (1 << rid) if count == 1 else 0
             for rid, count in enumerate(self.unit_counts)
         )
-        self._packed: dict[int, tuple[ReservationTable, PackedReservation]] = {}
         self.op_classes = dict(op_classes)
         self.num_registers = num_registers
         self.clock_mhz = clock_mhz
@@ -141,33 +133,28 @@ class MachineDescription:
         issued at the kernel's last modulo row.
 
         The op class's own table is returned, so every scheduler shares one
-        object and :meth:`packed`'s identity memo stays warm.
+        object and :meth:`packed` compiles it once.
         """
         return self.op_class("cjump").reservation
 
     def packed(self, reservation: ReservationTable) -> PackedReservation:
-        """``reservation`` compiled to this machine's integer layout,
-        memoized by table identity.
+        """``reservation`` compiled to this machine's integer layout.
 
-        Identity (not content) keying makes the memo a plain dict probe:
-        op-class tables are shared objects, so every node of one opcode
-        hits the same entry.  The strong table reference keeps ids from
-        being recycled; the cache is bounded because cluster aggregates
-        are transient (one per scheduled component per II attempt).
-
-        Thread workers share one machine, so the memo is only touched by
-        single dict operations: a full memo is emptied with one
-        ``clear()`` rather than evicted key by key, which two threads
-        could race on.
+        The table keeps its own packing in its ``packing`` slot, as
+        ``(machine, PackedReservation)``: the first call for a machine
+        compiles and stores it, and later calls read it back.  The hot
+        paths (the modulo reservation table, the list scheduler's grid)
+        read the slot inline and call this only on a miss.  A table
+        packed for another machine is repacked and its slot overwritten,
+        so two machines alternating on one table each get their own
+        packing.  Filling the slot is one attribute store, so thread
+        workers sharing a machine at worst both compile the same table.
         """
-        key = id(reservation)
-        hit = self._packed.get(key)
-        if hit is not None and hit[0] is reservation:
-            return hit[1]
+        machine, packed = reservation.packing
+        if machine is self:
+            return packed
         packed = PackedReservation.compile(reservation, self)
-        if len(self._packed) >= _PACKED_CACHE_LIMIT:
-            self._packed.clear()
-        self._packed[key] = (reservation, packed)
+        reservation.packing = (self, packed)
         return packed
 
     def is_flop(self, opcode: str) -> bool:

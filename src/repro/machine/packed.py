@@ -27,10 +27,13 @@ machine* into flat integer data, once:
     run entirely on bit tests (counted by the ambient observer's
     ``mrt_bitmask_fast_path``).
 
-Packing is memoized per machine keyed on table identity (see
-:meth:`~repro.machine.description.MachineDescription.packed`): op-class
-tables are shared by every node of an opcode, so the scheduler packs each
-once per machine lifetime.
+A table keeps its packing in its own ``packing`` slot, as ``(machine,
+PackedReservation)`` (see :meth:`~repro.machine.description.
+MachineDescription.packed`): op-class tables are shared by every node of
+an opcode, so each is packed once per machine, and the schedulers' hot
+paths read the slot with no call.  The machine holds no memo, so nothing
+about packing grows with the process or rides along when a compiled
+program is pickled.
 """
 
 from __future__ import annotations

@@ -51,14 +51,24 @@ class ResourceUse:
             raise ValueError(f"resource use needs amount >= 1, got {self.amount}")
 
 
+#: The ``packing`` of a table no machine has packed.
+_UNPACKED = (None, None)
+
+
 class ReservationTable:
     """A sparse map ``(time, resource) -> units held``.
 
     Immutable by convention: every table's cells are assigned once, when
     it is built, and all combinators return new tables.
+
+    ``packing`` holds ``(machine, PackedReservation)`` once a scheduler
+    has compiled the table for a machine (see
+    :meth:`repro.machine.description.MachineDescription.packed`), and
+    ``(None, None)`` before.  It is derived state: a pickled or copied
+    table leaves it behind.
     """
 
-    __slots__ = ("_cells", "length")
+    __slots__ = ("_cells", "length", "packing")
 
     def __init__(self, uses: Iterable[ResourceUse] = ()) -> None:
         cells: dict[tuple[int, str], int] = {}
@@ -71,6 +81,10 @@ class ReservationTable:
         self._cells = cells
         #: Number of cycles spanned (1 + last occupied relative time).
         self.length = 1 + max(cells)[0] if cells else 0
+        self.packing = _UNPACKED
+
+    def __reduce__(self) -> tuple:
+        return (ReservationTable.from_cells, (self._cells,))
 
     @classmethod
     def single(cls, resource: str, time: int = 0, amount: int = 1) -> "ReservationTable":

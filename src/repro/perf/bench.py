@@ -21,7 +21,10 @@ Five benchmarks, all seeded and deterministic in the work they measure:
     ``compile_many`` — the closest thing to the paper's workload.  A
     second, untimed pass with per-program stats reports where the time
     goes: per-unit seconds of every compile phase (``phases``, not
-    gated, since the observers add their own overhead).
+    gated, since the observers add their own overhead).  A third pass,
+    after a warm-up, counts Python calls under ``sys.setprofile`` over a
+    fixed set of programs (``kcalls_per_program``); the count is exact,
+    so it is gated tightly.
 ``backends``
     The service workload — a stream of small compile batches — through
     the process backend with per-call pools (the old arrangement: one
@@ -42,13 +45,18 @@ number of units processed — except ``backends``, whose speedup is
 machine-dependent and therefore excluded from regression comparison.
 :func:`compare_reports` flags a benchmark whose per-unit time exceeds
 twice the baseline's (plus a small absolute floor to ignore
-microsecond-scale jitter).
+microsecond-scale jitter), and a call count above
+``CALL_REGRESSION_FACTOR`` times the baseline's when both reports come
+from the same Python minor version (call counts differ between
+interpreter versions).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -72,6 +80,18 @@ ABSOLUTE_FLOOR_SECONDS = 1e-4
 
 REGRESSION_FACTOR = 2.0
 
+#: A call count is free of timing noise, so its bound is tight.
+CALL_REGRESSION_FACTOR = 1.02
+
+#: The suite programs whose calls ``bench suite`` counts: the same set in
+#: quick and full runs, so either compares against either baseline.
+CALL_COUNT_PROGRAMS = 18
+
+
+def python_version() -> str:
+    """``major.minor`` of the running interpreter."""
+    return f"{sys.version_info[0]}.{sys.version_info[1]}"
+
 
 @dataclass
 class BenchReport:
@@ -81,6 +101,7 @@ class BenchReport:
     jobs: int
     cpu_count: int
     benchmarks: dict[str, dict[str, Any]] = field(default_factory=dict)
+    python: str = field(default_factory=python_version)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -88,6 +109,7 @@ class BenchReport:
             "quick": self.quick,
             "jobs": self.jobs,
             "cpu_count": self.cpu_count,
+            "python": self.python,
             "benchmarks": self.benchmarks,
         }
 
@@ -128,7 +150,10 @@ class BenchReport:
             lines.append(
                 f"  suite: {suite['units']} programs in"
                 f" {suite['wall_seconds'] * 1e3:.1f} ms"
-                f" ({suite['per_unit_seconds'] * 1e3:.1f} ms/program)"
+                f" ({suite['per_unit_seconds'] * 1e3:.1f} ms/program"
+                + (f", {suite['kcalls_per_program']:.3f} kcalls/program"
+                   if "kcalls_per_program" in suite else "")
+                + ")"
             )
             phases = sorted(suite.get("phases", {}).items(),
                             key=lambda item: -item[1])
@@ -306,14 +331,43 @@ def bench_optimality(seed: int, graphs: int) -> dict[str, Any]:
     }
 
 
+def count_calls(programs: Sequence) -> Optional[int]:
+    """Python calls (``call`` and ``c_call`` profile events) made while
+    compiling ``programs`` once, serially, or ``None`` when a profiler is
+    already installed (``bench --profile``).
+
+    An uncounted pass comes first, so first-use imports and set-up happen
+    outside the count, and collecting garbage then puts the collector's
+    passes at the same points of every count.
+    """
+    if sys.getprofile() is not None:
+        return None
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    compile_many(programs, WARP, jobs=1)
+    gc.collect()
+    sys.setprofile(profile)
+    try:
+        compile_many(programs, WARP, jobs=1)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def bench_suite(count: int) -> dict[str, Any]:
     """Serial batch compilation of the synthetic suite (no cache, so the
     measured work is the compiler, not the pickle layer)."""
-    programs = generate_suite()[:count]
+    suite = generate_suite()
+    programs = suite[:count]
     report = compile_many(programs, WARP, jobs=1)
     units = max(1, len(report.results))
     observed = compile_many(programs, WARP, jobs=1, collect_stats=True)
-    return {
+    entry = {
         "units": len(report.results),
         "wall_seconds": round(report.wall_seconds, 6),
         "per_unit_seconds": round(report.wall_seconds / units, 9),
@@ -323,6 +377,11 @@ def bench_suite(count: int) -> dict[str, Any]:
             for name, phase in observed.to_dict().get("phases", {}).items()
         },
     }
+    counted = suite[:CALL_COUNT_PROGRAMS]
+    calls = count_calls(counted)
+    if calls is not None:
+        entry["kcalls_per_program"] = round(calls / len(counted) / 1e3, 3)
+    return entry
 
 
 def bench_backends(
@@ -464,26 +523,39 @@ def compare_reports(
     baseline_path: str, current: BenchReport
 ) -> list[str]:
     """Regression lines, one per benchmark whose per-unit time exceeds
-    ``REGRESSION_FACTOR`` times the baseline's (plus the absolute floor).
+    ``REGRESSION_FACTOR`` times the baseline's (plus the absolute floor),
+    and one per call count above ``CALL_REGRESSION_FACTOR`` times the
+    baseline's.
 
-    Only benchmarks reporting ``per_unit_seconds`` participate, so the
-    machine-dependent backend speedup never fails a run.  Per-unit times
-    are compared (rather than wall times) so a ``--quick`` run remains
-    comparable against a full-size committed baseline.
+    Only benchmarks reporting ``per_unit_seconds`` participate in the
+    time check, so the machine-dependent backend speedup never fails a
+    run.  Per-unit times are compared (rather than wall times) so a
+    ``--quick`` run remains comparable against a full-size committed
+    baseline.  Call counts are compared only when both reports record the
+    same Python minor version.
     """
     baseline = load_report(baseline_path)
+    same_python = baseline.get("python") == current.python
     regressions: list[str] = []
     for name, entry in current.benchmarks.items():
         per_unit: Optional[float] = entry.get("per_unit_seconds")
         base_entry = baseline.get("benchmarks", {}).get(name, {})
         base_per_unit: Optional[float] = base_entry.get("per_unit_seconds")
-        if per_unit is None or base_per_unit is None:
-            continue
-        limit = REGRESSION_FACTOR * base_per_unit + ABSOLUTE_FLOOR_SECONDS
-        if per_unit > limit:
-            regressions.append(
-                f"{name}: {per_unit * 1e3:.3f} ms/unit vs baseline"
-                f" {base_per_unit * 1e3:.3f} ms/unit"
-                f" (limit {limit * 1e3:.3f} ms/unit)"
-            )
+        if per_unit is not None and base_per_unit is not None:
+            limit = REGRESSION_FACTOR * base_per_unit + ABSOLUTE_FLOOR_SECONDS
+            if per_unit > limit:
+                regressions.append(
+                    f"{name}: {per_unit * 1e3:.3f} ms/unit vs baseline"
+                    f" {base_per_unit * 1e3:.3f} ms/unit"
+                    f" (limit {limit * 1e3:.3f} ms/unit)"
+                )
+        kcalls: Optional[float] = entry.get("kcalls_per_program")
+        base_kcalls: Optional[float] = base_entry.get("kcalls_per_program")
+        if same_python and kcalls is not None and base_kcalls is not None:
+            limit = CALL_REGRESSION_FACTOR * base_kcalls
+            if kcalls > limit:
+                regressions.append(
+                    f"{name}: {kcalls:.3f} kcalls/program vs baseline"
+                    f" {base_kcalls:.3f} (limit {limit:.3f})"
+                )
     return regressions

@@ -32,6 +32,9 @@ shipped fast paths to.
 * :func:`two_walk_loop_graphs` — a loop's modulo and block dependence
   graphs from one dependence walk each, the oracle for
   :func:`repro.deps.build.connect_loop_edges` feeding both from one walk.
+* :func:`reference_cse` — common-subexpression elimination whose
+  invalidation scans the whole value table and substitution map, the
+  oracle for :mod:`repro.ir.cse`'s per-table register index.
 """
 
 from __future__ import annotations
@@ -65,9 +68,10 @@ from repro.exact.backend import ExactScheduler
 from repro.exact.encode import ModuloCnf
 from repro.exact.solver import SAT, CdclSolver
 from repro.frontend.lexer import KEYWORDS, SYMBOLS, LexError, Pragma, Token
+from repro.ir.cse import _Cse, _single_def_regs
 from repro.ir.operands import Reg
 from repro.ir.ops import Opcode, Operation
-from repro.ir.stmts import ForLoop
+from repro.ir.stmts import ForLoop, Program
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
 
@@ -637,3 +641,29 @@ def two_walk_loop_graphs(lg: LoopGraph) -> tuple[DepGraph, DepGraph]:
         )
         graphs.append(graph)
     return graphs[0], graphs[1]
+
+
+class ScanningCse(_Cse):
+    """:class:`repro.ir.cse._Cse` with the invalidation it had before the
+    register index: every redefinition scans the whole value table and
+    the whole substitution map."""
+
+    def _invalidate(self, table, reg: Reg) -> None:
+        values = table.values
+        dead = [
+            key for key, value in values.items()
+            if value == reg or any(src == reg for src in key[1])
+        ]
+        for key in dead:
+            del values[key]
+        stale = [old for old, new in self.replace.items() if new == reg]
+        for old in stale:
+            del self.replace[old]
+
+
+def reference_cse(program: Program) -> Program:
+    """``eliminate_common_subexpressions`` through :class:`ScanningCse`."""
+    cse = ScanningCse(_single_def_regs(program))
+    return Program(
+        program.name, dict(program.arrays), cse.run_stmts(program.body)
+    )

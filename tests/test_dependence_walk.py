@@ -3,7 +3,8 @@
 :func:`repro.core.reduction.build_reduced_loop_graph` connects the modulo
 ``graph`` and the unpipelined ``block_graph`` from one walk over the
 loop's nodes.  Each must hold exactly the edges, in the same order, that
-a walk of its own gives (``reference.two_walk_loop_graphs``).
+a walk of its own gives (``reference.two_walk_loop_graphs``).  A compile
+that does not pipeline connects only ``block_graph``.
 """
 
 import pytest
@@ -50,7 +51,7 @@ def _edges(graph):
     ]
 
 
-def _loop_graphs(monkeypatch, items):
+def _loop_graphs(monkeypatch, items, policy=CompilerPolicy()):
     """Every LoopGraph the compiler builds while compiling ``items``."""
     built = []
     original = compile_mod.build_reduced_loop_graph
@@ -62,7 +63,7 @@ def _loop_graphs(monkeypatch, items):
 
     monkeypatch.setattr(compile_mod, "build_reduced_loop_graph", recording)
     for name, source in items:
-        result = compile_one(name, source, WARP, CompilerPolicy())
+        result = compile_one(name, source, WARP, policy)
         assert result.ok, result.error
     return built
 
@@ -92,3 +93,16 @@ def test_one_walk_per_innermost_loop(monkeypatch):
     monkeypatch.setattr(reduction, "connect_loop_edges", counting)
     graphs = _loop_graphs(monkeypatch, _ninety_eight())
     assert len(walks) == len(graphs) == 101
+
+
+def test_no_modulo_graph_without_pipelining(monkeypatch):
+    graphs = _loop_graphs(
+        monkeypatch, _ninety_eight(), CompilerPolicy(pipeline=False)
+    )
+    assert len(graphs) == 101
+    for lg in graphs:
+        assert lg.graph.edges == []
+        assert lg.block_graph is not lg.graph
+        assert lg.block_graph.nodes == lg.graph.nodes
+        _, block_graph = two_walk_loop_graphs(lg)
+        assert _edges(lg.block_graph) == _edges(block_graph)

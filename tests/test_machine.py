@@ -223,32 +223,45 @@ class TestMachineDescription:
 
 class TestPackedMemo:
     def test_concurrent_eviction_never_raises(self):
-        # Thread workers share one machine.  Two threads pushing fresh
-        # tables through packed() keep the memo at its limit, so both
-        # evict over and over; neither may see the other's eviction as an
-        # error.
+        # Thread workers share machines and op-class tables.  A table's
+        # packing slot is its only memo, and a machine other than the one
+        # it holds evicts it by overwriting.  Two threads alternating two
+        # machines on one shared table overwrite it over and over; neither
+        # may fail, and every packing returned must be its machine's own.
         import sys
         import threading
 
-        from repro.machine.description import _PACKED_CACHE_LIMIT
+        from repro.machine.packed import PackedReservation
 
-        machine = make_warp()
+        warp = make_warp()
+        wide = make_custom(
+            "wide", {"fadd": 2, "fmul": 1, "alu": 2, "mem": 1, "seq": 1}
+        )
+        shared = ReservationTable.single("alu")
+        expected = {
+            machine: PackedReservation.compile(shared, machine).cells
+            for machine in (warp, wide)
+        }
         errors = []
         start = threading.Barrier(2, timeout=10)
 
-        def drive():
+        def drive(order):
             try:
                 start.wait()
-                for _ in range(100 * _PACKED_CACHE_LIMIT):
-                    table = ReservationTable.single("alu")
-                    assert machine.packed(table).pure
+                for _ in range(20000):
+                    for machine in order:
+                        packed = machine.packed(shared)
+                        assert packed.cells == expected[machine]
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=drive) for _ in range(2)]
+            threads = [
+                threading.Thread(target=drive, args=(order,))
+                for order in ((warp, wide), (wide, warp))
+            ]
             for thread in threads:
                 thread.start()
             for thread in threads:

@@ -167,6 +167,8 @@ class TestPackedCounters:
             for _ in range(5):
                 mrt.earliest_fit(pattern, 0)
         assert observer.counters["mrt_bitmask_fast_path"] == 5
+        # The first call packed the table; the other four read its slot.
+        assert pattern.packing[0] is WARP
 
     def test_multi_capacity_patterns_skip_the_bitmask_path(self):
         mrt = ModuloReservationTable(MULTI, 4)
@@ -174,3 +176,83 @@ class TestPackedCounters:
         with obs.observe() as observer:
             assert mrt.earliest_fit(pattern, 0) == 0
         assert "mrt_bitmask_fast_path" not in observer.counters
+
+
+class TestPackingSlot:
+    """A reservation table keeps its own packing for one machine at a
+    time: the schedulers read it with no call, and a second machine
+    repacks into the slot."""
+
+    def test_a_table_packs_once_per_machine(self, monkeypatch):
+        from repro.machine.packed import PackedReservation
+
+        compiled = []
+        original = PackedReservation.compile.__func__
+
+        def counting(cls, table, machine):
+            compiled.append(machine)
+            return original(cls, table, machine)
+
+        monkeypatch.setattr(
+            PackedReservation, "compile", classmethod(counting)
+        )
+        table = ReservationTable(
+            [ResourceUse(0, "alu", 1), ResourceUse(1, "mem", 1)]
+        )
+        assert table.packing == (None, None)
+        mrt = ModuloReservationTable(WARP, 5)
+        for time in range(5):
+            if mrt.fits(table, time):
+                mrt.place(table, time)
+        mrt.earliest_fit(table, 0)
+        mrt.remove(table, 0)
+        assert WARP.packed(table) is WARP.packed(table)
+        assert compiled == [WARP]
+        assert table.packing[0] is WARP
+
+    def test_alternating_machines_each_get_their_own_packing(self):
+        # Two alus on MULTI, one on WARP: the same table fits twice in one
+        # row of MULTI's table and once in WARP's, whichever machine
+        # packed the table last.
+        table = ReservationTable.single("alu")
+        warp_mrt = ModuloReservationTable(WARP, 1)
+        multi_mrt = ModuloReservationTable(MULTI, 1)
+        warp_ref = DictModuloReservationTable(WARP, 1)
+        multi_ref = DictModuloReservationTable(MULTI, 1)
+        for _ in range(3):
+            for mrt, ref in ((warp_mrt, warp_ref), (multi_mrt, multi_ref)):
+                assert mrt.fits(table, 0) == ref.fits(table, 0)
+                assert mrt.earliest_fit(table, 0) == ref.earliest_fit(table, 0)
+                if ref.fits(table, 0):
+                    mrt.place(table, 0)
+                    ref.place(table, 0)
+                assert table.packing[0] is mrt.machine
+        assert warp_mrt.usage(0, "alu") == 1
+        assert multi_mrt.usage(0, "alu") == 2
+        assert WARP.packed(table).pure
+        assert not MULTI.packed(table).pure
+        assert MULTI.packed(table).cells != WARP.packed(table).cells
+
+    def test_an_unpickled_or_copied_table_has_no_packing(self):
+        import copy
+        import pickle
+
+        table = ReservationTable(
+            [ResourceUse(0, "alu", 1), ResourceUse(2, "mem", 1)]
+        )
+        WARP.packed(table)
+        assert table.packing[0] is WARP
+        for clone in (
+            pickle.loads(pickle.dumps(table)),
+            copy.copy(table),
+            copy.deepcopy(table),
+        ):
+            assert clone == table
+            assert clone.length == table.length
+            assert clone.packing == (None, None)
+        # The packing leaves no trace in the pickle.
+        unpacked = ReservationTable(
+            ResourceUse(time, resource, amount)
+            for time, resource, amount in table
+        )
+        assert pickle.dumps(table) == pickle.dumps(unpacked)

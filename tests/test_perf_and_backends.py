@@ -196,6 +196,39 @@ class TestBenchReport:
         )
         assert compare_reports(str(baseline), slow_phases) == []
 
+    def test_suite_counts_calls_per_program(self, report):
+        suite = report.benchmarks["suite"]
+        assert suite["kcalls_per_program"] > 1.0
+        assert "kcalls/program" in report.summary()
+        assert report.to_dict()["python"] == report.python
+
+    def test_a_call_count_regression_is_flagged(self, report, tmp_path):
+        """A count is exact, so 2% over the baseline fails the run; a
+        baseline from another Python minor version is not compared."""
+        from repro.perf import compare_reports, write_report
+        from repro.perf.bench import BenchReport
+
+        baseline = tmp_path / "baseline.json"
+        write_report(report, str(baseline))
+        suite = report.benchmarks["suite"]
+        base = suite["kcalls_per_program"]
+
+        def with_count(kcalls, python=report.python):
+            return BenchReport(
+                quick=True, jobs=2, cpu_count=report.cpu_count,
+                benchmarks={"suite": dict(suite, kcalls_per_program=kcalls)},
+                python=python,
+            )
+
+        assert compare_reports(str(baseline), with_count(base * 1.01)) == []
+        flagged = compare_reports(str(baseline), with_count(base * 1.05))
+        assert len(flagged) == 1
+        assert flagged[0].startswith("suite:")
+        assert "kcalls/program" in flagged[0]
+        assert compare_reports(
+            str(baseline), with_count(base * 1.05, python="2.7")
+        ) == []
+
     def test_summary_mentions_every_benchmark(self, report):
         text = report.summary()
         for word in ("closure", "scheduler", "optimality", "suite",
