@@ -29,8 +29,9 @@ Hit/miss counters feed the batch driver's ``--stats`` output.  The
 in-memory entries and the aliases are each LRU-bounded by
 :data:`MEMORY_ENTRIES`, so a long-lived server does not grow without
 bound however large the disk layer gets; an evicted entry still on disk
-is re-read on its next hit, and an alias whose entry is gone falls back
-to parsing and the IR key.
+is re-read on its next hit.  The alias probe reads the memory layer only,
+so it never blocks on a file: an alias whose entry has left memory falls
+back to parsing and the IR key, whose lookup reads the disk.
 
 Unpickling a cache (how it crosses into process-pool workers) resolves to
 one shared per-process instance per cache path (:meth:`ScheduleCache.
@@ -182,13 +183,6 @@ class ScheduleCache:
         assert self.path is not None
         return self.path / key[:2] / f"{key}.pkl"
 
-    def _record(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-
     def _remember(self, key: str, compiled: "CompiledProgram") -> None:
         """Insert into the memory layer, evicting least recently used
         entries past :data:`MEMORY_ENTRIES`.  Caller holds the lock."""
@@ -226,54 +220,56 @@ class ScheduleCache:
 
     # -- the cache protocol --------------------------------------------------
 
-    def _lookup(self, key: str) -> Optional["CompiledProgram"]:
-        """Memory, then disk: the compilation for ``key`` or ``None``,
-        uncounted."""
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._memory.move_to_end(key)
-                return cached
-        if self.path is None:
-            return None
-        try:
-            with open(self._entry_path(key), "rb") as handle:
-                compiled = pickle.load(handle)
-        except Exception:
-            # Unpickling a truncated/corrupt/vanished entry can raise
-            # nearly anything; treat it as a miss (the recompile's put
-            # replaces it).
-            return None
-        with self._lock:
-            self._remember(key, compiled)
-        return compiled
-
     def get(self, key: str) -> Optional["CompiledProgram"]:
-        """The cached compilation for ``key``, or ``None`` (counted as a
-        miss)."""
-        compiled = self._lookup(key)
-        self._record(hit=compiled is not None)
+        """The cached compilation for ``key``, from memory, else from disk
+        (a disk hit re-enters the memory layer), or ``None``, counted as
+        a miss."""
+        with self._lock:
+            compiled = self._memory.get(key)
+            if compiled is not None:
+                self._memory.move_to_end(key)
+                self.hits += 1
+                return compiled
+        if self.path is not None:
+            try:
+                with open(self._entry_path(key), "rb") as handle:
+                    compiled = pickle.load(handle)
+            except Exception:
+                # Unpickling a truncated/corrupt/vanished entry can raise
+                # nearly anything; treat it as a miss (the recompile's put
+                # replaces it).
+                compiled = None
+        with self._lock:
+            if compiled is None:
+                self.misses += 1
+            else:
+                self._remember(key, compiled)
+                self.hits += 1
         return compiled
 
     def resolve(self, alias: str) -> Optional["CompiledProgram"]:
-        """The cached compilation behind a :func:`source_key` alias.
+        """The compilation behind a :func:`source_key` alias, from the
+        memory layer only.
 
-        A resolved alias counts one hit (and one source hit).  An unknown
-        alias, or one whose entry has been evicted, counts nothing: the
-        caller falls back to parsing and :meth:`get` on the IR key, which
-        counts the miss.
+        It never opens a disk entry, so an event loop may call it (the
+        compile server answers repeats this way).  A resolved alias counts
+        one hit and one source hit.  An unknown alias, or one whose entry
+        has left memory, counts nothing: the caller falls back to parsing
+        and :meth:`get` on the IR key, which reads disk and counts the hit
+        or the miss.
         """
         with self._lock:
             key = self._aliases.get(alias)
             if key is None:
                 return None
             self._aliases.move_to_end(alias)
-        compiled = self._lookup(key)
-        if compiled is not None:
-            with self._lock:
-                self.hits += 1
-                self.source_hits += 1
-        return compiled
+            compiled = self._memory.get(key)
+            if compiled is None:
+                return None
+            self._memory.move_to_end(key)
+            self.hits += 1
+            self.source_hits += 1
+            return compiled
 
     def add_alias(self, alias: str, key: str) -> None:
         """Point the source alias ``alias`` at the IR key ``key``, evicting

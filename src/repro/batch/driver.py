@@ -238,6 +238,34 @@ def _coerce_sources(sources: Iterable[SourceLike]) -> list[tuple[str, str]]:
     return items
 
 
+def alias_hit(
+    name: str,
+    alias: str,
+    cache: ScheduleCache,
+    t0: float,
+    observer: Optional[obs.CompileObserver] = None,
+) -> Optional[CompileResult]:
+    """The ``from_cache`` result for a source already served, or ``None``.
+
+    ``alias`` is the source's :func:`~repro.batch.cache.source_key` under
+    the request's machine and policy.  :meth:`ScheduleCache.resolve` reads
+    only the memory layer, so this never opens a file: ``compile_one``
+    calls it first, and the compile server calls it on its event loop to
+    answer a repeat without a pool task.  ``seconds`` runs from ``t0``;
+    an ``observer`` supplies the stats, which carry no phases.
+    """
+    compiled = cache.resolve(alias)
+    if compiled is None:
+        return None
+    return CompileResult(
+        name=name,
+        compiled=compiled,
+        from_cache=True,
+        seconds=time.perf_counter() - t0,
+        stats=observer.to_dict() if observer is not None else None,
+    )
+
+
 def compile_one(
     name: str,
     source: str,
@@ -253,25 +281,22 @@ def compile_one(
     loops, and register exhaustion all come back as ``result.error``.
 
     With a cache, a source already served under this machine and policy
-    is answered from its alias before the frontend runs, so its
-    ``collect_stats`` stats carry no phases at all; a new source is
-    parsed, looked up by its IR key and, on a hit or after compiling,
-    aliased.  Sources that fail to compile are never aliased.
+    is answered by :func:`alias_hit` before the frontend runs, so its
+    ``collect_stats`` stats carry no phases at all.  A new source, or one
+    whose entry has left the memory layer, is parsed, looked up by its IR
+    key (memory, then disk) and, on a hit or after compiling, aliased.
+    Sources that fail to compile are never aliased.
     """
     t0 = time.perf_counter()
     with obs.observe() as observer:
         try:
             if cache is not None:
                 alias = source_key(source, machine, policy)
-                cached = cache.resolve(alias)
-                if cached is not None:
-                    return CompileResult(
-                        name=name,
-                        compiled=cached,
-                        from_cache=True,
-                        seconds=time.perf_counter() - t0,
-                        stats=observer.to_dict() if collect_stats else None,
-                    )
+                hit = alias_hit(
+                    name, alias, cache, t0, observer if collect_stats else None
+                )
+                if hit is not None:
+                    return hit
             with obs.phase("frontend"):
                 from repro.frontend import parse_program
 

@@ -14,8 +14,10 @@ program first (``warmup_seconds``), so the timed phase measures the
 service under a warm shared cache.  That keeps ``per_unit_seconds``
 comparable between ``--quick`` and full runs (a cold quick run would be
 dominated by first-compile cost, not service behaviour) and makes the
-regression gate track protocol/pool/cache overhead rather than the
-compiler's own speed, which the ``suite`` benchmark already gates.
+regression gate track protocol and cache overhead rather than the
+compiler's own speed, which the ``suite`` benchmark already gates.  (A
+warm repeat is answered on the server's event loop from the source
+alias, so the timed phase never waits in the worker pool.)
 
 The warmup pass doubles as the *cold-cache phase*: each first-sight
 request is timed individually and reported as ``cold_p50_seconds`` /

@@ -15,12 +15,28 @@ Concurrency model:
   are processed in order (replies to one request never interleave with
   another's on the same connection), while separate connections proceed
   concurrently.
-* Each compile unit becomes one pool task, so a ``suite`` request's 72
-  programs load-balance across warm workers and ``result`` replies stream
-  back in completion order, not submission order.
+* A unit whose source this server has already compiled under the same
+  machine and policy is answered on the event loop: :func:`~repro.batch.
+  driver.alias_hit` probes the cache's source alias, which reads only the
+  memory layer, so a repeat costs a hash and a dictionary probe and never
+  waits in the pool's queue.  Every other unit (a miss) becomes one pool
+  task, so a ``suite`` request's 72 programs load-balance across warm
+  workers and ``result`` replies stream back in completion order, hits
+  first.
+* Reply lines that are ready together go out in one write: the hits'
+  lines before the first miss is awaited, and the last ``result`` line
+  with the ``done`` line, so an all-hit request is one write.
+* Under ``--backend process`` the workers fill their own per-process
+  caches (:meth:`~repro.batch.ScheduleCache.shared`), never the server's
+  memory layer, so the probe misses and every unit goes to the pool as
+  before.
 * Backpressure: a request whose units would push the pool's queue depth
   past ``max_pending`` is rejected with an ``error`` reply instead of
-  being absorbed into an unbounded backlog.
+  being absorbed into an unbounded backlog.  The bound counts every unit
+  of the request, hits included.  The check, the probes and the misses'
+  submissions run with no await between them, so no other request is
+  admitted halfway; the handler yields only later, between the hits'
+  encodes, to let other connections in during a long all-hit request.
 * Graceful shutdown (a ``shutdown`` request or SIGINT/SIGTERM): the
   listener closes, new requests are refused with ``"draining"``, in-flight
   requests keep streaming until done, then the pool is torn down.
@@ -43,8 +59,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.batch.cache import ScheduleCache
-from repro.batch.driver import _coerce_sources, compile_one
+from repro.batch.cache import ScheduleCache, source_key
+from repro.batch.driver import (
+    CompileResult,
+    _coerce_sources,
+    alias_hit,
+    compile_one,
+)
 from repro.batch.pool import WorkerPool
 from repro.core.compile import CompilerPolicy
 from repro.machine import SIMPLE, WARP, MachineDescription
@@ -247,9 +268,18 @@ class CompileServer:
         lock: asyncio.Lock,
         payload: dict[str, Any],
     ) -> None:
+        await self._write(writer, lock, encode_line(payload))
+
+    async def _write(
+        self,
+        writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
+        data: bytes,
+    ) -> None:
+        """Send encoded reply lines in one write."""
         async with lock:
             try:
-                writer.write(encode_line(payload))
+                writer.write(data)
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError) as exc:
                 raise _ClientGone() from exc
@@ -363,30 +393,61 @@ class CompileServer:
         lock: asyncio.Lock,
     ) -> None:
         t0 = time.perf_counter()
-        futures = [
-            self.pool.submit(
-                compile_one, name, source, machine, policy, cache=self.cache
-            )
-            for name, source in units
-        ]
-        wrapped = [asyncio.wrap_future(future) for future in futures]
-        ok = errors = 0
-        try:
-            for coro in asyncio.as_completed(wrapped):
-                result = await coro
-                self.observer.count("serve_results")
-                if result.from_cache:
-                    self.observer.count("serve_cache_hits")
-                if result.ok:
-                    ok += 1
-                else:
-                    errors += 1
-                await self._send(
-                    writer, lock,
-                    result_to_wire(
-                        result, request_id=request_id, disasm=disasm
-                    ),
+        # Probe and submit every unit in one pass with no await, so no
+        # other request is admitted between ``_handle_line``'s
+        # ``max_pending`` check and these submissions.
+        hits: list[CompileResult] = []
+        futures = []
+        for name, source in units:
+            try:
+                hit = alias_hit(
+                    name, source_key(source, machine, policy), self.cache,
+                    time.perf_counter(),
                 )
+            except Exception:
+                # A source the probe cannot key (a lone surrogate, say)
+                # is a miss: ``compile_one`` turns it into ``result.error``.
+                hit = None
+            if hit is not None:
+                hits.append(hit)
+            else:
+                futures.append(self.pool.submit(
+                    compile_one, name, source, machine, policy,
+                    cache=self.cache,
+                ))
+        ok = errors = 0
+        ready: list[bytes] = []
+
+        def reply(result: CompileResult) -> None:
+            nonlocal ok, errors
+            self.observer.count("serve_results")
+            if result.from_cache:
+                self.observer.count("serve_cache_hits")
+            if result.ok:
+                ok += 1
+            else:
+                errors += 1
+            ready.append(encode_line(result_to_wire(
+                result, request_id=request_id, disasm=disasm
+            )))
+
+        wrapped = [asyncio.wrap_future(future) for future in futures]
+        try:
+            for index, hit in enumerate(hits):
+                if index:
+                    # Let other connections in between encodes: a
+                    # 72-program suite of hits with disassembly encodes
+                    # for tens of milliseconds.
+                    await asyncio.sleep(0)
+                reply(hit)
+            completed = asyncio.as_completed(wrapped)
+            for _ in wrapped:
+                # Flush what is ready before waiting: the last line stays
+                # back to share the ``done`` line's write.
+                if ready:
+                    await self._write(writer, lock, b"".join(ready))
+                    ready.clear()
+                reply(await next(completed))
         except _ClientGone:
             # The client hung up mid-stream: give back what the pool has
             # not started yet and swallow the rest of this request.
@@ -395,17 +456,15 @@ class CompileServer:
             for aw in wrapped:
                 aw.cancel()
             raise
-        await self._send(
-            writer, lock,
-            {
-                "type": "done",
-                "id": request_id,
-                "programs": len(units),
-                "ok": ok,
-                "errors": errors,
-                "seconds": round(time.perf_counter() - t0, 6),
-            },
-        )
+        ready.append(encode_line({
+            "type": "done",
+            "id": request_id,
+            "programs": len(units),
+            "ok": ok,
+            "errors": errors,
+            "seconds": round(time.perf_counter() - t0, 6),
+        }))
+        await self._write(writer, lock, b"".join(ready))
 
 
 class ServerThread:

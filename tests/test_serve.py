@@ -10,11 +10,13 @@ import json
 import os
 import socket as socketlib
 import threading
+import time
 
 import pytest
 
+import repro.batch.cache as cache_mod
 from repro import WARP
-from repro.batch import compile_many
+from repro.batch import compile_many, compile_one
 from repro.core.display import disassemble
 from repro.serve import (
     CompileServer,
@@ -110,6 +112,16 @@ class TestProtocol:
         assert policy.independent_arrays == frozenset({"a", "b"})
         with pytest.raises(ProtocolError, match="independent_arrays"):
             policy_from_wire({"independent_arrays": "a"})
+
+
+def _recv_until(sock, done):
+    """Read a raw socket until ``done(data)``; an early EOF fails."""
+    data = b""
+    while not done(data):
+        chunk = sock.recv(1 << 20)
+        assert chunk, f"connection closed after {data!r}"
+        data += chunk
+    return data
 
 
 # -- server fixtures -----------------------------------------------------------
@@ -236,6 +248,218 @@ class TestCacheSharing:
         for thread in threads:
             thread.join()
         assert outcomes == {i: (8, 0) for i in range(3)}
+
+
+class TestHitsOnTheLoop:
+    """A repeat is answered on the event loop from the source alias; only
+    misses become pool tasks, and ready reply lines share one write."""
+
+    def test_repeat_skips_the_pool(self, server, sock_path):
+        source = SUITE[1].source
+        local = compile_one("p", source, WARP)
+        with ServeClient(socket_path=sock_path) as client:
+            cold = client.compile(source, name="p", disasm=True)
+            before = client.status()["stats"]
+            warm = client.compile(source, name="p", disasm=True)
+            after = client.status()["stats"]
+        assert not cold["from_cache"] and warm["from_cache"]
+        assert after["pool"]["submitted"] == before["pool"]["submitted"] == 1
+        assert (after["requests"]["serve_cache_hits"]
+                == before["requests"].get("serve_cache_hits", 0) + 1)
+        for reply in (cold, warm):
+            assert reply["report"] == local.compiled.report()
+            assert reply["code_size"] == local.compiled.code_size
+            assert reply["disasm"] == disassemble(local.compiled.code)
+
+    def test_suite_mixing_hits_and_misses(self, server, sock_path):
+        count = 6
+        programs = SUITE[:count]
+        served = {program.name for program in programs[::2]}
+        local = {r.name: r for r in compile_many(programs, WARP)}
+        with ServeClient(socket_path=sock_path) as client:
+            for program in programs[::2]:
+                client.compile(program.source, name=program.name)
+            submitted = server.pool.submitted
+            replies = list(client.request({"op": "suite", "count": count}))
+        *results, done = replies
+        assert done["type"] == "done"
+        assert (done["programs"], done["ok"], done["errors"]) == (count, count, 0)
+        assert all(reply["type"] == "result" for reply in results)
+        assert sorted(r["name"] for r in results) == sorted(local)
+        assert {r["name"] for r in results if r["from_cache"]} == served
+        assert server.pool.submitted - submitted == count - len(served)
+        for reply in results:
+            assert reply["report"] == local[reply["name"]].compiled.report()
+
+    def test_failed_source_always_reaches_the_pool(self, server, sock_path):
+        with ServeClient(socket_path=sock_path) as client:
+            replies = [list(client.request(
+                {"op": "compile", "source": "function broken(; begin end."}
+            )) for _ in range(2)]
+        for result, done in replies:
+            assert not result["ok"] and not result["from_cache"]
+            assert (done["ok"], done["errors"]) == (0, 1)
+        assert server.pool.submitted == 2
+
+    @pytest.mark.parametrize("on_disk", [False, True],
+                             ids=["memory-only", "disk"])
+    def test_alias_whose_entry_left_memory_goes_to_the_pool(
+        self, tmp_path, monkeypatch, on_disk
+    ):
+        monkeypatch.setattr(cache_mod, "MEMORY_ENTRIES", 2)
+        sock = str(tmp_path / "evict.sock")
+        instance = CompileServer(ServeConfig(
+            socket_path=sock, jobs=1,
+            cache_dir=str(tmp_path / "cache") if on_disk else None,
+        ))
+        source = SUITE[2].source
+        local = compile_one("p", source, WARP)
+        with ServerThread(instance):
+            with ServeClient(socket_path=sock) as client:
+                client.compile(source, name="p")
+                instance.cache.put("filler1", 1)
+                instance.cache.put("filler2", 2)
+                assert instance.cache.stats()["aliases"] == 1
+                again = client.compile(source, name="p", disasm=True)
+        assert instance.pool.submitted == 2
+        assert again["from_cache"] is on_disk
+        assert again["report"] == local.compiled.report()
+        assert again["disasm"] == disassemble(local.compiled.code)
+        assert instance.cache.stats()["source_hits"] == 0
+
+    def test_long_hit_request_lets_other_connections_in(
+        self, server, sock_path, monkeypatch
+    ):
+        import repro.serve.server as server_mod
+
+        count = 12
+        with ServeClient(socket_path=sock_path) as client:
+            client.suite(count)
+        status = encode_line({"op": "status"})
+        suite = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        other = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        encoded = []
+        encodes_before_status = []
+        encode = server_mod.result_to_wire
+        status_payload = server.status_payload
+
+        def counting_encode(*args, **kwargs):
+            if not encoded:
+                # The other connection's request is on the wire before
+                # the suite's first yield.
+                other.sendall(status)
+            encoded.append(1)
+            return encode(*args, **kwargs)
+
+        def counting_status():
+            encodes_before_status.append(len(encoded))
+            return status_payload()
+
+        try:
+            for sock in (suite, other):
+                sock.settimeout(30)
+                sock.connect(sock_path)
+            # A first status round trip leaves the other connection's
+            # handler waiting for its next line.
+            other.sendall(status)
+            _recv_until(other, lambda data: data.endswith(b"\n"))
+            monkeypatch.setattr(server_mod, "result_to_wire", counting_encode)
+            monkeypatch.setattr(server, "status_payload", counting_status)
+            suite.sendall(encode_line({"op": "suite", "count": count}))
+            data = _recv_until(suite, lambda data: b'"type":"done"' in data)
+            reply = _recv_until(other, lambda data: data.endswith(b"\n"))
+            assert decode_line(reply)["type"] == "status"
+        finally:
+            suite.close()
+            other.close()
+        # The status request is answered between two of the suite's
+        # encodes, not after the last.
+        assert len(encoded) == count
+        assert encodes_before_status and encodes_before_status[0] < count
+        assert data.count(b'"from_cache":true') == count
+
+    def test_concurrent_suites_never_overfill_the_queue(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.server as server_mod
+
+        max_pending, count, clients = 8, 6, 4
+        sock = str(tmp_path / "admit.sock")
+        instance = CompileServer(ServeConfig(
+            socket_path=sock, jobs=1, max_pending=max_pending,
+        ))
+        compile = server_mod.compile_one
+
+        def slow_compile(*args, **kwargs):
+            time.sleep(0.02)
+            return compile(*args, **kwargs)
+
+        depths = []
+        submit = instance.pool.submit
+
+        def recording_submit(*args, **kwargs):
+            future = submit(*args, **kwargs)
+            depths.append(instance.pool.active)
+            return future
+
+        monkeypatch.setattr(server_mod, "compile_one", slow_compile)
+        monkeypatch.setattr(instance.pool, "submit", recording_submit)
+        socks = [socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+                 for _ in range(clients)]
+        outcomes = []
+        with ServerThread(instance):
+            try:
+                for raw in socks:
+                    raw.settimeout(30)
+                    raw.connect(sock)
+                for raw in socks:
+                    raw.sendall(encode_line({"op": "suite", "count": count}))
+                for raw in socks:
+                    data = _recv_until(raw, lambda data: (
+                        b'"type":"done"' in data or b'"type":"error"' in data
+                    ))
+                    outcomes.append(decode_line(data.splitlines()[-1])["type"])
+            finally:
+                for raw in socks:
+                    raw.close()
+        assert "done" in outcomes
+        assert depths and max(depths) <= max_pending
+
+    def test_unkeyable_source_gets_an_error_result(self, server, sock_path):
+        raw = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        raw.settimeout(30)
+        raw.connect(sock_path)
+        try:
+            # Valid JSON holding a lone surrogate: it cannot be encoded
+            # to UTF-8, so the source cannot be keyed.
+            raw.sendall(b'{"op":"compile","source":"\\ud800"}\n')
+            data = _recv_until(raw, lambda data: data.count(b"\n") == 2)
+            raw.sendall(encode_line({"op": "status"}))
+            after = _recv_until(raw, lambda data: data.endswith(b"\n"))
+        finally:
+            raw.close()
+        result, done = [decode_line(line) for line in data.splitlines()]
+        assert result["type"] == "result" and not result["ok"]
+        assert result["error"]
+        assert (done["type"], done["ok"], done["errors"]) == ("done", 0, 1)
+        assert decode_line(after)["type"] == "status"
+
+    def test_hit_result_and_done_arrive_in_one_recv(self, server, sock_path):
+        request = encode_line({"op": "compile", "source": SUITE[0].source})
+        raw = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        raw.settimeout(30)
+        raw.connect(sock_path)
+        try:
+            raw.sendall(request)
+            _recv_until(raw, lambda data: data.count(b"\n") == 2)
+            raw.sendall(request)
+            warm = raw.recv(1 << 20)
+        finally:
+            raw.close()
+        replies = [decode_line(line) for line in warm.splitlines()]
+        assert warm.endswith(b"\n")
+        assert [reply["type"] for reply in replies] == ["result", "done"]
+        assert replies[0]["from_cache"] and replies[1]["ok"] == 1
 
 
 class TestRobustness:

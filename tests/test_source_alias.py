@@ -193,6 +193,61 @@ class TestMemoryBound:
         assert stats["evictions"] == 7 and stats["alias_evictions"] == 7
 
 
+class TestResolveReadsMemoryOnly:
+    """The alias probe never opens a file, so the compile server may run it
+    on its event loop; a disk entry is reached through ``get`` alone."""
+
+    @pytest.fixture
+    def opens(self, monkeypatch):
+        """Every ``open`` the cache module makes, each made to raise."""
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise OSError("no file access here")
+
+        monkeypatch.setattr(cache_mod, "open", refuse, raising=False)
+        return calls
+
+    def test_memory_entry_resolves_without_opening(self, tmp_path, opens):
+        cache = ScheduleCache(tmp_path / "cache")
+        cold = compile_one("p", SOURCE, WARP, cache=cache)
+        assert cold.ok and opens  # the miss probed the disk
+        opens.clear()
+        alias = cache_mod.source_key(SOURCE, WARP, CompilerPolicy())
+        assert cache.resolve(alias) is cold.compiled
+        assert opens == []
+        assert cache.stats()["source_hits"] == 1
+
+    def test_evicted_alias_entry_is_not_read_by_resolve(
+        self, tmp_path, monkeypatch, opens
+    ):
+        monkeypatch.setattr(cache_mod, "MEMORY_ENTRIES", 1)
+        cache = ScheduleCache(tmp_path / "cache")
+        cache.put("key", "compiled")
+        cache.add_alias("alias", "key")
+        cache.put("filler", "other")
+        assert cache.resolve("alias") is None
+        assert opens == []
+        assert (cache.hits, cache.misses, cache.source_hits) == (0, 0, 0)
+
+    def test_disk_only_entry_is_served_by_get(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "MEMORY_ENTRIES", 1)
+        cache = ScheduleCache(tmp_path / "cache")
+        compile_one("p", SOURCE, WARP, cache=cache)
+        cache.put("filler", "other")
+        before = cache.stats()
+        assert before["aliases"] == 1 and before["memory_entries"] == 1
+        warm = compile_one("p", SOURCE, WARP, cache=cache, collect_stats=True)
+        assert warm.ok and warm.from_cache
+        assert "frontend" in warm.stats["phases"]
+        assert _same_output(warm, SOURCE)
+        after = cache.stats()
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        assert after["source_hits"] == 0
+
+
 def test_thread_stress_keeps_counts(monkeypatch):
     """More threads than cores on one small cache with a tiny switch
     interval: every call counts exactly once, the bounds hold, and every
