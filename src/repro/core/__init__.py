@@ -8,11 +8,11 @@ Submodules:
     Resource- and recurrence-constrained lower bounds on the initiation
     interval (section 2.2).
 ``listsched``
-    Classic basic-block list scheduling (Fisher 1979), used for branch
-    bodies, unpipelined loops, and the locally-compacted baseline.
-``acyclic`` / ``cyclic``
-    Modulo scheduling of acyclic graphs and of strongly connected
-    components (sections 2.2.1 and 2.2.2).
+    Plain and modulo list scheduling (Fisher 1979; section 2.2.1): one
+    loop for branch bodies, unpipelined loops, the locally-compacted
+    baseline and each interval attempt's condensed acyclic graph.
+``cyclic``
+    Modulo scheduling of strongly connected components (section 2.2.2).
 ``pipeliner``
     The iterative driver: linear search on the initiation interval.
 ``mve``

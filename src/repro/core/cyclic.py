@@ -128,7 +128,7 @@ def schedule_component(
         reservation = node.reservation
         node_local = local[node.index]
         if not scheduled:
-            time = mrt.earliest_fit(reservation, 0)
+            time = mrt.place_earliest(reservation, 0)
             if time is None:
                 obs.count("scc_placement_failures")
                 return None
@@ -153,11 +153,10 @@ def schedule_component(
                 obs.count("scc_empty_ranges")
                 return None
             latest = None if high == math.inf else int(high)
-            time = mrt.earliest_fit(reservation, int(low), latest)
+            time = mrt.place_earliest(reservation, int(low), latest)
             if time is None:
                 obs.count("scc_placement_failures")
                 return None
-        mrt.place(reservation, time)
         times[node.index] = time
         scheduled.append((node_local, time))
 

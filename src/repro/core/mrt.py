@@ -12,7 +12,7 @@ interned resources; reservation patterns arrive pre-compiled (see
 :class:`repro.machine.packed.PackedReservation`, read from the table's
 own ``packing`` slot with no call per probe), so a feasibility probe
 on an all-unit-capacity machine like WARP is a handful of
-``row_mask & pattern_mask`` tests and ``earliest_fit`` is a tight scan
+``row_mask & pattern_mask`` tests and ``place_earliest`` is a tight scan
 over precomputed row masks (counted as ``mrt_bitmask_fast_path`` by the
 ambient observer).
 """
@@ -71,35 +71,11 @@ class ModuloReservationTable:
         return True
 
     def place(self, reservation: ReservationTable, time: int) -> None:
-        machine, packed = reservation.packing
-        if machine is not self.machine:
-            packed = self.machine.packed(reservation)
-        s = self.s
-        counts = self._counts
-        masks = self._masks
-        nres = self._nres
-        # Inline fits() on the already-fetched pattern: place is always
-        # preceded by a fit probe on the hot path, so the validation here
-        # must not pay a second call.
-        if packed.pure:
-            for offset, mask in packed.mask_cells:
-                if masks[(time + offset) % s] & mask:
-                    raise ValueError(
-                        f"resource conflict placing pattern at time {time}"
-                    )
-        else:
-            for offset, rid, amount, limit in packed.cells:
-                if counts[((time + offset) % s) * nres + rid] + amount > limit:
-                    raise ValueError(
-                        f"resource conflict placing pattern at time {time}"
-                    )
-        bits = self._bits
-        for offset, rid, amount, _limit in packed.cells:
-            row = (time + offset) % s
-            counts[row * nres + rid] += amount
-            bit = bits[rid]
-            if bit:
-                masks[row] |= bit
+        """Place the pattern at exactly ``time`` (the loop-back branch is
+        pre-placed this way); a conflict raises and leaves the table
+        untouched."""
+        if self.place_earliest(reservation, time, time) is None:
+            raise ValueError(f"resource conflict placing pattern at time {time}")
 
     def remove(self, reservation: ReservationTable, time: int) -> None:
         """Remove a previously placed pattern, all-or-nothing.
@@ -132,13 +108,16 @@ class ModuloReservationTable:
             if bit and not counts[idx]:
                 masks[idx // nres] &= ~bit
 
-    def earliest_fit(self, reservation: ReservationTable, earliest: int,
-                     latest: int | None = None) -> int | None:
-        """First time in ``[earliest, latest]`` where the pattern fits.
+    def place_earliest(self, reservation: ReservationTable, earliest: int,
+                       latest: int | None = None) -> int | None:
+        """Place the pattern at the first time in ``[earliest, latest]``
+        where it fits and return that time, or return ``None`` and leave
+        the table untouched.
 
         By the definition of modulo resource usage, if a pattern does not
         fit in ``s`` consecutive slots it fits nowhere, so the scan is
-        always capped at ``earliest + s - 1``.
+        always capped at ``earliest + s - 1``.  The slot found is committed
+        without a second check.
         """
         s = self.s
         cap = earliest + s - 1
@@ -155,25 +134,41 @@ class ModuloReservationTable:
                 offset, mask = cells[0]
                 for time in range(earliest, cap + 1):
                     if not masks[(time + offset) % s] & mask:
-                        return time
-                return None
-            for time in range(earliest, cap + 1):
-                for offset, mask in cells:
-                    if masks[(time + offset) % s] & mask:
                         break
                 else:
-                    return time
-            return None
-        counts = self._counts
-        nres = self._nres
-        cells = packed.cells
-        for time in range(earliest, cap + 1):
-            for offset, rid, amount, limit in cells:
-                if counts[((time + offset) % s) * nres + rid] + amount > limit:
+                    return None
+            else:
+                for time in range(earliest, cap + 1):
+                    for offset, mask in cells:
+                        if masks[(time + offset) % s] & mask:
+                            break
+                    else:
+                        break
+                else:
+                    return None
+        else:
+            counts = self._counts
+            nres = self._nres
+            cells = packed.cells
+            for time in range(earliest, cap + 1):
+                for offset, rid, amount, limit in cells:
+                    if counts[((time + offset) % s) * nres + rid] + amount > limit:
+                        break
+                else:
                     break
             else:
-                return time
-        return None
+                return None
+        counts = self._counts
+        masks = self._masks
+        nres = self._nres
+        bits = self._bits
+        for offset, rid, amount, _limit in packed.cells:
+            row = (time + offset) % s
+            counts[row * nres + rid] += amount
+            bit = bits[rid]
+            if bit:
+                masks[row] |= bit
+        return time
 
     def __repr__(self) -> str:
         names = self.machine.resource_names

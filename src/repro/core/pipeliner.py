@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
 from repro.obs import trace as obs
-from repro.core.acyclic import ItemEdge, SchedItem, modulo_schedule_dag
 from repro.core.cyclic import Cluster, _zero_omega_order, schedule_component
+from repro.core.listsched import list_schedule
 from repro.core.mii import MiiReport, resource_mii
 from repro.core.mrt import ModuloReservationTable
 from repro.core.schedule import KernelSchedule, SchedulingFailure
@@ -38,6 +38,7 @@ from repro.deps.graph import DepEdge, DepGraph, DepNode
 from repro.deps.paths import SymbolicPaths
 from repro.deps.scc import condensation_order
 from repro.machine.description import MachineDescription
+from repro.machine.resources import ReservationTable
 
 
 #: Interval search orders accepted by :class:`PipelinerPolicy`.
@@ -103,8 +104,8 @@ class PreparedGraph:
     item_of
         node index -> condensed item slot.
     base_items / base_clusters
-        Per slot, the fixed :class:`SchedItem` / :class:`Cluster` for
-        trivial components (their reservation and span never change);
+        Per slot, the fixed ``(reservation, span)`` pair and
+        :class:`Cluster` of a trivial component (they never change);
         ``None`` where an attempt must schedule the component.
     cross_edges
         Cross-component edges in graph order, as ``(edge, src_item,
@@ -119,7 +120,7 @@ class PreparedGraph:
     paths: list[Optional[SymbolicPaths]]
     orders: list[Optional[list[DepNode]]]
     item_of: dict[int, int]
-    base_items: list[Optional[SchedItem]]
+    base_items: list[Optional[tuple[ReservationTable, int]]]
     base_clusters: list[Optional[Cluster]]
     cross_edges: list[tuple[DepEdge, int, int, Optional[int]]]
 
@@ -273,7 +274,7 @@ class ModuloScheduler:
 
         paths: list[Optional[SymbolicPaths]] = []
         orders: list[Optional[list[DepNode]]] = []
-        base_items: list[Optional[SchedItem]] = []
+        base_items: list[Optional[tuple[ReservationTable, int]]] = []
         base_clusters: list[Optional[Cluster]] = []
         recurrence = 0
         for slot, component in enumerate(components):
@@ -281,7 +282,7 @@ class ModuloScheduler:
                 node = component[0]
                 paths.append(None)
                 orders.append(None)
-                base_items.append(SchedItem(slot, node.reservation, node.length))
+                base_items.append((node.reservation, node.length))
                 base_clusters.append(
                     Cluster([node], {node.index: 0}, node.reservation)
                 )
@@ -294,7 +295,7 @@ class ModuloScheduler:
             base_clusters.append(None)
 
         # A cross edge between two fixed singletons never changes: both
-        # member offsets are 0, so the item-edge delay is the edge delay.
+        # member offsets are 0, so its weight needs no offset correction.
         cross = [
             (edge, src_item, dst_item,
              0 if base_items[src_item] is not None
@@ -337,35 +338,39 @@ class ModuloScheduler:
         attempts: list[int],
     ) -> Optional[PipelineResult]:
         clusters: list[Cluster] = list(prepared.base_clusters)
-        items: list[SchedItem] = list(prepared.base_items)
-
-        for slot, paths in enumerate(prepared.paths):
-            if paths is None:
+        reservations: list[Optional[ReservationTable]] = [None] * len(clusters)
+        spans = [0] * len(clusters)
+        for slot, base in enumerate(prepared.base_items):
+            if base is not None:
+                reservations[slot], spans[slot] = base
                 continue
             cluster = schedule_component(
-                prepared.components[slot], paths, s, self.machine,
-                prepared.orders[slot],
+                prepared.components[slot], prepared.paths[slot], s,
+                self.machine, prepared.orders[slot],
             )
             if cluster is None:
                 obs.count("backtracks")
                 return None
-            items[slot] = SchedItem(slot, cluster.reservation, cluster.span)
+            reservations[slot] = cluster.reservation
+            spans[slot] = cluster.span
             clusters[slot] = cluster
 
-        item_edges = []
+        # Condensation order is topological, so every cross edge runs from
+        # a lower slot to a higher one, as list_schedule requires.
+        succs: list[list[tuple[int, int]]] = [[] for _ in clusters]
         for edge, src_item, dst_item, delta in prepared.cross_edges:
             if delta is None:
                 delta = (
                     clusters[src_item].offset_of(edge.src)
                     - clusters[dst_item].offset_of(edge.dst)
                 )
-            item_edges.append(
-                ItemEdge(src_item, dst_item, edge.delay + delta, edge.omega)
+            succs[src_item].append(
+                (dst_item, edge.delay + delta - s * edge.omega)
             )
 
         mrt = ModuloReservationTable(self.machine, s)
         mrt.place(self.machine.branch_reservation, s - 1)
-        item_times = modulo_schedule_dag(items, item_edges, mrt)
+        item_times = list_schedule(reservations, spans, succs, mrt)
         if item_times is None:
             obs.count("backtracks")
             return None

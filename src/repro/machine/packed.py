@@ -23,7 +23,7 @@ machine* into flat integer data, once:
     feasibility probe is ``row_mask & pattern_mask`` — no dict, no loop
     over resources.
 ``pure``
-    True when *every* cell is maskable; then ``fits``/``earliest_fit``
+    True when *every* cell is maskable; then ``fits``/``place_earliest``
     run entirely on bit tests (counted by the ambient observer's
     ``mrt_bitmask_fast_path``).
 

@@ -44,8 +44,13 @@ class ServeClient:
         else:
             path = socket_path or DEFAULT_SOCKET
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(path)
+            try:
+                self._sock.settimeout(timeout)
+                self._sock.connect(path)
+            except BaseException:
+                # No client object comes back to close it, so close it here.
+                self._sock.close()
+                raise
         self._reader = self._sock.makefile("rb")
         self._writer = self._sock.makefile("wb")
         self._request_id = 0

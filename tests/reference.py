@@ -8,7 +8,12 @@ shipped fast paths to.
   direct recurrence bound).
 * :class:`DictModuloReservationTable` — the name-keyed modulo reservation
   table, the differential oracle for the integer-packed
-  :class:`repro.core.mrt.ModuloReservationTable`.
+  :class:`repro.core.mrt.ModuloReservationTable`, and
+  :class:`DictResourceGrid`, its non-modulo counterpart.
+* :func:`reference_list_schedule` — the list scheduler with a Kahn
+  topological pass for heights and a ready list re-sorted before every
+  pick, the oracle for :func:`repro.core.listsched.list_schedule`'s one
+  reverse sweep and heap.
 * :func:`reference_tokenize` — the per-character scanner, the oracle for
   the one-regex :func:`repro.frontend.lexer.tokenize`.
 * :func:`reference_emit_pipelined_loop` — prolog, kernel and epilog with
@@ -185,6 +190,88 @@ class DictModuloReservationTable:
             if self.fits(reservation, time):
                 return time
         return None
+
+    def place_earliest(self, reservation: ReservationTable, earliest: int,
+                       latest: int | None = None) -> int | None:
+        time = self.earliest_fit(reservation, earliest, latest)
+        if time is not None:
+            self.place(reservation, time)
+        return time
+
+
+class DictResourceGrid:
+    """Name-keyed non-modulo resource usage: one ``{resource: usage}`` dict
+    per absolute cycle, never refusing a pattern."""
+
+    def __init__(self, machine: MachineDescription) -> None:
+        self.machine = machine
+        self.rows: dict[int, dict[str, int]] = {}
+
+    def fits(self, reservation: ReservationTable, time: int) -> bool:
+        return all(
+            self.rows.get(time + offset, {}).get(resource, 0) + amount
+            <= self.machine.units(resource)
+            for offset, resource, amount in reservation
+        )
+
+    def place_earliest(self, reservation: ReservationTable, time: int) -> int:
+        while not self.fits(reservation, time):
+            time += 1
+        for offset, resource, amount in reservation:
+            row = self.rows.setdefault(time + offset, {})
+            row[resource] = row.get(resource, 0) + amount
+        return time
+
+
+def reference_list_schedule(
+    reservations: Sequence[ReservationTable],
+    spans: Sequence[int],
+    succs: Sequence[Sequence[tuple[int, int]]],
+    table,
+) -> Optional[list[int]]:
+    """List scheduling as two loops once did it: heights over a Kahn
+    topological order, a ready list sorted by ``(-height, position)``
+    before every pick, and each item's earliest start taken from its
+    placed predecessors.  Accepts any acyclic edge set; a cycle raises."""
+    n = len(reservations)
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j, weight in succs[i]:
+            preds[j].append((i, weight))
+    remaining = [len(edges) for edges in preds]
+    stack = [i for i in reversed(range(n)) if not remaining[i]]
+    order: list[int] = []
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        for j, _weight in succs[i]:
+            remaining[j] -= 1
+            if not remaining[j]:
+                stack.append(j)
+    if len(order) != n:
+        raise ValueError("item graph is not acyclic")
+    heights: dict[int, int] = {}
+    for i in reversed(order):
+        heights[i] = max(
+            [spans[i]] + [weight + heights[j] for j, weight in succs[i]]
+        )
+
+    remaining = [len(edges) for edges in preds]
+    ready = [i for i in range(n) if not remaining[i]]
+    times: dict[int, int] = {}
+    while ready:
+        ready.sort(key=lambda i: (-heights[i], i))
+        i = ready.pop(0)
+        earliest = max([0] + [times[p] + weight for p, weight in preds[i]])
+        time = table.place_earliest(reservations[i], earliest)
+        if time is None:
+            return None
+        times[i] = time
+        for j, _weight in succs[i]:
+            remaining[j] -= 1
+            if not remaining[j]:
+                ready.append(j)
+    return [times[i] for i in range(n)]
 
 
 def reference_tokenize(source: str) -> tuple[list[Token], list[Pragma]]:

@@ -4,10 +4,11 @@
 resources) must be behaviourally identical to the test-side
 :class:`reference.DictModuloReservationTable`, the name-keyed table it
 replaced — same fits verdicts, same placements, same all-or-nothing remove
-validation, same earliest-fit answers.  A hypothesis driver runs random
-interleavings of the full operation set against both side by side; the
-machines include multi-capacity resources so both the pure-bitmask and
-the counter paths are exercised.
+validation, and ``place_earliest`` answering and placing as the
+reference's ``earliest_fit`` followed by ``place`` does.  A hypothesis
+test runs random interleavings of the full operation set against both
+side by side; the machines include multi-capacity resources so both the
+pure-bitmask and the counter paths are exercised.
 
 The packed hot path's observability counter (``mrt_bitmask_fast_path``)
 gets counter-based regression tests here too: if a refactor silently
@@ -67,7 +68,7 @@ def _script(draw):
 
     Each step is (op, reservation, time): op 0 = fits, 1 = place (only if
     it fits), 2 = remove (may target a never-placed pattern, exercising
-    the all-or-nothing rejection), 3 = earliest_fit.
+    the all-or-nothing rejection), 3 = place_earliest.
     """
     steps = draw(
         st.lists(
@@ -116,9 +117,10 @@ def test_packed_matches_dict_reference(machine, s, script):
                 failed += 1
             assert failed in (0, 2), "remove verdicts diverged"
         else:
-            assert packed.earliest_fit(
-                reservation, time
-            ) == reference.earliest_fit(reservation, time)
+            expected = reference.earliest_fit(reservation, time)
+            if expected is not None:
+                reference.place(reservation, expected)
+            assert packed.place_earliest(reservation, time) == expected
         _tables_equal(packed, reference, s)
 
 
@@ -158,14 +160,15 @@ class TestPackedCounters:
     observer; these regression tests fail if a refactor silently falls
     back to the slow path."""
 
-    def test_earliest_fit_counts_bitmask_fast_path(self):
-        # WARP is all unit-capacity, so every earliest_fit should take
-        # the bitmask scan — one count per call, not per probed slot.
+    def test_place_earliest_counts_bitmask_fast_path(self):
+        # WARP is all unit-capacity, so every place_earliest should take
+        # the bitmask scan — one count per call, not per probed slot, and
+        # also for the fifth call, which finds all four rows taken.
         mrt = ModuloReservationTable(WARP, 4)
         pattern = ReservationTable.single("alu")
         with obs.observe() as observer:
             for _ in range(5):
-                mrt.earliest_fit(pattern, 0)
+                mrt.place_earliest(pattern, 0)
         assert observer.counters["mrt_bitmask_fast_path"] == 5
         # The first call packed the table; the other four read its slot.
         assert pattern.packing[0] is WARP
@@ -174,7 +177,7 @@ class TestPackedCounters:
         mrt = ModuloReservationTable(MULTI, 4)
         pattern = ReservationTable.single("alu")  # alu has 2 units here
         with obs.observe() as observer:
-            assert mrt.earliest_fit(pattern, 0) == 0
+            assert mrt.place_earliest(pattern, 0) == 0
         assert "mrt_bitmask_fast_path" not in observer.counters
 
 
@@ -204,7 +207,7 @@ class TestPackingSlot:
         for time in range(5):
             if mrt.fits(table, time):
                 mrt.place(table, time)
-        mrt.earliest_fit(table, 0)
+        mrt.place_earliest(table, 0)
         mrt.remove(table, 0)
         assert WARP.packed(table) is WARP.packed(table)
         assert compiled == [WARP]
@@ -222,10 +225,9 @@ class TestPackingSlot:
         for _ in range(3):
             for mrt, ref in ((warp_mrt, warp_ref), (multi_mrt, multi_ref)):
                 assert mrt.fits(table, 0) == ref.fits(table, 0)
-                assert mrt.earliest_fit(table, 0) == ref.earliest_fit(table, 0)
-                if ref.fits(table, 0):
-                    mrt.place(table, 0)
-                    ref.place(table, 0)
+                assert mrt.place_earliest(table, 0, 0) == ref.place_earliest(
+                    table, 0, 0
+                )
                 assert table.packing[0] is mrt.machine
         assert warp_mrt.usage(0, "alu") == 1
         assert multi_mrt.usage(0, "alu") == 2

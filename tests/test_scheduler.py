@@ -8,7 +8,7 @@ from repro.audit.oracle import (
     audit_modulo_resources,
     audit_precedence,
 )
-from repro.core.listsched import block_heights, list_schedule_block
+from repro.core.listsched import list_schedule_block
 from repro.core.mii import resource_mii
 from repro.core.mrt import ModuloReservationTable
 from repro.core.pipeliner import ModuloScheduler, PipelinerPolicy
@@ -68,17 +68,20 @@ class TestMrt:
         assert not mrt.fits(ReservationTable.single("alu"), 0)
         assert not mrt.fits(ReservationTable.single("alu"), 1)
 
-    def test_earliest_fit_scans_at_most_s_slots(self):
+    def test_place_earliest_scans_at_most_s_slots(self):
         mrt = ModuloReservationTable(WARP, 3)
         for row in range(3):
             mrt.place(ReservationTable.single("seq"), row)
-        assert mrt.earliest_fit(ReservationTable.single("seq"), 0) is None
+        assert mrt.place_earliest(ReservationTable.single("seq"), 0) is None
 
-    def test_earliest_fit_respects_latest(self):
+    def test_place_earliest_respects_latest(self):
         mrt = ModuloReservationTable(WARP, 4)
         mrt.place(ReservationTable.single("alu"), 0)
-        assert mrt.earliest_fit(ReservationTable.single("alu"), 0, latest=0) is None
-        assert mrt.earliest_fit(ReservationTable.single("alu"), 0, latest=1) == 1
+        alu = ReservationTable.single("alu")
+        assert mrt.place_earliest(alu, 0, latest=0) is None
+        assert mrt.usage(1, "alu") == 0  # a refusal places nothing
+        assert mrt.place_earliest(alu, 0, latest=1) == 1
+        assert mrt.usage(1, "alu") == 1
 
     def test_remove_restores_capacity(self):
         mrt = ModuloReservationTable(WARP, 2)
@@ -206,8 +209,6 @@ class TestListScheduling:
                       (Reg("x", "float"), Imm(1.0))),
         ]
         graph = build_block_graph(ops, WARP)
-        heights = block_heights(graph)
-        assert heights[1] > heights[0]
         schedule = list_schedule_block(graph, WARP)
         assert schedule.times[1] < schedule.times[0]
 

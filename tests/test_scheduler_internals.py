@@ -1,14 +1,11 @@
-"""Internals of the modulo scheduler: DAG items, SCC clusters, ranges."""
+"""Internals of the modulo scheduler: list scheduling, SCC clusters, ranges."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.acyclic import (
-    ItemEdge,
-    SchedItem,
-    item_heights,
-    modulo_schedule_dag,
-)
-from repro.core.cyclic import Cluster, _zero_omega_order, schedule_component
+from repro.core.cyclic import _zero_omega_order, schedule_component
+from repro.core.listsched import _ResourceGrid, list_schedule
 from repro.core.mrt import ModuloReservationTable
 from repro.deps.graph import DepGraph, DepNode
 from repro.deps.paths import SymbolicPaths
@@ -16,59 +13,141 @@ from repro.ir import Opcode, Operation
 from repro.machine import WARP
 from repro.machine.resources import ReservationTable
 
+from reference import (
+    DictModuloReservationTable,
+    DictResourceGrid,
+    reference_list_schedule,
+)
+
 
 def _items(resources):
-    return [
-        SchedItem(i, ReservationTable.single(r)) for i, r in enumerate(resources)
-    ]
+    """Reservations and unit spans for one single-resource item each."""
+    return [ReservationTable.single(r) for r in resources], [1] * len(resources)
+
+
+def _succs(n, edges):
+    """Successor lists from ``(src, dst, weight)`` triples."""
+    succs = [[] for _ in range(n)]
+    for src, dst, weight in edges:
+        succs[src].append((dst, weight))
+    return succs
 
 
 class TestModuloDag:
+    """Modulo list scheduling of condensed item graphs."""
+
     def test_chain_respects_delays(self):
-        items = _items(["alu", "alu"])
-        edges = [ItemEdge(0, 1, 5, 0)]
+        reservations, spans = _items(["alu", "alu"])
         mrt = ModuloReservationTable(WARP, 3)
-        times = modulo_schedule_dag(items, edges, mrt)
+        times = list_schedule(reservations, spans, _succs(2, [(0, 1, 5)]), mrt)
         assert times[1] - times[0] >= 5
 
     def test_omega_relaxes_with_interval(self):
-        items = _items(["alu", "fadd"])
-        edges = [ItemEdge(0, 1, 9, 1)]
+        # Delay 9 at omega 1 and s = 4 weighs 9 - 4.
+        reservations, spans = _items(["alu", "fadd"])
         mrt = ModuloReservationTable(WARP, 4)
-        times = modulo_schedule_dag(items, edges, mrt)
+        times = list_schedule(
+            reservations, spans, _succs(2, [(0, 1, 9 - 4)]), mrt
+        )
         assert times[1] - times[0] >= 9 - 4
 
     def test_resource_saturation_fails(self):
         # Three ALU items at interval 2: only two modulo rows exist.
-        items = _items(["alu", "alu", "alu"])
+        reservations, spans = _items(["alu", "alu", "alu"])
         mrt = ModuloReservationTable(WARP, 2)
-        assert modulo_schedule_dag(items, [], mrt) is None
+        assert list_schedule(reservations, spans, _succs(3, []), mrt) is None
 
     def test_resource_saturation_fits_at_larger_interval(self):
-        items = _items(["alu", "alu", "alu"])
+        reservations, spans = _items(["alu", "alu", "alu"])
         mrt = ModuloReservationTable(WARP, 3)
-        times = modulo_schedule_dag(items, [], mrt)
-        assert sorted(t % 3 for t in times.values()) == [0, 1, 2]
+        times = list_schedule(reservations, spans, _succs(3, []), mrt)
+        assert sorted(t % 3 for t in times) == [0, 1, 2]
 
     def test_cyclic_item_graph_rejected(self):
-        items = _items(["alu", "fadd"])
-        edges = [ItemEdge(0, 1, 1, 0), ItemEdge(1, 0, 1, 0)]
+        # A cycle needs a backward edge, and a backward edge raises.
+        reservations, spans = _items(["alu", "fadd"])
         mrt = ModuloReservationTable(WARP, 4)
-        with pytest.raises(ValueError, match="acyclic"):
-            modulo_schedule_dag(items, edges, mrt)
+        with pytest.raises(ValueError, match="topological order"):
+            list_schedule(
+                reservations, spans, _succs(2, [(0, 1, 1), (1, 0, 1)]), mrt
+            )
+        with pytest.raises(ValueError, match="topological order"):
+            list_schedule(reservations, spans, _succs(2, [(1, 0, 1)]), mrt)
 
     def test_heights_drive_priority(self):
-        items = _items(["alu", "alu", "fadd"])
-        edges = [ItemEdge(1, 2, 10, 0)]
-        heights = item_heights(items, edges, s=2)
-        assert heights[1] > heights[0]
+        # Item 1 heads a long path, so it takes the one ALU row first.
+        reservations, spans = _items(["alu", "alu", "fadd"])
+        mrt = ModuloReservationTable(WARP, 2)
+        times = list_schedule(
+            reservations, spans, _succs(3, [(1, 2, 10)]), mrt
+        )
+        assert times[1] < times[0]
 
     def test_preseeded_mrt_respected(self):
-        items = _items(["seq"])
+        reservations, spans = _items(["seq"])
         mrt = ModuloReservationTable(WARP, 2)
         mrt.place(ReservationTable.single("seq"), 1)  # branch slot
-        times = modulo_schedule_dag(items, [], mrt)
+        times = list_schedule(reservations, spans, _succs(1, []), mrt)
         assert times[0] % 2 == 0
+
+
+_OP_RESERVATIONS = sorted(
+    {cls.reservation for cls in WARP.op_classes.values()}, key=repr
+)
+
+
+@st.composite
+def _dag(draw):
+    """Items in topological order: WARP op reservations, some merged with a
+    shifted second one as a condensed component's would be, multi-cycle
+    spans, and forward edges whose weights may be negative."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    reservations, spans = [], []
+    for _ in range(n):
+        reservation = draw(st.sampled_from(_OP_RESERVATIONS))
+        if draw(st.booleans()):
+            other = draw(st.sampled_from(_OP_RESERVATIONS))
+            shift = draw(st.integers(min_value=1, max_value=3))
+            reservation = reservation.merged(other.shifted(shift))
+        reservations.append(reservation)
+        spans.append(draw(st.integers(min_value=1, max_value=5)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [
+        (i, j, draw(st.integers(min_value=-4, max_value=8)))
+        for i, j in chosen
+    ]
+    return reservations, spans, _succs(n, edges)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(dag=_dag(), s=st.integers(min_value=0, max_value=6))
+def test_list_schedule_matches_reference(dag, s):
+    """The heap scheduler and the sort-based oracle return the same times,
+    or both refuse: under the plain grid (``s`` = 0) and under modulo
+    tables with the loop-back branch pre-placed in the last row."""
+    reservations, spans, succs = dag
+    if s == 0:
+        table, reference = _ResourceGrid(WARP), DictResourceGrid(WARP)
+    else:
+        table = ModuloReservationTable(WARP, s)
+        reference = DictModuloReservationTable(WARP, s)
+        table.place(WARP.branch_reservation, s - 1)
+        reference.place(WARP.branch_reservation, s - 1)
+    times = list_schedule(reservations, spans, succs, table)
+    assert times == reference_list_schedule(
+        reservations, spans, succs, reference
+    )
+    if times is not None:
+        for i, edges in enumerate(succs):
+            for j, weight in edges:
+                assert times[j] >= times[i] + weight
+        if s:
+            for row in range(s):
+                for resource in WARP.resource_names:
+                    assert table.usage(row, resource) == reference.usage(
+                        row, resource
+                    )
 
 
 def _scc(edge_specs):
