@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 
-from repro import SIMPLE, WARP, CompilerPolicy
+from repro import CompilerPolicy
 from repro.core.pipeliner import (
     EXACT_MAX_CONFLICTS,
     SCHEDULER_BACKENDS,
@@ -39,10 +39,9 @@ from repro.batch import ScheduleCache, compile_many, compile_one
 from repro.core.display import disassemble
 from repro.frontend import parse_program
 from repro.ir import format_program
+from repro.machine import MACHINES
 from repro.simulator import run_and_check
 from repro.workloads import generate_suite
-
-MACHINES = {"warp": WARP, "simple": SIMPLE}
 
 
 def _policy(args: argparse.Namespace) -> CompilerPolicy:
@@ -244,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--compare", default=None, metavar="BASELINE",
         help="compare against a baseline BENCH_*.json; exit nonzero on a"
-             " >2x per-unit regression",
+             " >2x per-unit time or >1.02x call-count regression",
     )
     bench.add_argument(
         "--jobs", type=int, default=4, metavar="N",

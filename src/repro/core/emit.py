@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
+from repro.core.mrt import ResourceGrid
 from repro.core.mve import ExpansionPlan
 from repro.core.reduction import ReducedIf
 from repro.core.schedule import BlockSchedule, KernelSchedule
@@ -418,48 +419,43 @@ def fold_into_epilog(
 
     ``tail_ops`` are physical-register operations with the earliest
     epilog-relative cycle at which their sources have committed.  Each is
-    placed in the first resource-free slot at or after that cycle (plus
-    the commit times of any earlier tail op it reads), the epilog growing
-    as needed to hold them and drain their results.
+    list-scheduled into a :class:`~repro.core.mrt.ResourceGrid` at the
+    first cycle from there (and from the commit times of any earlier tail
+    op it reads) where its whole reservation fits, the epilog growing as
+    needed to hold them and drain their results.  The grid starts with
+    every epilog slot's full reservation and with what the kernel's last
+    ``reach - 1`` instructions still hold past its end, both unchecked:
+    both arms of a conditional are recorded, so a unit they share is full.
     """
+    if not tail_ops:
+        return
     epilog = region.epilog
-    committed: dict[Reg, int] = {}
-
-    def usage_fits(instr: WideInstruction, opcode: str) -> bool:
-        needed: dict[str, int] = {}
-        for offset, resource, amount in machine.reservation(opcode):
-            if offset == 0:
-                needed[resource] = needed.get(resource, 0) + amount
+    kernel = region.kernel
+    op_classes = machine.op_classes
+    grid = ResourceGrid(machine)
+    occupy = grid.occupy
+    for time, instr in enumerate(epilog):
         for slot in instr.slots:
-            if slot.op.opcode is Opcode.NOP:
-                continue
-            for offset, resource, amount in machine.reservation(
-                slot.op.opcode.value
-            ):
-                if offset == 0:
-                    needed[resource] = needed.get(resource, 0) + amount
-        return all(
-            amount <= machine.units(resource)
-            for resource, amount in needed.items()
-        )
+            occupy(op_classes[slot.op.opcode.value].reservation, time)
+    end = len(kernel)
+    for time in range(max(0, end - machine.reach + 1), end):
+        for slot in kernel[time].slots:
+            occupy(op_classes[slot.op.opcode.value].reservation, time - end)
 
+    committed: dict[Reg, int] = {}
     drain = 0
     for op, earliest in tail_ops:
         for src in op.src_regs:
             if src in committed:
                 earliest = max(earliest, committed[src])
-        time = max(0, earliest)
-        while True:
-            while time >= len(epilog):
-                epilog.append(WideInstruction())
-            if usage_fits(epilog[time], op.opcode.value):
-                break
-            time += 1
+        opclass = op_classes[op.opcode.value]
+        time = grid.place_earliest(opclass.reservation, max(0, earliest))
+        while time >= len(epilog):
+            epilog.append(WideInstruction())
         epilog[time].slots.append(SlotOp(op))
-        latency = machine.latency(op.opcode.value)
         if op.dest is not None:
-            committed[op.dest] = time + latency
-        drain = max(drain, time + latency)
+            committed[op.dest] = time + opclass.latency
+        drain = max(drain, time + opclass.latency)
     while len(epilog) < drain:
         epilog.append(WideInstruction())
 

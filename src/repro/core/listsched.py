@@ -5,7 +5,8 @@ topological ordering, highest-first by *height* (longest delay path to any
 sink), each placed in the earliest slot that satisfies the precedence
 constraints and the resource table.  Modulo scheduling an acyclic graph is
 the same loop over a modulo reservation table, which refuses an item that
-fits in none of ``s`` consecutive slots; the plain grid below never refuses.
+fits in none of ``s`` consecutive slots; the plain resource grid over
+absolute time never refuses.  Both tables live in :mod:`repro.core.mrt`.
 
 Plain, it is used for: branch arms during hierarchical reduction,
 unpipelined loops, scalar code between loops, and the "locally compacted
@@ -19,54 +20,18 @@ from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from repro.core.mrt import ModuloReservationTable
+from repro.core.mrt import ModuloReservationTable, ResourceGrid
 from repro.core.schedule import BlockSchedule
 from repro.deps.graph import DepGraph
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
 
 
-class _ResourceGrid:
-    """Plain (non-modulo) resource usage over absolute time.
-
-    Usage is keyed by the interned integer ``time * nres + rid`` (times are
-    unbounded here, so a dict rather than a flat array — but the keys are
-    small ints and the reservation cells arrive pre-packed, with per-cycle
-    limits baked in)."""
-
-    def __init__(self, machine: MachineDescription) -> None:
-        self.machine = machine
-        self._nres = len(machine.resource_names)
-        self._used: dict[int, int] = {}
-
-    def place_earliest(self, reservation: ReservationTable, time: int) -> int:
-        """Place the pattern at the first time from ``time`` on where it
-        fits, and return that time.  The packed cells are read once, from
-        the table's ``packing`` slot when it holds this machine's."""
-        machine, packed = reservation.packing
-        if machine is not self.machine:
-            packed = self.machine.packed(reservation)
-        cells = packed.cells
-        used = self._used
-        nres = self._nres
-        while True:
-            for offset, rid, amount, limit in cells:
-                if used.get((time + offset) * nres + rid, 0) + amount > limit:
-                    break
-            else:
-                break
-            time += 1
-        for offset, rid, amount, _limit in cells:
-            key = (time + offset) * nres + rid
-            used[key] = used.get(key, 0) + amount
-        return time
-
-
 def list_schedule(
     reservations: Sequence[ReservationTable],
     spans: Sequence[int],
     succs: Sequence[Sequence[tuple[int, int]]],
-    table: _ResourceGrid | ModuloReservationTable,
+    table: ResourceGrid | ModuloReservationTable,
 ) -> Optional[list[int]]:
     """List-schedule items ``0..n-1`` into ``table``; their issue times, or
     ``None`` when the table refuses one.
@@ -139,7 +104,7 @@ def list_schedule_block(
         [node.reservation for node in nodes],
         [node.length for node in nodes],
         succs,
-        _ResourceGrid(machine),
+        ResourceGrid(machine),
     )
     assert times is not None  # the plain grid never refuses an item
     return BlockSchedule(

@@ -1,4 +1,5 @@
-"""The modulo resource reservation table (Lam 1988, section 2.1).
+"""Resource tables: modulo rows while iterations overlap (Lam 1988,
+section 2.1), absolute cycles otherwise.
 
 If iterations are initiated every ``s`` cycles, operations scheduled at
 times ``t`` and ``t + k*s`` execute simultaneously, one from each of two
@@ -6,33 +7,24 @@ different iterations, so resource usage at time ``t`` is accounted at row
 ``t mod s``.  The steady state is resource-feasible iff no row of the
 modulo table exceeds the machine's per-cycle resource limits.
 
-The table is integer-packed.  Each modulo row keeps one bitmask of its
-occupied unit-capacity resources plus a flat usage-count array over all
-interned resources; reservation patterns arrive pre-compiled (see
-:class:`repro.machine.packed.PackedReservation`, read from the table's
-own ``packing`` slot with no call per probe), so a feasibility probe
-on an all-unit-capacity machine like WARP is a handful of
-``row_mask & pattern_mask`` tests and ``place_earliest`` is a tight scan
-over precomputed row masks (counted as ``mrt_bitmask_fast_path`` by the
-ambient observer).
+Both tables hold integer usage counts keyed by interned resource index,
+and both read a reservation pattern's pre-compiled cells (see
+:class:`repro.machine.packed.PackedReservation`) from the table's own
+``packing`` slot, with no call per probe.  A probe compares each cell's
+count plus its amount against the limit baked into the cell.
 """
 
 from __future__ import annotations
 
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
-from repro.obs import trace as obs
 
 
 class ModuloReservationTable:
-    """Tracks modulo resource usage for one initiation interval.
+    """Tracks modulo resource usage for one initiation interval: one flat
+    count array, row-major over ``row * nres + rid``."""
 
-    Integer-packed: rows are positions in flat arrays, resources are
-    interned machine indices, and unit-capacity occupancy is mirrored
-    into one bitmask per row.
-    """
-
-    __slots__ = ("machine", "s", "_masks", "_counts", "_nres", "_bits")
+    __slots__ = ("machine", "s", "_counts", "_nres")
 
     def __init__(self, machine: MachineDescription, s: int) -> None:
         if s < 1:
@@ -40,8 +32,6 @@ class ModuloReservationTable:
         self.machine = machine
         self.s = s
         self._nres = len(machine.resource_names)
-        self._bits = machine.unit_bits
-        self._masks: list[int] = [0] * s
         self._counts: list[int] = [0] * (s * self._nres)
 
     def usage(self, row: int, resource: str) -> int:
@@ -50,63 +40,12 @@ class ModuloReservationTable:
             return 0
         return self._counts[(row % self.s) * self._nres + rid]
 
-    def fits(self, reservation: ReservationTable, time: int) -> bool:
-        """Would placing this pattern at issue time ``time`` stay within the
-        machine's limits in every affected row?"""
-        machine, packed = reservation.packing
-        if machine is not self.machine:
-            packed = self.machine.packed(reservation)
-        s = self.s
-        if packed.pure:
-            masks = self._masks
-            for offset, mask in packed.mask_cells:
-                if masks[(time + offset) % s] & mask:
-                    return False
-            return True
-        counts = self._counts
-        nres = self._nres
-        for offset, rid, amount, limit in packed.cells:
-            if counts[((time + offset) % s) * nres + rid] + amount > limit:
-                return False
-        return True
-
     def place(self, reservation: ReservationTable, time: int) -> None:
         """Place the pattern at exactly ``time`` (the loop-back branch is
         pre-placed this way); a conflict raises and leaves the table
         untouched."""
         if self.place_earliest(reservation, time, time) is None:
             raise ValueError(f"resource conflict placing pattern at time {time}")
-
-    def remove(self, reservation: ReservationTable, time: int) -> None:
-        """Remove a previously placed pattern, all-or-nothing.
-
-        The whole pattern is validated before any row is touched, so a
-        failed remove leaves the table exactly as it was.  Entries landing
-        on the same (row, resource) cell are summed first: validating them
-        one by one against the unmodified table would accept removals the
-        cell cannot cover.
-        """
-        machine, packed = reservation.packing
-        if machine is not self.machine:
-            packed = self.machine.packed(reservation)
-        s = self.s
-        counts = self._counts
-        nres = self._nres
-        needed: dict[int, int] = {}
-        for offset, rid, amount, _limit in packed.cells:
-            idx = ((time + offset) % s) * nres + rid
-            needed[idx] = needed.get(idx, 0) + amount
-        for idx, amount in needed.items():
-            if counts[idx] < amount:
-                raise ValueError("removing a pattern that was never placed")
-        masks = self._masks
-        bits = self._bits
-        for idx, amount in needed.items():
-            counts[idx] -= amount
-            rid = idx % nres
-            bit = bits[rid]
-            if bit and not counts[idx]:
-                masks[idx // nres] &= ~bit
 
     def place_earliest(self, reservation: ReservationTable, earliest: int,
                        latest: int | None = None) -> int | None:
@@ -126,48 +65,19 @@ class ModuloReservationTable:
         machine, packed = reservation.packing
         if machine is not self.machine:
             packed = self.machine.packed(reservation)
-        if packed.pure:
-            obs.count("mrt_bitmask_fast_path")
-            masks = self._masks
-            cells = packed.mask_cells
-            if len(cells) == 1:
-                offset, mask = cells[0]
-                for time in range(earliest, cap + 1):
-                    if not masks[(time + offset) % s] & mask:
-                        break
-                else:
-                    return None
-            else:
-                for time in range(earliest, cap + 1):
-                    for offset, mask in cells:
-                        if masks[(time + offset) % s] & mask:
-                            break
-                    else:
-                        break
-                else:
-                    return None
-        else:
-            counts = self._counts
-            nres = self._nres
-            cells = packed.cells
-            for time in range(earliest, cap + 1):
-                for offset, rid, amount, limit in cells:
-                    if counts[((time + offset) % s) * nres + rid] + amount > limit:
-                        break
-                else:
+        counts = self._counts
+        nres = self._nres
+        cells = packed.cells
+        for time in range(earliest, cap + 1):
+            for offset, rid, amount, limit in cells:
+                if counts[((time + offset) % s) * nres + rid] + amount > limit:
                     break
             else:
-                return None
-        counts = self._counts
-        masks = self._masks
-        nres = self._nres
-        bits = self._bits
-        for offset, rid, amount, _limit in packed.cells:
-            row = (time + offset) % s
-            counts[row * nres + rid] += amount
-            bit = bits[rid]
-            if bit:
-                masks[row] |= bit
+                break
+        else:
+            return None
+        for offset, rid, amount, _limit in cells:
+            counts[((time + offset) % s) * nres + rid] += amount
         return time
 
     def __repr__(self) -> str:
@@ -183,3 +93,53 @@ class ModuloReservationTable:
         )
         return f"MRT(s={self.s}, {rows})"
 
+
+class ResourceGrid:
+    """Plain (non-modulo) resource usage over absolute time.
+
+    Usage is keyed by the integer ``time * nres + rid`` (times are
+    unbounded here, so a dict rather than a flat array).  Any integer
+    time has its own keys, so code emitted before time 0 can be recorded
+    at negative times.
+    """
+
+    __slots__ = ("machine", "_nres", "_used")
+
+    def __init__(self, machine: MachineDescription) -> None:
+        self.machine = machine
+        self._nres = len(machine.resource_names)
+        self._used: dict[int, int] = {}
+
+    def place_earliest(self, reservation: ReservationTable, time: int) -> int:
+        """Place the pattern at the first time from ``time`` on where it
+        fits, and return that time."""
+        machine, packed = reservation.packing
+        if machine is not self.machine:
+            packed = self.machine.packed(reservation)
+        cells = packed.cells
+        used = self._used
+        nres = self._nres
+        while True:
+            for offset, rid, amount, limit in cells:
+                if used.get((time + offset) * nres + rid, 0) + amount > limit:
+                    break
+            else:
+                break
+            time += 1
+        for offset, rid, amount, _limit in cells:
+            key = (time + offset) * nres + rid
+            used[key] = used.get(key, 0) + amount
+        return time
+
+    def occupy(self, reservation: ReservationTable, time: int) -> None:
+        """Record the pattern at ``time`` without checking it: for code
+        already emitted, whose mutually exclusive arms may share a unit
+        and so push a count past its limit."""
+        machine, packed = reservation.packing
+        if machine is not self.machine:
+            packed = self.machine.packed(reservation)
+        used = self._used
+        nres = self._nres
+        for offset, rid, amount, _limit in packed.cells:
+            key = (time + offset) * nres + rid
+            used[key] = used.get(key, 0) + amount

@@ -13,6 +13,9 @@ from repro.machine.packed import PackedReservation
 from repro.machine.warp import WARP, make_warp
 from repro.machine.simple import SIMPLE, make_simple, make_custom
 
+#: The named machines the command line and the compile service accept.
+MACHINES: dict[str, MachineDescription] = {"warp": WARP, "simple": SIMPLE}
+
 __all__ = [
     "Resource",
     "ResourceUse",
@@ -25,4 +28,5 @@ __all__ = [
     "SIMPLE",
     "make_simple",
     "make_custom",
+    "MACHINES",
 ]

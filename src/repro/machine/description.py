@@ -58,19 +58,19 @@ class MachineDescription:
             self.resources[res.name] = res.count
         # Interned resource identities: every resource gets a dense index
         # (description order) so the scheduler's hot paths deal in small
-        # integers instead of name strings.  ``unit_bits[rid]`` is the
-        # bitmask bit for unit-capacity resources (0 for multi-capacity
-        # ones, which are tracked by counters, never by bits).
+        # integers instead of name strings.
         self.resource_names: tuple[str, ...] = tuple(self.resources)
         self.resource_index: dict[str, int] = {
             rname: rid for rid, rname in enumerate(self.resource_names)
         }
         self.unit_counts: tuple[int, ...] = tuple(self.resources.values())
-        self.unit_bits: tuple[int, ...] = tuple(
-            (1 << rid) if count == 1 else 0
-            for rid, count in enumerate(self.unit_counts)
-        )
         self.op_classes = dict(op_classes)
+        # The most cycles one operation's reservation spans, so how far an
+        # emitted instruction's resource use reaches past its own cycle.
+        self.reach: int = max(
+            (cls.reservation.length for cls in self.op_classes.values()),
+            default=0,
+        )
         self.num_registers = num_registers
         self.clock_mhz = clock_mhz
         self.flop_opcodes = flop_opcodes
@@ -143,7 +143,7 @@ class MachineDescription:
         The table keeps its own packing in its ``packing`` slot, as
         ``(machine, PackedReservation)``: the first call for a machine
         compiles and stores it, and later calls read it back.  The hot
-        paths (the modulo reservation table, the list scheduler's grid)
+        paths (the modulo reservation table and the resource grid)
         read the slot inline and call this only on a miss.  A table
         packed for another machine is repacked and its slot overwritten,
         so two machines alternating on one table each get their own

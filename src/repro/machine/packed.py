@@ -8,24 +8,10 @@ ReservationTable` is the wrong shape for that: its cells are keyed by
 re-resolves names against the machine's limits.
 
 A :class:`PackedReservation` compiles one reservation table *for one
-machine* into flat integer data, once:
-
-``cells``
-    ``(offset, rid, amount, limit)`` tuples with the resource interned to
-    its dense machine index and the per-cycle limit baked in, so the
-    general feasibility check is pure integer compares against a flat
-    usage array.
-``mask_cells``
-    For offsets whose uses all land on unit-capacity resources (amount 1,
-    limit 1 — the common case on WARP/SIMPLE, where every functional unit
-    is single), one ``(offset, bitmask)`` pair combining those uses.  A
-    modulo row's unit-capacity usage is mirrored into one integer, so a
-    feasibility probe is ``row_mask & pattern_mask`` — no dict, no loop
-    over resources.
-``pure``
-    True when *every* cell is maskable; then ``fits``/``place_earliest``
-    run entirely on bit tests (counted by the ambient observer's
-    ``mrt_bitmask_fast_path``).
+machine* into flat integer data, once: ``cells`` holds ``(offset, rid,
+amount, limit)`` tuples with the resource interned to its dense machine
+index and the per-cycle limit baked in, so a feasibility check is pure
+integer compares against a flat usage array.
 
 A table keeps its packing in its own ``packing`` slot, as ``(machine,
 PackedReservation)`` (see :meth:`~repro.machine.description.
@@ -48,19 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class PackedReservation:
     """One reservation table compiled against one machine's interning."""
 
-    __slots__ = ("cells", "mask_cells", "pure", "length")
+    __slots__ = ("cells",)
 
-    def __init__(
-        self,
-        cells: tuple[tuple[int, int, int, int], ...],
-        mask_cells: tuple[tuple[int, int], ...],
-        pure: bool,
-        length: int,
-    ) -> None:
+    def __init__(self, cells: tuple[tuple[int, int, int, int], ...]) -> None:
         self.cells = cells
-        self.mask_cells = mask_cells
-        self.pure = pure
-        self.length = length
 
     @classmethod
     def compile(
@@ -68,33 +45,15 @@ class PackedReservation:
     ) -> "PackedReservation":
         """Intern ``table``'s cells against ``machine``.
 
-        Raises ``KeyError`` for a resource the machine does not define
-        (the same failure the dict-probing path produced).
+        Raises ``KeyError`` for a resource the machine does not define.
         """
         index = machine.resource_index
         counts = machine.unit_counts
-        bits = machine.unit_bits
-        cells: list[tuple[int, int, int, int]] = []
-        masks: dict[int, int] = {}
-        pure = True
-        length = 0
+        cells = []
         for offset, resource, amount in table:
             rid = index[resource]
-            limit = counts[rid]
-            cells.append((offset, rid, amount, limit))
-            if offset >= length:
-                length = offset + 1
-            if amount == 1 and bits[rid]:
-                masks[offset] = masks.get(offset, 0) | bits[rid]
-            else:
-                pure = False
-        return cls(
-            tuple(cells),
-            tuple(sorted(masks.items())),
-            pure and bool(cells),
-            length,
-        )
+            cells.append((offset, rid, amount, counts[rid]))
+        return cls(tuple(cells))
 
     def __repr__(self) -> str:
-        kind = "pure" if self.pure else "mixed"
-        return f"PackedReservation({len(self.cells)} cells, {kind})"
+        return f"PackedReservation({len(self.cells)} cells)"

@@ -9,8 +9,8 @@ Five benchmarks, all seeded and deterministic in the work they measure:
 ``scheduler``
     End-to-end modulo scheduling of random dependence graphs, each
     scheduled once: wall time, the observability layer's counter deltas
-    (II attempts, SCC schedules, backtracks, MRT bitmask fast path), and
-    achieved-II-versus-MII gaps.
+    (II attempts, SCC schedules, backtracks), and achieved-II-versus-MII
+    gaps.
 ``optimality``
     The optimality-gap audit: every scheduler-benchmark graph through the
     heuristic *and* the exact SAT backend, reporting how often the
@@ -236,7 +236,6 @@ _SCHED_COUNTERS = (
     "sccs",
     "scc_schedules",
     "backtracks",
-    "mrt_bitmask_fast_path",
 )
 
 def bench_scheduler(seed: int, graphs: int) -> dict[str, Any]:

@@ -68,7 +68,7 @@ from repro.batch.driver import (
 )
 from repro.batch.pool import WorkerPool
 from repro.core.compile import CompilerPolicy
-from repro.machine import SIMPLE, WARP, MachineDescription
+from repro.machine import MACHINES, MachineDescription
 from repro.obs import CompileObserver
 from repro.serve.protocol import (
     DEFAULT_SOCKET,
@@ -82,8 +82,6 @@ from repro.serve.protocol import (
     validate_request,
 )
 from repro.workloads import generate_suite
-
-MACHINES: dict[str, MachineDescription] = {"warp": WARP, "simple": SIMPLE}
 
 #: Refuse request lines longer than this (a malformed client should not
 #: buffer the server into the ground).

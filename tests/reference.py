@@ -9,7 +9,8 @@ shipped fast paths to.
 * :class:`DictModuloReservationTable` — the name-keyed modulo reservation
   table, the differential oracle for the integer-packed
   :class:`repro.core.mrt.ModuloReservationTable`, and
-  :class:`DictResourceGrid`, its non-modulo counterpart.
+  :class:`DictResourceGrid`, the oracle for its non-modulo counterpart
+  :class:`repro.core.mrt.ResourceGrid`.
 * :func:`reference_list_schedule` — the list scheduler with a Kahn
   topological pass for heights and a ready list re-sorted before every
   pick, the oracle for :func:`repro.core.listsched.list_schedule`'s one
@@ -169,18 +170,6 @@ class DictModuloReservationTable:
             row = (time + offset) % self.s
             self._rows[row][resource] = self._rows[row].get(resource, 0) + amount
 
-    def remove(self, reservation: ReservationTable, time: int) -> None:
-        """All-or-nothing: validate every (row, resource) total first."""
-        needed: dict[tuple[int, str], int] = {}
-        for offset, resource, amount in reservation:
-            key = ((time + offset) % self.s, resource)
-            needed[key] = needed.get(key, 0) + amount
-        for (row, resource), amount in needed.items():
-            if self._rows[row].get(resource, 0) < amount:
-                raise ValueError("removing a pattern that was never placed")
-        for (row, resource), amount in needed.items():
-            self._rows[row][resource] -= amount
-
     def earliest_fit(self, reservation: ReservationTable, earliest: int,
                      latest: int | None = None) -> int | None:
         cap = earliest + self.s - 1
@@ -217,10 +206,13 @@ class DictResourceGrid:
     def place_earliest(self, reservation: ReservationTable, time: int) -> int:
         while not self.fits(reservation, time):
             time += 1
+        self.occupy(reservation, time)
+        return time
+
+    def occupy(self, reservation: ReservationTable, time: int) -> None:
         for offset, resource, amount in reservation:
             row = self.rows.setdefault(time + offset, {})
             row[resource] = row.get(resource, 0) + amount
-        return time
 
 
 def reference_list_schedule(

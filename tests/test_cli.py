@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line driver."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -142,7 +144,19 @@ class TestBatchSubcommands:
         out = tmp_path / "BENCH_scheduler.json"
         assert main(["bench", "--quick", "--jobs", "2",
                      "--out", str(out)]) == 0
-        assert out.exists()
-        assert main(["bench", "--quick", "--jobs", "2",
-                     "--compare", str(out)]) == 0
         assert "closure" in capsys.readouterr().out
+        # Baselines without per-unit times: --compare then gates only the
+        # exact call count, which the host's load cannot move.
+        report = json.loads(out.read_text())
+        for entry in report["benchmarks"].values():
+            entry.pop("per_unit_seconds", None)
+        passing = tmp_path / "passing.json"
+        passing.write_text(json.dumps(report))
+        report["benchmarks"]["suite"]["kcalls_per_program"] /= 2
+        failing = tmp_path / "failing.json"
+        failing.write_text(json.dumps(report))
+        compare = ["bench", "--quick", "--only", "suite", "--compare"]
+        assert main(compare + [str(passing)]) == 0
+        assert "regression" not in capsys.readouterr().err
+        assert main(compare + [str(failing)]) == 1
+        assert "kcalls/program vs baseline" in capsys.readouterr().err

@@ -14,10 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.audit import audit_program
-from repro.machine import SIMPLE, WARP
+from repro.machine import MACHINES
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
-MACHINES = {"warp": WARP, "simple": SIMPLE}
 
 
 def _entries():

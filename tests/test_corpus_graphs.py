@@ -19,10 +19,9 @@ from repro.audit.oracle import audit_result
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.schedule import SchedulingFailure
 from repro.exact import ExactScheduler
-from repro.machine import SIMPLE, WARP
+from repro.machine import MACHINES
 
 CORPUS = Path(__file__).parent / "corpus" / "graphs"
-MACHINES = {"warp": WARP, "simple": SIMPLE}
 
 REQUIRED_KEYS = {
     "name", "bug_class", "description", "machine", "generator", "expected",

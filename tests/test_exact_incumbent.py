@@ -22,7 +22,7 @@ from repro.core.display import disassemble
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.schedule import SchedulingFailure
 from repro.exact import ExactScheduler
-from repro.machine import SIMPLE, WARP
+from repro.machine import MACHINES, WARP
 from repro.obs import trace as obs
 from repro.workloads import LIVERMORE_KERNELS, USER_PROGRAMS, generate_suite
 
@@ -37,14 +37,13 @@ EXACT = CompilerPolicy(scheduler_backend="exact")
 
 
 def _graphs():
-    machines = {"warp": WARP, "simple": SIMPLE}
     graphs = []
     for path in sorted(CORPUS.glob("*.json")):
         entry = json.loads(path.read_text())
         generator = entry["generator"]
         config = GraphConfig(**generator["config"])
         graphs.append((path.stem, generator["seed"], config,
-                       machines[entry["machine"]]))
+                       MACHINES[entry["machine"]]))
     graphs += [(f"fuzz{seed}", seed, FUZZ_CONFIG, WARP)
                for seed in FUZZ_SEEDS]
     return graphs

@@ -29,7 +29,7 @@ from repro.exact import (
     ModuloCnf,
 )
 from repro.exact.solver import SolveResult
-from repro.machine import SIMPLE, WARP
+from repro.machine import MACHINES, WARP
 
 from reference import ScanDecisionSolver
 
@@ -104,13 +104,12 @@ def corpus_encodings():
             super().__init__(*args, **kwargs)
             built.append((self.num_vars, [list(c) for c in self.clauses]))
 
-    machines = {"warp": WARP, "simple": SIMPLE}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(repro.exact.backend, "ModuloCnf", Recording)
         for path in sorted(CORPUS.glob("*.json")):
             entry = json.loads(path.read_text())
             generator = entry["generator"]
-            machine = machines[entry["machine"]]
+            machine = MACHINES[entry["machine"]]
             graph = random_dep_graph(
                 generator["seed"], machine, GraphConfig(**generator["config"])
             )

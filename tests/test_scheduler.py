@@ -57,16 +57,18 @@ class TestMrt:
 
     def test_wraparound_conflict(self):
         mrt = ModuloReservationTable(WARP, 3)
-        mrt.place(ReservationTable.single("mem"), 1)
-        assert not mrt.fits(ReservationTable.single("mem"), 4)  # 4 mod 3 == 1
-        assert mrt.fits(ReservationTable.single("mem"), 5)
+        mem = ReservationTable.single("mem")
+        mrt.place(mem, 1)
+        assert mrt.place_earliest(mem, 4, 4) is None  # 4 mod 3 == 1
+        assert mrt.place_earliest(mem, 5, 5) == 5
 
     def test_multicycle_pattern(self):
         pattern = ReservationTable([ResourceUse(0, "alu"), ResourceUse(1, "alu")])
         mrt = ModuloReservationTable(WARP, 2)
         mrt.place(pattern, 0)  # occupies both rows
-        assert not mrt.fits(ReservationTable.single("alu"), 0)
-        assert not mrt.fits(ReservationTable.single("alu"), 1)
+        alu = ReservationTable.single("alu")
+        assert mrt.place_earliest(alu, 0, 0) is None
+        assert mrt.place_earliest(alu, 1, 1) is None
 
     def test_place_earliest_scans_at_most_s_slots(self):
         mrt = ModuloReservationTable(WARP, 3)
@@ -83,43 +85,18 @@ class TestMrt:
         assert mrt.place_earliest(alu, 0, latest=1) == 1
         assert mrt.usage(1, "alu") == 1
 
-    def test_remove_restores_capacity(self):
-        mrt = ModuloReservationTable(WARP, 2)
-        table = ReservationTable.single("fadd")
-        mrt.place(table, 0)
-        mrt.remove(table, 0)
-        assert mrt.fits(table, 0)
-
-    def test_remove_unplaced_raises(self):
-        mrt = ModuloReservationTable(WARP, 2)
-        with pytest.raises(ValueError):
-            mrt.remove(ReservationTable.single("fadd"), 0)
-
-    def test_failed_remove_leaves_usage_unchanged(self):
-        # Removing a pattern whose *second* row was never placed must not
-        # decrement the first row on its way to the error.
+    def test_refused_place_leaves_usage_unchanged(self):
+        # A pattern whose *second* row is taken must not claim the first
+        # row on its way to the error.
         mrt = ModuloReservationTable(WARP, 3)
-        mrt.place(ReservationTable.single("alu"), 0)
+        mrt.place(ReservationTable.single("alu"), 1)
         two_rows = ReservationTable(
             [ResourceUse(0, "alu"), ResourceUse(1, "alu")]
         )
         with pytest.raises(ValueError):
-            mrt.remove(two_rows, 0)
-        assert mrt.usage(0, "alu") == 1
-        assert mrt.usage(1, "alu") == 0
-
-    def test_remove_same_cell_entries_validated_together(self):
-        # Two pattern entries landing on the same modulo cell must be
-        # summed before validation: each alone fits the single placed
-        # unit, together they do not.
-        mrt = ModuloReservationTable(WARP, 2)
-        mrt.place(ReservationTable.single("alu"), 0)
-        folded = ReservationTable(
-            [ResourceUse(0, "alu"), ResourceUse(2, "alu")]  # 2 mod 2 == 0
-        )
-        with pytest.raises(ValueError):
-            mrt.remove(folded, 0)
-        assert mrt.usage(0, "alu") == 1
+            mrt.place(two_rows, 0)
+        assert mrt.usage(0, "alu") == 0
+        assert mrt.usage(1, "alu") == 1
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):

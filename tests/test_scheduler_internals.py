@@ -5,8 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cyclic import _zero_omega_order, schedule_component
-from repro.core.listsched import _ResourceGrid, list_schedule
-from repro.core.mrt import ModuloReservationTable
+from repro.core.listsched import list_schedule
+from repro.core.mrt import ModuloReservationTable, ResourceGrid
 from repro.deps.graph import DepGraph, DepNode
 from repro.deps.paths import SymbolicPaths
 from repro.ir import Opcode, Operation
@@ -121,14 +121,26 @@ def _dag(draw):
 
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
-@given(dag=_dag(), s=st.integers(min_value=0, max_value=6))
-def test_list_schedule_matches_reference(dag, s):
+@given(
+    dag=_dag(),
+    s=st.integers(min_value=0, max_value=6),
+    emitted=st.lists(st.tuples(
+        st.sampled_from(_OP_RESERVATIONS),
+        st.integers(min_value=-2, max_value=6),
+    ), max_size=6),
+)
+def test_list_schedule_matches_reference(dag, s, emitted):
     """The heap scheduler and the sort-based oracle return the same times,
-    or both refuse: under the plain grid (``s`` = 0) and under modulo
-    tables with the loop-back branch pre-placed in the last row."""
+    or both refuse: under the plain grid (``s`` = 0), seeded unchecked
+    with patterns already emitted (which may oversubscribe a unit), and
+    under modulo tables with the loop-back branch pre-placed in the last
+    row."""
     reservations, spans, succs = dag
     if s == 0:
-        table, reference = _ResourceGrid(WARP), DictResourceGrid(WARP)
+        table, reference = ResourceGrid(WARP), DictResourceGrid(WARP)
+        for reservation, time in emitted:
+            table.occupy(reservation, time)
+            reference.occupy(reservation, time)
     else:
         table = ModuloReservationTable(WARP, s)
         reference = DictModuloReservationTable(WARP, s)
