@@ -13,14 +13,16 @@ Usage::
 
 ``--stats`` dumps the observability layer's JSON breakdown: per-phase
 wall-clock timings (dependence build, MII bounds, each II attempt, MVE,
-emission), counters (II attempts, SCCs, backtracks), and per-loop
-achieved-II vs. MII gaps.  ``suite`` compiles the 72-program synthetic
-suite through the parallel batch driver; with ``--cache-dir`` a rerun is a
-hash lookup per program.  ``fuzz`` runs the randomized invariant-audit
-campaign of :mod:`repro.audit`: seeded random programs through
-compile->simulate differential testing plus per-loop schedule-oracle
-audits, and seeded random dependence graphs straight through the modulo
-scheduler; any failure prints the single-case seed that reproduces it.
+emission), counters (II attempts, SCCs, backtracks), and, for
+``compile`` and ``run``, each loop's ``LoopReport`` (achieved II against
+the MII lower bound), cache hits included.  ``suite`` compiles the
+72-program synthetic suite through the parallel batch driver; with
+``--cache-dir`` a rerun is a hash lookup per program.  ``fuzz`` runs the
+randomized invariant-audit campaign of :mod:`repro.audit`: seeded random
+programs through compile->simulate differential testing plus per-loop
+schedule-oracle audits, and seeded random dependence graphs straight
+through the modulo scheduler; any failure prints the single-case seed
+that reproduces it.
 """
 
 from __future__ import annotations

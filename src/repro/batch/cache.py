@@ -103,11 +103,13 @@ def fingerprint_machine(machine: MachineDescription) -> str:
     return machine.fingerprint
 
 
+@functools.lru_cache(maxsize=256)
 def fingerprint_policy(policy: "CompilerPolicy") -> str:
     """Stable fingerprint of a :class:`CompilerPolicy`.
 
     ``dataclasses.asdict`` is not used directly because frozenset fields
-    iterate in hash order; collections are sorted first.
+    iterate in hash order; collections are sorted first.  Memoised by
+    value: the server keys every unit it is sent.
     """
     fields: dict[str, Any] = {}
     for f in dataclasses.fields(policy):

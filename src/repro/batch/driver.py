@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import time
 import traceback as _traceback
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.batch.cache import ScheduleCache, cache_key, source_key
@@ -243,16 +243,14 @@ def alias_hit(
     alias: str,
     cache: ScheduleCache,
     t0: float,
-    observer: Optional[obs.CompileObserver] = None,
 ) -> Optional[CompileResult]:
     """The ``from_cache`` result for a source already served, or ``None``.
 
     ``alias`` is the source's :func:`~repro.batch.cache.source_key` under
     the request's machine and policy.  :meth:`ScheduleCache.resolve` reads
-    only the memory layer, so this never opens a file: ``compile_one``
-    calls it first, and the compile server calls it on its event loop to
-    answer a repeat without a pool task.  ``seconds`` runs from ``t0``;
-    an ``observer`` supplies the stats, which carry no phases.
+    only the memory layer, so this never opens a file: the compile server
+    calls it on its event loop to answer a repeat without a pool task.
+    ``seconds`` runs from ``t0``; the result carries no stats.
     """
     compiled = cache.resolve(alias)
     if compiled is None:
@@ -262,8 +260,46 @@ def alias_hit(
         compiled=compiled,
         from_cache=True,
         seconds=time.perf_counter() - t0,
-        stats=observer.to_dict() if observer is not None else None,
     )
+
+
+def _compile_cached(
+    source: str,
+    machine: MachineDescription,
+    policy: CompilerPolicy,
+    cache: Optional[ScheduleCache],
+) -> tuple[CompiledProgram, bool]:
+    """``source`` compiled, and whether ``cache`` supplied it: by its
+    alias before the frontend runs, else by its IR key (memory, then
+    disk).  A failure raises, so it is never aliased."""
+    if cache is not None:
+        alias = source_key(source, machine, policy)
+        compiled = cache.resolve(alias)
+        if compiled is not None:
+            return compiled, True
+    with obs.phase("frontend"):
+        from repro.frontend import parse_program
+
+        program, pragmas = parse_program(source)
+        if pragmas.independent_arrays:
+            policy = replace(
+                policy,
+                independent_arrays=policy.independent_arrays
+                | pragmas.independent_arrays,
+            )
+    if cache is None:
+        return compile_program(program, machine, policy), False
+    key = cache_key(program, machine, policy)
+    compiled = cache.get(key)
+    from_cache = compiled is not None
+    if not from_cache:
+        compiled = compile_program(program, machine, policy)
+        try:
+            cache.put(key, compiled)
+        except OSError:
+            pass  # an unwritable cache must not fail the program
+    cache.add_alias(alias, key)
+    return compiled, from_cache
 
 
 def compile_one(
@@ -280,73 +316,40 @@ def compile_one(
     Never raises for compiler-side failures: syntax errors, unschedulable
     loops, and register exhaustion all come back as ``result.error``.
 
-    With a cache, a source already served under this machine and policy
-    is answered by :func:`alias_hit` before the frontend runs, so its
-    ``collect_stats`` stats carry no phases at all.  A new source, or one
-    whose entry has left the memory layer, is parsed, looked up by its IR
-    key (memory, then disk) and, on a hit or after compiling, aliased.
-    Sources that fail to compile are never aliased.
+    With ``collect_stats``, ``result.stats`` holds the observer's phases,
+    counters and events, and under ``"loops"`` the program's
+    :class:`~repro.core.compile.LoopReport` dicts, alike for a compile and
+    a cache hit (an error has none).
     """
     t0 = time.perf_counter()
+    compiled = error = None
+    from_cache = False
     with obs.observe() as observer:
         try:
-            if cache is not None:
-                alias = source_key(source, machine, policy)
-                hit = alias_hit(
-                    name, alias, cache, t0, observer if collect_stats else None
-                )
-                if hit is not None:
-                    return hit
-            with obs.phase("frontend"):
-                from repro.frontend import parse_program
-
-                program, pragmas = parse_program(source)
-                if pragmas.independent_arrays:
-                    policy = replace(
-                        policy,
-                        independent_arrays=policy.independent_arrays
-                        | pragmas.independent_arrays,
-                    )
-            key = None
-            if cache is not None:
-                key = cache_key(program, machine, policy)
-                cached = cache.get(key)
-                if cached is not None:
-                    cache.add_alias(alias, key)
-                    return CompileResult(
-                        name=name,
-                        compiled=cached,
-                        from_cache=True,
-                        seconds=time.perf_counter() - t0,
-                        stats=observer.to_dict() if collect_stats else None,
-                    )
-            compiled = compile_program(program, machine, policy)
-            if cache is not None and key is not None:
-                try:
-                    cache.put(key, compiled)
-                except OSError:
-                    pass  # an unwritable cache must not fail the program
-                cache.add_alias(alias, key)
-        except Exception as exc:
-            phase = observer.events[-1].name if observer.events else ""
-            return CompileResult(
-                name=name,
-                error=CompileError(
-                    name=name,
-                    phase=phase,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback=_traceback.format_exc(),
-                ),
-                seconds=time.perf_counter() - t0,
-                stats=observer.to_dict() if collect_stats else None,
+            compiled, from_cache = _compile_cached(
+                source, machine, policy, cache
             )
-        return CompileResult(
-            name=name,
-            compiled=compiled,
-            seconds=time.perf_counter() - t0,
-            stats=observer.to_dict() if collect_stats else None,
+        except Exception as exc:
+            error = CompileError(
+                name=name,
+                phase=observer.events[-1].name if observer.events else "",
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback=_traceback.format_exc(),
+            )
+    result = CompileResult(
+        name=name,
+        compiled=compiled,
+        error=error,
+        from_cache=from_cache,
+        seconds=time.perf_counter() - t0,
+    )
+    if collect_stats:
+        result.stats = observer.to_dict()
+        result.stats["loops"] = (
+            [] if compiled is None else [asdict(l) for l in compiled.loops]
         )
+    return result
 
 
 def _compile_item(

@@ -113,7 +113,7 @@ class CompilerPolicy:
 
 @dataclass
 class LoopReport:
-    """What happened to one innermost loop."""
+    """What happened to one innermost loop; ``--stats`` reports it as is."""
 
     label: str
     pipelined: bool
@@ -383,21 +383,6 @@ class _Compiler:
             obs.count("loops_pipelined")
             if report.ii == report.mii:
                 obs.count("loops_at_mii")
-        obs.record_loop(
-            label=report.label,
-            pipelined=report.pipelined,
-            ii=report.ii,
-            mii=report.mii,
-            ii_gap=(report.ii - report.mii) if report.pipelined else None,
-            critical_resource=report.critical_resource,
-            attempts=list(report.attempts),
-            unroll=report.unroll,
-            stage_count=report.stage_count,
-            unpipelined_length=report.unpipelined_length,
-            reason=report.reason,
-            backend=report.backend,
-            exact_search=report.exact_search,
-        )
         return regions
 
     def _try_pipeline(

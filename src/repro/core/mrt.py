@@ -56,7 +56,8 @@ class ModuloReservationTable:
         By the definition of modulo resource usage, if a pattern does not
         fit in ``s`` consecutive slots it fits nowhere, so the scan is
         always capped at ``earliest + s - 1``.  The slot found is committed
-        without a second check.
+        without a second check.  A pattern longer than ``s`` goes by its
+        cells summed per row: two cells ``s`` apart share one.
         """
         s = self.s
         cap = earliest + s - 1
@@ -68,6 +69,8 @@ class ModuloReservationTable:
         counts = self._counts
         nres = self._nres
         cells = packed.cells
+        if packed.length > s:
+            cells = packed.modulo_cells(s)
         for time in range(earliest, cap + 1):
             for offset, rid, amount, limit in cells:
                 if counts[((time + offset) % s) * nres + rid] + amount > limit:

@@ -34,10 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class PackedReservation:
     """One reservation table compiled against one machine's interning."""
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "length")
 
-    def __init__(self, cells: tuple[tuple[int, int, int, int], ...]) -> None:
+    def __init__(
+        self, cells: tuple[tuple[int, int, int, int], ...], length: int
+    ) -> None:
         self.cells = cells
+        self.length = length
 
     @classmethod
     def compile(
@@ -53,7 +56,19 @@ class PackedReservation:
         for offset, resource, amount in table:
             rid = index[resource]
             cells.append((offset, rid, amount, counts[rid]))
-        return cls(tuple(cells))
+        return cls(tuple(cells), table.length)
+
+    def modulo_cells(self, s: int) -> tuple[tuple[int, int, int, int], ...]:
+        """The cells folded onto ``s`` modulo rows, amounts summed per
+        ``(row, rid)``."""
+        folded: dict[tuple[int, int], list[int]] = {}
+        for offset, rid, amount, limit in self.cells:
+            row = offset % s
+            if (row, rid) in folded:
+                folded[row, rid][2] += amount
+            else:
+                folded[row, rid] = [row, rid, amount, limit]
+        return tuple(map(tuple, folded.values()))
 
     def __repr__(self) -> str:
         return f"PackedReservation({len(self.cells)} cells)"

@@ -6,13 +6,13 @@ path).  This package provides the instrumentation: a
 :class:`CompileObserver` collects per-phase wall-clock timings (dependence
 graph construction, MII bounds, each initiation-interval attempt, modulo
 variable expansion, emission), counters (II attempts, SCC counts,
-backtracks), and per-loop summaries (achieved II vs. the MII lower bound),
-all dumpable as JSON via ``python -m repro compile --stats``.
+backtracks), all dumpable as JSON via ``python -m repro compile --stats``
+beside each loop's :class:`~repro.core.compile.LoopReport`.
 
 Core modules report through the module-level helpers (:func:`phase`,
-:func:`count`, :func:`record_loop`), which are no-ops unless an observer
-has been installed with :func:`observe` — uninstrumented compiles pay only
-a context-variable lookup.
+:func:`count`), which are no-ops unless an observer has been installed
+with :func:`observe` — uninstrumented compiles pay only a
+context-variable lookup.
 """
 
 from repro.obs.trace import (
@@ -22,7 +22,6 @@ from repro.obs.trace import (
     current,
     observe,
     phase,
-    record_loop,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "current",
     "observe",
     "phase",
-    "record_loop",
 ]

@@ -45,7 +45,7 @@ class TraceEvent:
 
 
 class CompileObserver:
-    """Collects phase timings, counters, and per-loop scheduling summaries."""
+    """Collects phase timings and counters for one compilation."""
 
     def __init__(self) -> None:
         self._clock = time.perf_counter
@@ -54,7 +54,6 @@ class CompileObserver:
         self.phase_seconds: dict[str, float] = {}
         self.phase_calls: dict[str, int] = {}
         self.counters: dict[str, int] = {}
-        self.loops: list[dict[str, Any]] = []
 
     # -- recording -----------------------------------------------------------
 
@@ -65,9 +64,6 @@ class CompileObserver:
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def record_loop(self, **fields: Any) -> None:
-        self.loops.append(fields)
 
     # -- reporting -----------------------------------------------------------
 
@@ -86,7 +82,6 @@ class CompileObserver:
                 for name in sorted(self.phase_seconds)
             },
             "counters": dict(sorted(self.counters.items())),
-            "loops": list(self.loops),
             "events": [event.to_dict() for event in self.events],
         }
 
@@ -168,9 +163,3 @@ def count(name: str, amount: int = 1) -> None:
     obs = _CURRENT.get()
     if obs is not None:
         obs.count(name, amount)
-
-
-def record_loop(**fields: Any) -> None:
-    obs = _CURRENT.get()
-    if obs is not None:
-        obs.record_loop(**fields)

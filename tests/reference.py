@@ -156,12 +156,16 @@ class DictModuloReservationTable:
         return self._rows[row % self.s].get(resource, 0)
 
     def fits(self, reservation: ReservationTable, time: int) -> bool:
+        # Sum the pattern per row first: cells ``s`` apart share a row.
+        need: dict[tuple[int, str], int] = {}
         for offset, resource, amount in reservation:
-            row = (time + offset) % self.s
-            used = self._rows[row].get(resource, 0)
-            if used + amount > self.machine.units(resource):
-                return False
-        return True
+            key = ((time + offset) % self.s, resource)
+            need[key] = need.get(key, 0) + amount
+        return all(
+            self._rows[row].get(resource, 0) + amount
+            <= self.machine.units(resource)
+            for (row, resource), amount in need.items()
+        )
 
     def place(self, reservation: ReservationTable, time: int) -> None:
         if not self.fits(reservation, time):

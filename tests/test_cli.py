@@ -66,6 +66,23 @@ class TestCli:
         assert main(["compile", "-"]) == 0
         assert "pipelined" in capsys.readouterr().out
 
+    def test_cached_rerun_prints_the_same_loops(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import io
+
+        loops = []
+        for _ in range(2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(SOURCE))
+            assert main(["compile", "-", "--cache-dir", str(tmp_path),
+                         "--stats"]) == 0
+            out = capsys.readouterr().out
+            loops.append(json.loads(out[out.index("\n{") + 1:])["loops"])
+        assert "(served from the schedule cache)" in out
+        assert loops[0] == loops[1]
+        (record,) = loops[0]
+        assert record["pipelined"] and record["ii"] == record["mii"]
+
     def test_bad_command_rejected(self, source_file):
         with pytest.raises(SystemExit):
             main(["optimize", source_file])

@@ -136,6 +136,25 @@ class TestCacheKeys:
             assert isinstance(digest, str)
             int(digest, 16)  # raises if not hex
 
+    def test_equal_policies_share_one_memoised_fingerprint(self):
+        # Built apart, the pragma arrays listed in different orders: the
+        # second call is answered from the memo, the very same string.
+        first = fingerprint_policy(
+            CompilerPolicy(independent_arrays=frozenset(["a", "b", "c"]))
+        )
+        second = fingerprint_policy(
+            CompilerPolicy(independent_arrays=frozenset(["c", "b", "a"]))
+        )
+        assert first is second
+        for changed in (
+            CompilerPolicy(independent_arrays=frozenset(["a", "b"])),
+            CompilerPolicy(
+                independent_arrays=frozenset(["a", "b", "c"]),
+                serialize_ifs=False,
+            ),
+        ):
+            assert fingerprint_policy(changed) != first
+
 
 def test_livermore_reports_stable_across_runs():
     """A heavier program with pragmas: identical report both times."""

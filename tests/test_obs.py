@@ -1,13 +1,18 @@
-"""Phase spans of the compile observer (repro.obs)."""
+"""Phase spans of the compile observer (repro.obs), and the per-loop
+records ``--stats`` reports with them."""
+
+from dataclasses import asdict
 
 import pytest
 
 import repro.core.compile as compile_mod
 from repro import obs
+from repro.batch.cache import ScheduleCache
 from repro.batch.driver import compile_one
 from repro.core.compile import CompilerPolicy
 from repro.machine import WARP
 from repro.obs.trace import PhaseSpan
+from repro.workloads import generate_suite
 
 SOURCE = """
 program v;
@@ -102,3 +107,45 @@ class TestPhaseSpans:
             assert {"name", "at", "seconds"} <= set(event)
         (attempt,) = [e for e in stats["events"] if e["name"] == "ii_attempt"]
         assert attempt["ii"] >= 1
+
+
+class TestOneLoopRecord:
+    """``stats["loops"]`` is the compiled program's own ``LoopReport``s,
+    whether the program was compiled, read back by its IR key or answered
+    from its source alias."""
+
+    def test_miss_disk_hit_and_alias_hit_report_the_same_loops(
+        self, tmp_path
+    ):
+        suite3 = next(p for p in generate_suite() if p.name == "suite3")
+        miss = compile_one("suite3", suite3.source, WARP,
+                           cache=ScheduleCache(tmp_path), collect_stats=True)
+        warm = ScheduleCache(tmp_path)
+        disk = compile_one("suite3", suite3.source, WARP,
+                           cache=warm, collect_stats=True)
+        alias = compile_one("suite3", suite3.source, WARP,
+                            cache=warm, collect_stats=True)
+        assert [miss.from_cache, disk.from_cache, alias.from_cache] == [
+            False, True, True
+        ]
+        assert "frontend" in disk.stats["phases"]
+        assert alias.stats["phases"] == {}  # no frontend: the alias hit
+        for result in (miss, disk, alias):
+            assert result.stats["loops"] == [
+                asdict(loop) for loop in result.compiled.loops
+            ]
+        assert miss.stats["loops"] == disk.stats["loops"]
+        assert miss.stats["loops"] == alias.stats["loops"]
+        (record,) = miss.stats["loops"]
+        assert record["resource_mii"] == record["mii"] == 14
+        assert record["recurrence_mii"] is not None
+        assert record["has_recurrence"] is not None
+
+    def test_an_error_reports_no_loops(self):
+        result = compile_one("bad", "program", WARP, collect_stats=True)
+        assert not result.ok
+        assert result.stats["loops"] == []
+
+    def test_the_observer_keeps_no_loop_records(self):
+        assert not hasattr(obs, "record_loop")
+        assert "loops" not in obs.CompileObserver().to_dict()

@@ -8,14 +8,21 @@ where the reference's does, and ``place_earliest`` answering and placing
 as the reference's ``earliest_fit`` followed by ``place`` does.  A
 hypothesis test runs random interleavings of both placements against
 both tables side by side; the machines include multi-capacity resources,
-so counts above one are exercised too.
+so counts above one are exercised too.  Patterns may be longer than the
+interval, so two cells of one unit can share a modulo row.  A second
+oracle, :func:`~repro.audit.oracle.audit_modulo_resources`, re-derives
+the rows from the placements alone, so the reference cannot share a
+defect with the table unnoticed.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.audit.oracle import audit_modulo_resources
 from repro.core.mrt import ModuloReservationTable
+from repro.core.schedule import KernelSchedule
+from repro.deps.graph import DepGraph, DepNode
 from repro.machine import WARP, make_custom
 from repro.machine.resources import ReservationTable, ResourceUse
 
@@ -35,6 +42,20 @@ def _tables_equal(packed, reference, s):
             assert packed.usage(row, resource) == reference.usage(
                 row, resource
             ), (row, resource)
+
+
+def _audit(machine, s, placed):
+    """The resource audit of ``placed`` ``(reservation, time)`` pairs, read
+    as one kernel at interval ``s`` (the audit adds the loop-back branch
+    at row ``s - 1`` itself)."""
+    graph = DepGraph()
+    times = {}
+    for index, (reservation, time) in enumerate(placed):
+        graph.add_node(DepNode(index, reservation, None))
+        times[index] = time
+    return audit_modulo_resources(
+        KernelSchedule(graph, machine, s, times, mii=None)
+    )
 
 
 @st.composite
@@ -85,14 +106,30 @@ def _script(draw):
     s=st.integers(min_value=1, max_value=6),
     script=_script(),
 )
+# Two alu cells one interval apart, on a machine with one alu.
+@example(
+    machine=WARP,
+    s=1,
+    script=[(
+        1,
+        ReservationTable([ResourceUse(0, "alu", 1), ResourceUse(1, "alu", 1)]),
+        0,
+        None,
+    )],
+)
 def test_packed_matches_dict_reference(machine, s, script):
     packed = ModuloReservationTable(machine, s)
     reference = DictModuloReservationTable(machine, s)
+    # As the pipeliner does, pre-place the loop-back branch in the last row.
+    packed.place(machine.branch_reservation, s - 1)
+    reference.place(machine.branch_reservation, s - 1)
+    placed = []
     for op, reservation, time, window in script:
         if op == 0:
             if reference.fits(reservation, time):
                 packed.place(reservation, time)
                 reference.place(reservation, time)
+                placed.append((reservation, time))
             else:
                 with pytest.raises(ValueError):
                     packed.place(reservation, time)
@@ -101,8 +138,28 @@ def test_packed_matches_dict_reference(machine, s, script):
             expected = reference.earliest_fit(reservation, time, latest)
             if expected is not None:
                 reference.place(reservation, expected)
+                placed.append((reservation, expected))
             assert packed.place_earliest(reservation, time, latest) == expected
         _tables_equal(packed, reference, s)
+        assert _audit(machine, s, placed) == []
+
+
+def test_cells_sharing_a_row_are_summed():
+    # Two alu cells s apart land in one row of WARP's single alu.
+    pattern = ReservationTable(
+        [ResourceUse(0, "alu", 1), ResourceUse(2, "alu", 1)]
+    )
+    mrt = ModuloReservationTable(WARP, 2)
+    assert mrt.place_earliest(pattern, 0) is None
+    with pytest.raises(ValueError):
+        mrt.place(pattern, 1)
+    assert mrt.usage(0, "alu") == mrt.usage(1, "alu") == 0
+    assert not DictModuloReservationTable(WARP, 2).fits(pattern, 0)
+    # With two alus the summed row fits, and holds both cells.
+    multi = ModuloReservationTable(MULTI, 2)
+    assert multi.place_earliest(pattern, 0) == 0
+    assert multi.usage(0, "alu") == 2
+    assert multi.place_earliest(ReservationTable.single("alu"), 0) == 1
 
 
 def test_refused_place_leaves_table_untouched():
@@ -191,3 +248,29 @@ class TestPackingSlot:
             for time, resource, amount in table
         )
         assert pickle.dumps(table) == pickle.dumps(unpacked)
+
+
+# ``out[i] := a[i] + b[i]`` under a condition: reduced without
+# serialisation, the IF node holds ``mem`` at offsets 1, 2 and 13, so at
+# the MII of 4 two of its cells share row 1.
+OVERLAPPED_IF = """
+program probe;
+var a, b, c, out: array[64] of float;
+begin
+  for i := 0 to 49 do
+    if c[i] > 0.5 then
+      out[i] := a[i] + b[i];
+end.
+"""
+
+
+@pytest.mark.parametrize("backend", ["heuristic", "exact"])
+def test_overlapped_if_kernel_audits_clean(backend):
+    from repro.audit.differential import audit_program
+    from repro.batch.driver import compile_one
+    from repro.core.compile import CompilerPolicy
+
+    policy = CompilerPolicy(serialize_ifs=False, scheduler_backend=backend)
+    assert audit_program("probe", OVERLAPPED_IF, WARP, policy) == []
+    (loop,) = compile_one("probe", OVERLAPPED_IF, WARP, policy).compiled.loops
+    assert (loop.mii, loop.ii) == (4, 5)
