@@ -11,8 +11,6 @@ Top-level convenience API::
     print(stats.mflops, "MFLOPS")
 """
 
-from dataclasses import replace as _replace
-
 from repro.machine import SIMPLE, WARP, MachineDescription, make_custom, make_warp
 from repro.core.compile import (
     CompiledProgram,
@@ -43,15 +41,9 @@ def compile_source(
     Source-level ``{$independent arr}`` pragmas (the paper's array
     disambiguation directives) are merged into the policy.
     """
-    from repro.frontend import parse_program
+    from repro.frontend import parse_with_policy
 
-    program, pragmas = parse_program(source)
-    if pragmas.independent_arrays:
-        policy = _replace(
-            policy,
-            independent_arrays=policy.independent_arrays
-            | pragmas.independent_arrays,
-        )
+    program, policy = parse_with_policy(source, policy)
     return compile_program(program, machine, policy)
 
 

@@ -122,12 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker threads/processes for the batch driver (default: 1)",
-    )
-    suite.add_argument(
-        "--backend", choices=["thread", "process"], default="thread",
-        help="worker-pool backend; 'process' sidesteps the GIL for"
-             " CPU-bound batches (default: thread)",
+        help="worker threads for the batch driver (default: 1)",
     )
     suite.add_argument(
         "--count", type=int, default=72, metavar="N",
@@ -152,12 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker threads/processes for the campaign (default: 1)",
-    )
-    fuzz.add_argument(
-        "--backend", choices=["thread", "process"], default="thread",
-        help="worker-pool backend; 'process' sidesteps the GIL for"
-             " CPU-bound campaigns (default: thread)",
+        help="worker processes for the campaign (default: 1, inline)",
     )
     fuzz.add_argument(
         "--stats", action="store_true",
@@ -177,12 +167,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_endpoint_args(serve)
     serve.add_argument(
         "--jobs", type=int, default=4, metavar="N",
-        help="persistent worker-pool size (default: 4)",
+        help="persistent worker-thread pool size (default: 4)",
     )
     serve.add_argument(
-        "--backend", choices=["thread", "process"], default="thread",
-        help="worker-pool backend; 'process' sidesteps the GIL on"
-             " multi-core hosts (default: thread)",
+        "--backend", choices=["thread"], default="thread",
+        help="worker-pool backend; threads are the only one, and the"
+             " flag stays for existing command lines",
     )
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -236,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--only", default=None, metavar="NAMES",
         help="comma-separated benchmark subset"
-             " (closure,scheduler,optimality,suite,backends,loadgen)",
+             " (closure,scheduler,optimality,suite,loadgen)",
     )
     bench.add_argument(
         "--out", default=None, metavar="PATH",
@@ -249,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--jobs", type=int, default=4, metavar="N",
-        help="worker count for the backend-comparison benchmark"
+        help="compile server worker threads for the loadgen benchmark"
              " (default: 4)",
     )
     bench.add_argument(
@@ -288,8 +278,7 @@ def _run_suite(args: argparse.Namespace) -> int:
     programs = generate_suite()[: args.count]
     report = compile_many(
         programs, machine, args.policy,
-        jobs=args.jobs, backend=args.backend,
-        cache=cache, collect_stats=args.stats,
+        jobs=args.jobs, cache=cache, collect_stats=args.stats,
     )
     print(report.summary())
     for error in report.errors:
@@ -307,7 +296,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         count=args.count,
         graphs=args.graphs,
         jobs=args.jobs,
-        backend=args.backend,
         machine=MACHINES[args.machine],
         policy=args.policy,
         optimality=args.optimality,
@@ -338,7 +326,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         machine=args.machine,
         policy=args.policy,
@@ -346,7 +333,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     )
     server = CompileServer(config)
     print(f"repro compile server listening on {config.endpoint}"
-          f" (jobs={config.jobs}, backend={config.backend},"
+          f" (jobs={config.jobs},"
           f" cache={'disk:' + config.cache_dir if config.cache_dir else 'memory'})")
 
     async def _serve() -> None:

@@ -25,7 +25,7 @@ auditing:
 * :mod:`repro.audit.differential` — compile -> simulate vs. the scalar
   reference interpreter, plus a per-loop schedule audit;
 * :mod:`repro.audit.fuzz` — the campaign driver behind
-  ``python -m repro fuzz``, running cases through :func:`repro.batch.run_many`
+  ``python -m repro fuzz``, running cases inline or on a process pool
   with per-case fault isolation and :mod:`repro.obs` violation counters.
 
 Every failure prints the single-case seed that reproduces it; confirmed

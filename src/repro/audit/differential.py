@@ -29,7 +29,7 @@ from repro.core.mve import plan_expansion
 from repro.core.reduction import build_reduced_loop_graph, fresh_uid_scope
 from repro.core.schedule import SchedulingFailure
 from repro.deps.build import DependenceOptions
-from repro.frontend import parse_program
+from repro.frontend import parse_with_policy
 from repro.ir.cse import eliminate_common_subexpressions
 from repro.ir.interp import run_program
 from repro.ir.stmts import ForLoop, IfStmt, Program, Stmt
@@ -110,13 +110,7 @@ def audit_program(
     """Full audit of one source program; never raises."""
     violations: list[Violation] = []
     try:
-        program, pragmas = parse_program(source)
-        if pragmas.independent_arrays:
-            policy = replace(
-                policy,
-                independent_arrays=policy.independent_arrays
-                | pragmas.independent_arrays,
-            )
+        program, policy = parse_with_policy(source, policy)
         verify_program(program)
         if policy.cse:
             program = eliminate_common_subexpressions(program)

@@ -1,9 +1,11 @@
 """The fuzzing campaign driver behind ``python -m repro fuzz``.
 
 A campaign derives one case per seed offset from the master seed, runs
-them through :func:`repro.batch.run_many` (``jobs`` at a time, each case
+them inline or, with ``jobs > 1``, on a process pool (each case
 fault-isolated and carrying its own :class:`repro.obs.CompileObserver`),
-and aggregates the violation counters.  Program cases go through the full
+and aggregates the violation counters.  A case's result is a few
+counters and violations, cheap to send back, so processes pay here where
+they do not for compiling.  Program cases go through the full
 differential audit; graph cases drive the modulo scheduler directly on
 random dependence graphs and audit the resulting schedules.
 
@@ -29,7 +31,6 @@ from repro.audit.generate import (
     random_program,
 )
 from repro.audit.oracle import Violation, audit_result
-from repro.batch.driver import run_many
 from repro.core.compile import CompilerPolicy
 from repro.core.pipeliner import create_scheduler
 from repro.core.schedule import SchedulingFailure
@@ -218,7 +219,6 @@ def run_campaign(
     *,
     graphs: Optional[int] = None,
     jobs: int = 1,
-    backend: str = "thread",
     machine: MachineDescription = WARP,
     policy: CompilerPolicy = CompilerPolicy(),
     program_config: ProgramConfig = ProgramConfig(),
@@ -229,14 +229,16 @@ def run_campaign(
     ``count // 4``), derived from consecutive seeds so any single case is
     reproducible with ``--seed <case seed> --count 1``.
 
-    ``backend="process"`` runs the cases in a process pool — the campaign
-    is pure Python and CPU-bound, so that is where ``jobs > 1`` actually
-    buys wall time.  The worker is a :func:`functools.partial` over the
+    ``jobs > 1`` runs the cases on that many processes, in case order;
+    ``jobs`` of 0 or 1 runs them inline, and a negative ``jobs`` raises
+    ``ValueError``.  The worker is a :func:`functools.partial` over the
     module-level :func:`run_case` so it pickles cleanly.
 
     ``optimality=True`` upgrades every graph case to the heuristic-vs-exact
     cross-check of :mod:`repro.audit.optimality`.
     """
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     if graphs is None:
         graphs = count // 4
     cases = [FuzzCase("program", seed + i) for i in range(count)]
@@ -250,7 +252,13 @@ def run_campaign(
         graph_config=graph_config,
         optimality=optimality,
     )
-    results = run_many(cases, worker, jobs=jobs, backend=backend)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as executor:
+            results = list(executor.map(worker, cases))
+    else:
+        results = [worker(case) for case in cases]
     return FuzzReport(
         seed=seed,
         results=results,

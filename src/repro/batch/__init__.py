@@ -1,14 +1,12 @@
 """Parallel batch compilation with a content-addressed schedule cache.
 
 * :mod:`repro.batch.driver` — ``compile_many(sources, machine, jobs=N)``:
-  a `concurrent.futures` worker pool (thread or process backend, see
-  ``BACKENDS``) with per-program fault isolation (one failing program
+  a thread pool with per-program fault isolation (one failing program
   yields a structured :class:`CompileError` record instead of killing the
   batch) and input-order results.
-* :mod:`repro.batch.pool` — ``WorkerPool``, the persistent executor layer:
-  one warm thread/process pool reused across ``run_many``/``compile_many``
-  calls (and by the ``repro.serve`` compile service), with chunked
-  submission for small work items and queue-depth/utilization accounting.
+* :mod:`repro.batch.pool` — ``WorkerPool``, the ``repro.serve`` compile
+  service's persistent thread pool, with queue-depth/utilization
+  accounting.
 * :mod:`repro.batch.cache` — a schedule cache keyed on the SHA-256 of
   (IR fingerprint, machine fingerprint, policy fingerprint), with an
   in-memory layer plus an on-disk backend under ``.repro_cache/`` and
@@ -31,14 +29,9 @@ from repro.batch.driver import (
     compile_one,
     run_many,
 )
-from repro.batch.pool import (
-    BACKENDS,
-    WorkerPool,
-    chunk_size,
-)
+from repro.batch.pool import WorkerPool
 
 __all__ = [
-    "BACKENDS",
     "BatchReport",
     "CompileError",
     "CompileResult",
@@ -46,7 +39,6 @@ __all__ = [
     "ScheduleCache",
     "WorkerPool",
     "cache_key",
-    "chunk_size",
     "compile_many",
     "compile_one",
     "fingerprint_machine",

@@ -24,7 +24,7 @@ optional on-disk backend under ``.repro_cache/`` holding one pickle per
 key, sharded by the first two hex digits.  A disk lookup is one ``open``
 of the entry's path: a missing, truncated or corrupt file is a miss, and
 an entry another process wrote is visible at once.  Writes are atomic
-(temp-file + rename), so concurrent batch workers may share a directory.
+(temp-file + rename), so separate processes may share a directory.
 Hit/miss counters feed the batch driver's ``--stats`` output.  The
 in-memory entries and the aliases are each LRU-bounded by
 :data:`MEMORY_ENTRIES`, so a long-lived server does not grow without
@@ -33,10 +33,8 @@ is re-read on its next hit.  The alias probe reads the memory layer only,
 so it never blocks on a file: an alias whose entry has left memory falls
 back to parsing and the IR key, whose lookup reads the disk.
 
-Unpickling a cache (how it crosses into process-pool workers) resolves to
-one shared per-process instance per cache path (:meth:`ScheduleCache.
-shared`), so persistent workers keep a warm memory layer across every
-task they run.
+A cache lives in one process and does not pickle; separate processes
+share entries only through a common cache directory.
 """
 
 from __future__ import annotations
@@ -70,11 +68,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: LRU bound, in entries, on the in-memory compiled programs and,
 #: separately, on the source aliases of one :class:`ScheduleCache`.
 MEMORY_ENTRIES = 4096
-
-#: Per-process registry backing :meth:`ScheduleCache.shared` (the
-#: unpickle target for process-pool workers), keyed by cache path.
-_SHARED_CACHES: dict[Optional[str], "ScheduleCache"] = {}
-_SHARED_LOCK = threading.Lock()
 
 
 @functools.cache
@@ -193,32 +186,6 @@ class ScheduleCache:
         while len(self._memory) > MEMORY_ENTRIES:
             self._memory.popitem(last=False)
             self.evictions += 1
-
-    # -- pickling (process-pool batch backend) -------------------------------
-
-    @classmethod
-    def shared(cls, path: str | None) -> "ScheduleCache":
-        """The per-process shared instance for ``path``.
-
-        This is the unpickle target: only the disk path crosses a process
-        boundary, and every task landing in one worker process resolves to
-        the same instance, so a persistent worker keeps its memory layer
-        warm across tasks.  Counters start at zero in each
-        process (batch hit/miss accounting rides on per-result flags, not
-        on these counters).  Two memory-only caches (``path=None``) merge
-        into one per-process instance when unpickled — harmless, since
-        keys are content addresses.
-        """
-        with _SHARED_LOCK:
-            cache = _SHARED_CACHES.get(path)
-            if cache is None:
-                cache = cls(path)
-                _SHARED_CACHES[path] = cache
-            return cache
-
-    def __reduce__(self):
-        path = str(self.path) if self.path is not None else None
-        return (ScheduleCache.shared, (path,))
 
     # -- the cache protocol --------------------------------------------------
 

@@ -1,35 +1,30 @@
 """The parallel batch-compilation driver.
 
-``compile_many`` compiles a list of source programs with a worker pool
-(`concurrent.futures`), per-program fault isolation, an optional
-content-addressed schedule cache, and per-program observability.  One
-failing program produces a structured :class:`CompileError` record in its
-slot of the result list; the rest of the batch is unaffected.
+``compile_many`` compiles a list of source programs on a thread pool,
+with per-program fault isolation, an optional content-addressed schedule
+cache, and per-program observability.  One failing program produces a
+structured :class:`CompileError` record in its slot of the result list;
+the rest of the batch is unaffected.
 
 Results are returned in input order regardless of worker scheduling, and
 every worker compiles with its own register allocator and observer, so a
 ``jobs=4`` batch is bit-identical to a serial one (guarded by the
-determinism and property tests).
-
-Two pool backends share those semantics.  ``backend="thread"`` (the
-default) is cheap to spin up but serialises the pure-Python compiler on
-the GIL, so it mostly helps workloads that block (disk cache I/O).
-``backend="process"`` uses :class:`~concurrent.futures.ProcessPoolExecutor`
-for true parallel compilation; it requires the worker, items, and results
-to be picklable (module-level functions and ``functools.partial`` closures
-qualify; lambdas do not).
+determinism and property tests).  The compiler is pure Python, so the
+threads share one interpreter lock: ``jobs > 1`` overlaps disk-cache
+I/O, not compiling.  A process pool measured no faster than serial on
+this work: pickling each compiled program back (about 13.5 KB) ate what
+the extra workers gained.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 import traceback as _traceback
-from dataclasses import asdict, dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.batch.cache import ScheduleCache, cache_key, source_key
-from repro.batch.pool import BACKENDS, WorkerPool
 from repro.core.compile import CompiledProgram, CompilerPolicy, compile_program
 from repro.machine import WARP, MachineDescription
 from repro.obs import trace as obs
@@ -40,52 +35,27 @@ from repro.obs import trace as obs
 SourceLike = Union[str, tuple, Any]
 
 
-def run_many(
-    items: Sequence[Any],
-    worker,
-    *,
-    jobs: int = 1,
-    backend: str = "thread",
-    pool: Optional[WorkerPool] = None,
-) -> list[Any]:
-    """Generic worker-pool map with submission-order results.
+def run_many(items: Sequence[Any], worker, *, jobs: int = 1) -> list[Any]:
+    """Thread-pool map with submission-order results.
 
-    The batch substrate shared by ``compile_many``, the fuzzing campaign,
-    and the compile service: ``worker(item)`` runs for each item, ``jobs``
-    at a time, and the result list aligns with the input order regardless
-    of worker scheduling.  Fault isolation is the worker's contract — a
-    worker that returns a structured error record instead of raising (like
-    :func:`compile_one` or the audit campaign's case runner) keeps one bad
-    item from taking down the batch.
-
-    ``backend="process"`` swaps the thread pool for a process pool with
-    identical ordering and fault-isolation semantics; worker, items, and
-    results must then be picklable.
-
-    ``pool`` supplies a persistent :class:`~repro.batch.pool.WorkerPool`
-    to reuse across calls (``jobs``/``backend`` are then taken from the
-    pool); without one, a fresh pool is spun up and torn down per call —
-    fine for one big batch, expensive for a stream of small ones.  Large
-    batches are submitted in chunks (see :func:`~repro.batch.pool.chunk_size`)
-    so tiny work items do not pay a pickle/future round-trip each.
+    ``worker(item)`` runs for each item, ``jobs`` at a time, and the
+    result list aligns with the input order regardless of worker
+    scheduling.  Fault isolation is the worker's contract — a worker that
+    returns a structured error record instead of raising (like
+    :func:`compile_one`) keeps one bad item from taking down the batch; a
+    worker exception propagates to the caller.
 
     ``jobs`` must be non-negative; ``jobs`` of 0 or 1 runs the batch
-    inline on the calling thread (as does a single-item batch without a
-    persistent pool), and a negative ``jobs`` raises ``ValueError``.
+    inline on the calling thread (as does a single-item batch), and a
+    negative ``jobs`` raises ``ValueError``.
     """
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown batch backend {backend!r}; expected one of {BACKENDS}"
-        )
     items = list(items)
-    if pool is not None:
-        return pool.run(items, worker)
     if jobs <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
-    with WorkerPool(jobs=jobs, backend=backend) as ephemeral:
-        return ephemeral.run(items, worker)
+    with ThreadPoolExecutor(max_workers=jobs) as executor:
+        return list(executor.map(worker, items))
 
 
 @dataclass(frozen=True)
@@ -278,15 +248,9 @@ def _compile_cached(
         if compiled is not None:
             return compiled, True
     with obs.phase("frontend"):
-        from repro.frontend import parse_program
+        from repro.frontend import parse_with_policy
 
-        program, pragmas = parse_program(source)
-        if pragmas.independent_arrays:
-            policy = replace(
-                policy,
-                independent_arrays=policy.independent_arrays
-                | pragmas.independent_arrays,
-            )
+        program, policy = parse_with_policy(source, policy)
     if cache is None:
         return compile_program(program, machine, policy), False
     key = cache_key(program, machine, policy)
@@ -352,61 +316,34 @@ def compile_one(
     return result
 
 
-def _compile_item(
-    item: tuple[str, str],
-    machine: MachineDescription,
-    policy: "CompilerPolicy",
-    cache: Optional[ScheduleCache],
-    collect_stats: bool,
-) -> CompileResult:
-    """Module-level batch worker (picklable for the process backend)."""
-    name, text = item
-    return compile_one(
-        name, text, machine, policy,
-        cache=cache, collect_stats=collect_stats,
-    )
-
-
 def compile_many(
     sources: Iterable[SourceLike],
     machine: MachineDescription = WARP,
     policy: CompilerPolicy = CompilerPolicy(),
     *,
     jobs: int = 1,
-    backend: str = "thread",
-    pool: Optional[WorkerPool] = None,
     cache: Optional[ScheduleCache] = None,
     collect_stats: bool = False,
 ) -> BatchReport:
-    """Compile a batch of programs, ``jobs`` at a time.
+    """Compile a batch of programs, ``jobs`` at a time on threads.
 
     Returns a :class:`BatchReport` whose ``results`` align with the input
     order.  With a :class:`ScheduleCache`, programs already compiled for
     this (IR, machine, policy) triple are hash lookups.
-
-    ``pool`` reuses a persistent :class:`~repro.batch.pool.WorkerPool`
-    across calls — the compile service's configuration, where worker
-    processes stay warm (imports done, caches primed) between batches.
-
-    With ``backend="process"`` each worker process keeps its own in-memory
-    cache layer (shared across tasks within that worker); a disk-backed
-    :class:`ScheduleCache` still shares entries across workers (writes are
-    atomic), and per-result ``from_cache`` flags keep the report's
-    hit/miss accounting correct either way.
     """
     items = _coerce_sources(sources)
     t0 = time.perf_counter()
-    worker = functools.partial(
-        _compile_item,
-        machine=machine,
-        policy=policy,
-        cache=cache,
-        collect_stats=collect_stats,
+    results = run_many(
+        items,
+        lambda item: compile_one(
+            *item, machine, policy,
+            cache=cache, collect_stats=collect_stats,
+        ),
+        jobs=jobs,
     )
-    results = run_many(items, worker, jobs=jobs, backend=backend, pool=pool)
     return BatchReport(
         results=results,
-        jobs=pool.jobs if pool is not None else max(1, jobs),
+        jobs=max(1, jobs),
         wall_seconds=time.perf_counter() - t0,
         cached=cache is not None,
     )

@@ -22,6 +22,11 @@ Warp cells.  This front end accepts the same shape of language::
 dependences.
 """
 
+from __future__ import annotations
+
+from dataclasses import replace
+from typing import TYPE_CHECKING
+
 from repro.frontend.ast import (
     ArrayRef,
     Assign,
@@ -40,6 +45,9 @@ from repro.frontend.parser import ParseError, parse
 from repro.frontend.lower import LowerError, lower
 from repro.ir.stmts import Program
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.compile import CompilerPolicy
+
 
 def parse_program(source: str) -> tuple[Program, Pragmas]:
     """Parse and lower W2-like source to IR."""
@@ -47,8 +55,24 @@ def parse_program(source: str) -> tuple[Program, Pragmas]:
     return lower(ast), ast.pragmas
 
 
+def parse_with_policy(
+    source: str, policy: CompilerPolicy
+) -> tuple[Program, CompilerPolicy]:
+    """Parse and lower ``source``; return its IR and ``policy`` widened by
+    the source's ``{$independent ...}`` pragmas."""
+    program, pragmas = parse_program(source)
+    if pragmas.independent_arrays:
+        policy = replace(
+            policy,
+            independent_arrays=policy.independent_arrays
+            | pragmas.independent_arrays,
+        )
+    return program, policy
+
+
 __all__ = [
     "parse_program",
+    "parse_with_policy",
     "parse",
     "lower",
     "tokenize",

@@ -25,27 +25,15 @@ Five benchmarks, all seeded and deterministic in the work they measure:
     after a warm-up, counts Python calls under ``sys.setprofile`` over a
     fixed set of programs (``kcalls_per_program``); the count is exact,
     so it is gated tightly.
-``backends``
-    The service workload — a stream of small compile batches — through
-    the process backend with per-call pools (the old arrangement: one
-    ``ProcessPoolExecutor`` spawned and torn down per ``run_many``)
-    versus one persistent chunk-submitting
-    :class:`~repro.batch.pool.WorkerPool`.  ``process_speedup`` is the
-    ratio of the two: what keeping workers warm and amortising submission
-    buys the process backend.  A persistent thread pool runs the same
-    stream for context (``thread_seconds``); raw thread-vs-process wall
-    time remains a property of the core count (``cpu_count``).
 ``loadgen``
     The compile service end to end: a real server on a unix socket under
     concurrent clients, reporting p50/p99 request latency, throughput,
     and the shared-cache hit rate (see :mod:`repro.perf.loadgen`).
 
 Every benchmark reports ``per_unit_seconds`` — wall time divided by the
-number of units processed — except ``backends``, whose speedup is
-machine-dependent and therefore excluded from regression comparison.
-:func:`compare_reports` flags a benchmark whose per-unit time exceeds
-twice the baseline's (plus a small absolute floor to ignore
-microsecond-scale jitter), and a call count above
+number of units processed.  :func:`compare_reports` flags a benchmark
+whose per-unit time exceeds twice the baseline's (plus a small absolute
+floor to ignore microsecond-scale jitter), and a call count above
 ``CALL_REGRESSION_FACTOR`` times the baseline's when both reports come
 from the same Python minor version (call counts differ between
 interpreter versions).
@@ -63,7 +51,6 @@ from typing import Any, Optional, Sequence
 
 from repro.audit.generate import GraphConfig, random_dep_graph
 from repro.batch.driver import compile_many
-from repro.batch.pool import WorkerPool
 from repro.core.pipeliner import ModuloScheduler
 from repro.core.schedule import SchedulingFailure
 from repro.deps.paths import SymbolicPaths
@@ -161,17 +148,6 @@ class BenchReport:
                 lines.append("    phases (ms/program): " + ", ".join(
                     f"{name} {seconds * 1e3:.2f}" for name, seconds in phases
                 ))
-        backends = self.benchmarks.get("backends")
-        if backends:
-            lines.append(
-                f"  backends: {backends['batches']} batches x"
-                f" {backends['batch_size']} programs at"
-                f" jobs={backends['jobs']}: process per-call pools"
-                f" {backends['process_percall_seconds'] * 1e3:.0f} ms vs"
-                f" persistent {backends['process_seconds'] * 1e3:.0f} ms"
-                f" ({backends['process_speedup']:.2f}x from the warm pool;"
-                f" thread {backends['thread_seconds'] * 1e3:.0f} ms)"
-            )
         loadgen = self.benchmarks.get("loadgen")
         if loadgen:
             lines.append(
@@ -383,73 +359,12 @@ def bench_suite(count: int) -> dict[str, Any]:
     return entry
 
 
-def bench_backends(
-    batches: int, batch_size: int, jobs: int
-) -> dict[str, Any]:
-    """The service workload: ``batches`` small batches of ``batch_size``
-    programs each, streamed through ``compile_many``.
-
-    Three legs over identical work:
-
-    * ``process_percall_seconds`` — process backend, one pool spawned and
-      torn down per batch (the pre-``WorkerPool`` arrangement);
-    * ``process_seconds`` — process backend on one persistent
-      :class:`~repro.batch.pool.WorkerPool` with chunked submission;
-    * ``thread_seconds`` — the same stream on a persistent thread pool,
-      for context.
-
-    ``process_speedup`` = per-call / persistent: the factor the warm pool
-    buys the process backend on service-shaped traffic.  It is wall-time
-    honest (pool spawn for the persistent leg happens inside the timed
-    region — once, which is the point).
-    """
-    suite = generate_suite()
-    stream = [
-        [suite[(b * batch_size + i) % len(suite)] for i in range(batch_size)]
-        for b in range(batches)
-    ]
-
-    def run_stream(**kwargs) -> tuple[float, int]:
-        t0 = time.perf_counter()
-        errors = 0
-        for batch in stream:
-            report = compile_many(batch, WARP, **kwargs)
-            errors += len(report.errors)
-        return time.perf_counter() - t0, errors
-
-    percall_seconds, percall_errors = run_stream(
-        jobs=jobs, backend="process"
-    )
-    with WorkerPool(jobs=jobs, backend="process") as pool:
-        persistent_seconds, persistent_errors = run_stream(pool=pool)
-    with WorkerPool(jobs=jobs, backend="thread") as pool:
-        thread_seconds, thread_errors = run_stream(pool=pool)
-
-    return {
-        "units": batches * batch_size,
-        "batches": batches,
-        "batch_size": batch_size,
-        "jobs": jobs,
-        "thread_seconds": round(thread_seconds, 6),
-        "process_percall_seconds": round(percall_seconds, 6),
-        "process_seconds": round(persistent_seconds, 6),
-        "process_speedup": round(
-            percall_seconds / persistent_seconds
-            if persistent_seconds else 0.0,
-            3,
-        ),
-        "failures": percall_errors + persistent_errors + thread_errors,
-    }
-
-
 def bench_loadgen(*, quick: bool, jobs: int) -> dict[str, Any]:
     """The end-to-end service benchmark (see :mod:`repro.perf.loadgen`)."""
     from repro.perf.loadgen import run_loadgen
 
     clients, requests = (3, 6) if quick else (8, 24)
-    return run_loadgen(
-        clients=clients, requests=requests, jobs=jobs, backend="thread"
-    )
+    return run_loadgen(clients=clients, requests=requests, jobs=jobs)
 
 
 # -- the suite -----------------------------------------------------------------
@@ -457,7 +372,7 @@ def bench_loadgen(*, quick: bool, jobs: int) -> dict[str, Any]:
 
 #: Every benchmark the suite knows, in run order.
 BENCHMARK_NAMES = (
-    "closure", "scheduler", "optimality", "suite", "backends", "loadgen",
+    "closure", "scheduler", "optimality", "suite", "loadgen",
 )
 
 
@@ -485,7 +400,6 @@ def run_benchmarks(
     sched_graphs = 40 if quick else 200
     suite_count = 18 if quick else 72
     opt_graphs = 20 if quick else 200
-    stream_batches, stream_batch_size = (6, 3) if quick else (24, 3)
 
     if "closure" in selected:
         report.benchmarks["closure"] = bench_closure(seed, closure_graphs)
@@ -495,10 +409,6 @@ def run_benchmarks(
         report.benchmarks["optimality"] = bench_optimality(seed, opt_graphs)
     if "suite" in selected:
         report.benchmarks["suite"] = bench_suite(suite_count)
-    if "backends" in selected:
-        report.benchmarks["backends"] = bench_backends(
-            stream_batches, stream_batch_size, jobs
-        )
     if "loadgen" in selected:
         report.benchmarks["loadgen"] = bench_loadgen(quick=quick, jobs=jobs)
     return report
@@ -527,8 +437,7 @@ def compare_reports(
     baseline's.
 
     Only benchmarks reporting ``per_unit_seconds`` participate in the
-    time check, so the machine-dependent backend speedup never fails a
-    run.  Per-unit times are compared (rather than wall times) so a
+    time check.  Per-unit times are compared (rather than wall times) so a
     ``--quick`` run remains comparable against a full-size committed
     baseline.  Call counts are compared only when both reports record the
     same Python minor version.

@@ -53,7 +53,6 @@ def run_loadgen(
     clients: int = 8,
     requests: int = 24,
     jobs: int = 4,
-    backend: str = "thread",
     programs: Optional[int] = 16,
     socket_path: Optional[str] = None,
 ) -> dict[str, Any]:
@@ -73,7 +72,7 @@ def run_loadgen(
         socket_path = os.path.join(tmpdir.name, "serve.sock")
 
     server = CompileServer(
-        ServeConfig(socket_path=socket_path, jobs=jobs, backend=backend)
+        ServeConfig(socket_path=socket_path, jobs=jobs)
     )
     latencies: list[list[float]] = [[] for _ in range(clients)]
     hits = [0] * clients
@@ -138,7 +137,6 @@ def run_loadgen(
         "clients": clients,
         "requests_per_client": requests,
         "jobs": jobs,
-        "backend": backend,
         "distinct_programs": len(sources),
         "warmup_seconds": round(warmup_seconds, 6),
         "cold_requests": len(cold_latencies),

@@ -3,7 +3,7 @@
 ``python -m repro serve`` runs one long-lived :class:`CompileServer`:
 an asyncio event loop accepting JSON-lines requests over a unix socket
 (default) or TCP, multiplexing every compile unit onto one persistent
-:class:`~repro.batch.pool.WorkerPool`, and sharing one
+thread pool (:class:`~repro.batch.pool.WorkerPool`), and sharing one
 :class:`~repro.batch.ScheduleCache` across every client — the
 "compilation as a service" arrangement where the pipeliner, a pure
 function of (IR, machine, policy), is computed once per distinct input
@@ -26,10 +26,6 @@ Concurrency model:
 * Reply lines that are ready together go out in one write: the hits'
   lines before the first miss is awaited, and the last ``result`` line
   with the ``done`` line, so an all-hit request is one write.
-* Under ``--backend process`` the workers fill their own per-process
-  caches (:meth:`~repro.batch.ScheduleCache.shared`), never the server's
-  memory layer, so the probe misses and every unit goes to the pool as
-  before.
 * Backpressure: a request whose units would push the pool's queue depth
   past ``max_pending`` is rejected with an ``error`` reply instead of
   being absorbed into an unbounded backlog.  The bound counts every unit
@@ -96,7 +92,6 @@ class ServeConfig:
     host: Optional[str] = None
     port: Optional[int] = None
     jobs: int = 4
-    backend: str = "thread"
     cache_dir: Optional[str] = None
     machine: str = "warp"
     policy: CompilerPolicy = field(default_factory=CompilerPolicy)
@@ -123,9 +118,7 @@ class CompileServer:
                 f"unknown machine {self.config.machine!r};"
                 f" expected one of {sorted(MACHINES)}"
             )
-        self.pool = WorkerPool(
-            jobs=self.config.jobs, backend=self.config.backend
-        )
+        self.pool = WorkerPool(jobs=self.config.jobs)
         # One cache shared by every request: disk-backed when configured,
         # otherwise a process-lifetime in-memory layer.
         self.cache = ScheduleCache(self.config.cache_dir)

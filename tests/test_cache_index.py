@@ -1,4 +1,4 @@
-"""The schedule cache's disk layer and per-process shared unpickling.
+"""The schedule cache's disk layer.
 
 A disk lookup opens the entry's file directly, so an entry any process
 wrote is visible at once, and a missing, truncated or corrupt file is a
@@ -6,13 +6,10 @@ miss.  In-memory state stays bounded by ``MEMORY_ENTRIES`` however many
 entries the directory holds.
 """
 
-import pickle
-
 import repro.batch.cache as cache_mod
 from repro import WARP
 from repro.batch import (
     ScheduleCache,
-    WorkerPool,
     cache_key,
     compile_many,
 )
@@ -87,50 +84,3 @@ class TestMissesTouchNoDisk:
         cache._entry_path(keys[0]).write_bytes(b"not a pickle")
         assert cache.get(keys[0]) is None
         assert cache.misses == 1
-
-
-class TestSharedUnpickling:
-    def test_unpickle_resolves_to_per_process_instance(self, tmp_path):
-        cache = ScheduleCache(tmp_path / "cache")
-        first = pickle.loads(pickle.dumps(cache))
-        second = pickle.loads(pickle.dumps(cache))
-        assert first is second
-        assert str(first.path) == str(cache.path)
-        # The original is NOT the shared instance (tests stay isolated).
-        assert first is not cache
-
-    def test_shared_instance_keeps_memory_warm(self, tmp_path):
-        keys = _fill(tmp_path / "cache", count=1)
-        shared = pickle.loads(pickle.dumps(ScheduleCache(tmp_path / "cache")))
-        assert shared.get(keys[0]) is not None  # disk hit, now in memory
-        again = pickle.loads(pickle.dumps(ScheduleCache(tmp_path / "cache")))
-        assert again is shared
-        assert len(again._memory) == 1
-
-    def test_memory_only_roundtrip_shares_too(self):
-        first = pickle.loads(pickle.dumps(ScheduleCache(None)))
-        second = pickle.loads(pickle.dumps(ScheduleCache(None)))
-        assert first is second
-        assert first.path is None
-
-    def test_process_backend_warm_rerun_hits(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        warm = compile_many(SUITE[:4], WARP, cache=ScheduleCache(cache_dir))
-        assert warm.cache_misses == 4
-        rerun = compile_many(
-            SUITE[:4], WARP, jobs=2, backend="process",
-            cache=ScheduleCache(cache_dir),
-        )
-        assert rerun.cache_hits == 4
-
-    def test_persistent_process_workers_see_each_others_entries(self, tmp_path):
-        # Each worker writes part of the first pass; on the second pass a
-        # program may land on the other worker, which must still hit.
-        programs = SUITE[:24]
-        cache = ScheduleCache(tmp_path / "cache")
-        with WorkerPool(jobs=2, backend="process") as pool:
-            first = compile_many(programs, WARP, pool=pool, cache=cache)
-            second = compile_many(programs, WARP, pool=pool, cache=cache)
-        assert not first.errors and not second.errors
-        assert first.cache_misses == 24
-        assert second.cache_hits == 24

@@ -147,15 +147,33 @@ class TestSchedulerBackendFlag:
 
 
 class TestBatchSubcommands:
-    def test_suite_process_backend(self, capsys):
-        assert main(["suite", "--count", "4", "--jobs", "2",
-                     "--backend", "process"]) == 0
-        assert "4/4 programs compiled" in capsys.readouterr().out
+    def test_suite_on_threads(self, capsys):
+        assert main(["suite", "--count", "4", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "4/4 programs compiled" in out and "jobs=2" in out
 
     def test_fuzz_process_backend(self, capsys):
+        # --jobs above 1 runs the campaign's cases on processes.
         assert main(["fuzz", "--count", "3", "--graphs", "1",
-                     "--jobs", "2", "--backend", "process"]) == 0
+                     "--jobs", "2"]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--backend", "thread"],
+        ["fuzz", "--backend", "process"],
+        ["serve", "--backend", "process"],
+    ], ids=["suite", "fuzz", "serve"])
+    def test_removed_backend_choices_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_serve_keeps_its_thread_backend_flag(self):
+        from repro.__main__ import _build_parser
+
+        args = _build_parser().parse_args(["serve", "--backend", "thread"])
+        assert args.backend == "thread"
 
     def test_bench_quick_writes_and_compares(self, tmp_path, capsys):
         out = tmp_path / "BENCH_scheduler.json"

@@ -1,21 +1,16 @@
-"""The persistent worker-pool layer (`repro.batch.pool`).
+"""The compile server's persistent thread pool (`repro.batch.pool`) and
+the batch driver's thread-pool map.
 
-A pool must survive across ``run_many``/``compile_many`` calls (that is
-its reason to exist), chunked submission must be invisible in results
-(same order, same fault isolation), and the accounting must be sound
-because the compile service reports it to clients.
+A pool must survive across submissions (that is its reason to exist),
+and its accounting must be sound because the compile service reports it
+to clients.  A batch on threads must give what a serial batch gives, in
+the same order, with the same fault isolation.
 """
 
 import pytest
 
 from repro import WARP
-from repro.batch import (
-    WorkerPool,
-    chunk_size,
-    compile_many,
-    run_many,
-)
-from repro.batch.pool import MAX_CHUNK_ITEMS
+from repro.batch import WorkerPool, compile_many, run_many
 from repro.workloads import generate_suite
 
 SUITE = generate_suite()
@@ -29,53 +24,26 @@ def _boom(x):
     raise RuntimeError(f"boom {x}")
 
 
-class TestChunkSize:
-    def test_small_batches_stay_per_item(self):
-        assert chunk_size(1, 4) == 1
-        assert chunk_size(8, 4) == 1
-
-    def test_large_batches_amortise(self):
-        size = chunk_size(72, 4)
-        assert 2 <= size <= MAX_CHUNK_ITEMS
-
-    def test_cap(self):
-        assert chunk_size(100_000, 1) == MAX_CHUNK_ITEMS
-
-    def test_never_zero(self):
-        for n in range(1, 50):
-            for jobs in range(1, 9):
-                assert chunk_size(n, jobs) >= 1
-
-
 class TestWorkerPool:
-    def test_persists_across_run_many_calls(self):
-        with WorkerPool(jobs=2, backend="thread") as pool:
-            first = run_many(list(range(10)), _double, pool=pool)
-            second = run_many(list(range(10, 20)), _double, pool=pool)
-            assert first == [2 * i for i in range(10)]
-            assert second == [2 * i for i in range(10, 20)]
+    def test_persists_across_submissions(self):
+        with WorkerPool(jobs=2) as pool:
+            first = [pool.submit(_double, i) for i in range(10)]
+            executor = pool._executor
+            second = [pool.submit(_double, i) for i in range(10, 20)]
+            assert pool._executor is executor
+            assert [f.result() for f in first + second] == \
+                [2 * i for i in range(20)]
             stats = pool.stats()
-            assert stats["batches"] == 2
-            assert stats["completed"] == stats["submitted"] > 0
+            assert stats["submitted"] == 20
+            assert stats["completed"] == 20
             assert stats["active"] == 0
-
-    def test_process_backend_persists(self):
-        with WorkerPool(jobs=2, backend="process") as pool:
-            for _ in range(3):
-                assert run_many([1, 2, 3], _double, pool=pool) == [2, 4, 6]
-            assert pool.stats()["batches"] == 3
-
-    def test_chunked_submission_preserves_order(self):
-        items = list(range(150))
-        with WorkerPool(jobs=4, backend="thread") as pool:
-            assert pool.run(items, _double) == [2 * i for i in items]
-            # 150 items on 4 workers must have been chunked.
-            assert pool.stats()["submitted"] < len(items)
+            assert stats["started"] and not stats["closed"]
 
     def test_worker_exception_propagates(self):
-        with WorkerPool(jobs=2, backend="thread") as pool:
+        with WorkerPool(jobs=2) as pool:
             with pytest.raises(RuntimeError, match="boom"):
-                pool.run(list(range(40)), _boom)
+                pool.submit(_boom, 1).result()
+            assert pool.stats()["completed"] == 1
 
     def test_closed_pool_rejects_work(self):
         pool = WorkerPool(jobs=2)
@@ -87,13 +55,14 @@ class TestWorkerPool:
     def test_validates_construction(self):
         with pytest.raises(ValueError, match="jobs"):
             WorkerPool(jobs=0)
-        with pytest.raises(ValueError, match="unknown batch backend"):
-            WorkerPool(backend="greenlet")
+        with pytest.raises(TypeError):
+            WorkerPool(jobs=2, backend="thread")
 
     def test_utilization_bounds(self):
         pool = WorkerPool(jobs=4)
         assert pool.utilization == 0.0
-        pool.run([1, 2, 3], _double)
+        for future in [pool.submit(_double, i) for i in (1, 2, 3)]:
+            future.result()
         assert 0.0 <= pool.utilization <= 1.0
         pool.close()
 
@@ -114,49 +83,50 @@ class TestRunManyValidation:
 
     def test_empty_batch(self):
         assert run_many([], _double, jobs=4) == []
-        with WorkerPool(jobs=2) as pool:
-            assert run_many([], _double, pool=pool) == []
+        assert run_many([], _double, jobs=0) == []
+
+    def test_worker_exception_propagates(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            run_many(list(range(10)), _boom, jobs=2)
+
+    def test_no_backend_parameter(self):
+        with pytest.raises(TypeError):
+            run_many([1, 2], _double, jobs=2, backend="process")
 
 
 class TestCompileManyWithPool:
+    """``compile_many(jobs > 1)`` maps over a thread pool of its own."""
+
     def test_results_match_ephemeral_pools(self):
         from repro.core.display import disassemble
 
         programs = SUITE[:6]
-        baseline = compile_many(programs, WARP, jobs=2)
-        with WorkerPool(jobs=2, backend="thread") as pool:
-            pooled_a = compile_many(programs, WARP, pool=pool)
-            pooled_b = compile_many(programs, WARP, pool=pool)
-        for base, a, b in zip(baseline, pooled_a, pooled_b):
+        serial = compile_many(programs, WARP, jobs=1)
+        pooled_a = compile_many(programs, WARP, jobs=2)
+        pooled_b = compile_many(programs, WARP, jobs=2)
+        assert [r.name for r in serial] == [r.name for r in pooled_a]
+        for base, a, b in zip(serial, pooled_a, pooled_b):
             assert base.ok and a.ok and b.ok
             assert disassemble(base.compiled.code) == \
                 disassemble(a.compiled.code) == disassemble(b.compiled.code)
 
     def test_report_jobs_reflects_pool(self):
-        with WorkerPool(jobs=3, backend="thread") as pool:
-            report = compile_many(SUITE[:4], WARP, pool=pool)
-        assert report.jobs == 3
+        assert compile_many(SUITE[:4], WARP, jobs=3).jobs == 3
+        assert compile_many(SUITE[:1], WARP, jobs=0).jobs == 1
 
-    def test_fault_isolation_survives_chunking(self):
+    def test_fault_isolation_keeps_order(self):
         sources = []
         for i in range(24):
             if i % 8 == 3:
                 sources.append((f"bad{i}", "function broken(; begin end."))
             else:
                 sources.append((f"good{i}", SUITE[i % 4].source))
-        with WorkerPool(jobs=2, backend="thread") as pool:
-            report = compile_many(sources, WARP, pool=pool)
+        report = compile_many(sources, WARP, jobs=2)
         assert [r.name for r in report] == [name for name, _ in sources]
         for i, result in enumerate(report):
             assert result.ok == (i % 8 != 3)
 
-    def test_process_pool_compiles(self):
-        from repro.core.display import disassemble
-
-        baseline = compile_many(SUITE[:4], WARP, jobs=1)
-        with WorkerPool(jobs=2, backend="process") as pool:
-            pooled = compile_many(SUITE[:4], WARP, pool=pool)
-        for base, pro in zip(baseline, pooled):
-            assert base.ok and pro.ok
-            assert disassemble(base.compiled.code) == \
-                disassemble(pro.compiled.code)
+    def test_no_backend_or_pool_parameter(self):
+        for knob in ({"backend": "thread"}, {"pool": None}):
+            with pytest.raises(TypeError):
+                compile_many(SUITE[:1], WARP, **knob)

@@ -135,7 +135,7 @@ def sock_path(tmp_path):
 @pytest.fixture
 def server(sock_path):
     instance = CompileServer(
-        ServeConfig(socket_path=sock_path, jobs=2, backend="thread")
+        ServeConfig(socket_path=sock_path, jobs=2)
     )
     with ServerThread(instance):
         yield instance
@@ -514,6 +514,10 @@ class TestRobustness:
         assert stats["uptime_seconds"] >= 0
         assert stats["queue_depth"] == 0
         assert stats["draining"] is False
+        assert set(stats["pool"]) == {
+            "jobs", "started", "closed", "submitted", "completed", "active",
+            "utilization",
+        }
         assert stats["pool"]["jobs"] == 2
         assert stats["pool"]["completed"] >= 1
         assert 0.0 <= stats["pool"]["utilization"] <= 1.0
@@ -527,7 +531,7 @@ class TestShutdownDrain:
     def test_shutdown_drains_inflight_request(self, tmp_path):
         sock = str(tmp_path / "drain.sock")
         instance = CompileServer(
-            ServeConfig(socket_path=sock, jobs=1, backend="thread")
+            ServeConfig(socket_path=sock, jobs=1)
         )
         harness = ServerThread(instance).start()
         try:
@@ -600,21 +604,9 @@ class TestTcpEndpoint:
                 assert client.status()["stats"]["protocol"] == 1
 
 
-class TestProcessBackendService:
-    def test_process_pool_serves(self, tmp_path):
-        sock = str(tmp_path / "proc.sock")
-        instance = CompileServer(
-            ServeConfig(socket_path=sock, jobs=2, backend="process")
-        )
-        local = compile_many(SUITE[:3], WARP)
-        with ServerThread(instance):
-            with ServeClient(socket_path=sock) as client:
-                results, done = client.suite(3, disasm=True)
-        assert done["ok"] == 3
-        by_name = {r["name"]: r for r in results}
-        for local_result in local:
-            assert by_name[local_result.name]["disasm"] == \
-                disassemble(local_result.compiled.code)
+def test_config_has_no_backend_knob():
+    with pytest.raises(TypeError):
+        ServeConfig(backend="thread")
 
 
 class TestSubmitCli:

@@ -6,8 +6,8 @@ a machine and policy -> IR key) without running the frontend.  The IR
 key stays the source of truth, so the alias must never serve a program
 compiled for another machine, policy or compiler, must never exist for a
 source that failed, and must give exactly what an uncached compile gives.
-The ``compile_one`` tests run on both worker-pool backends; on the process
-backend the cache's counters live in the worker, so they are read there.
+The ``compile_one`` tests run on a one-thread :class:`WorkerPool`, as the
+compile server runs them.
 """
 
 import sys
@@ -18,7 +18,7 @@ import repro.batch.cache as cache_mod
 from repro import SIMPLE, WARP, CompilerPolicy
 from repro.batch.cache import MEMORY_ENTRIES, ScheduleCache
 from repro.batch.driver import compile_one
-from repro.batch.pool import BACKENDS, WorkerPool
+from repro.batch.pool import WorkerPool
 from repro.core.display import disassemble
 from repro.machine.warp import make_warp
 from repro.serve import CompileServer, ServeClient, ServeConfig, ServerThread
@@ -32,17 +32,12 @@ RESPACED = SOURCE.replace("begin", "begin { same IR }", 1) + "\n\n"
 BAD_SOURCE = "program broken; begin x := ; end."
 
 
-def _stats(cache: ScheduleCache) -> dict:
-    """The cache's stats as seen by the worker that runs this."""
-    return cache.stats()
-
-
 class Harness:
     """``compile_one`` and ``stats`` run on one persistent one-worker pool
     sharing one cache, so repeats land where the first compile did."""
 
-    def __init__(self, backend: str, cache_dir):
-        self.pool = WorkerPool(jobs=1, backend=backend)
+    def __init__(self, cache_dir):
+        self.pool = WorkerPool(jobs=1)
         self.cache = ScheduleCache(cache_dir)
 
     def compile(self, source, machine=WARP, policy=CompilerPolicy(), **kw):
@@ -51,12 +46,13 @@ class Harness:
         ).result()
 
     def stats(self) -> dict:
-        return self.pool.submit(_stats, self.cache).result()
+        return self.cache.stats()
 
 
-@pytest.fixture(params=BACKENDS)
+#: The pool the compiles run on, named in each test id.
+@pytest.fixture(params=["thread"])
 def harness(request, tmp_path):
-    h = Harness(request.param, tmp_path / "cache")
+    h = Harness(tmp_path / "cache")
     yield h
     h.pool.close()
 
@@ -125,13 +121,11 @@ class TestSourceHits:
         assert warm.from_cache and warm.stats["phases"] == {}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_served_replies_equal_uncached_compile(tmp_path, backend):
+@pytest.mark.parametrize("pool", ["thread"])
+def test_served_replies_equal_uncached_compile(tmp_path, pool):
     local = compile_one("p", SOURCE, WARP)
     sock = str(tmp_path / "serve.sock")
-    server = CompileServer(
-        ServeConfig(socket_path=sock, jobs=1, backend=backend)
-    )
+    server = CompileServer(ServeConfig(socket_path=sock, jobs=1))
     with ServerThread(server):
         with ServeClient(socket_path=sock) as client:
             replies = [client.compile(SOURCE, name="p", disasm=True)
@@ -263,7 +257,7 @@ def test_thread_stress_keeps_counts(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with WorkerPool(jobs=8, backend="thread") as pool:
+        with WorkerPool(jobs=8) as pool:
             futures = [
                 pool.submit(compile_one, "p", source, WARP, cache=cache)
                 for source in calls
