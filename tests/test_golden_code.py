@@ -2,11 +2,15 @@
 
 ``data/code_digests.json`` holds, for each of the 98 programs (the 19
 Livermore kernels, the 7 Table 4-1 programs and ``generate_suite(1988,
-72)``, on WARP), the sha256 of ``disassemble(code)`` followed by
-``report()``, under the heuristic backend, the exact backend, with
-pipelining off and with conditionals overlappable (``serialize_ifs=False``,
-whose reduced IF nodes can span more than one interval).  A change that is meant to keep the emitted code must
-leave every digest as it is.  A change that moves code on purpose
+72)``), the sha256 of ``disassemble(code)`` followed by ``report()``, per
+configuration: a ``(machine, policy)`` pair.  On WARP: the heuristic
+backend, the exact backend, pipelining off and conditionals overlappable
+(``serialize_ifs=False``, whose reduced IF nodes can span more than one
+interval).  With the default policy: SIMPLE (one unit of each kind) and
+``wide2`` (two units of every kind but ``seq``), so digests also pin the
+resource checks on machines whose unit counts differ from WARP's.  A
+change that is meant to keep the emitted code must leave every digest as
+it is.  A change that moves code on purpose
 regenerates the file and names the programs that moved::
 
     PYTHONPATH=src python tests/test_golden_code.py
@@ -23,16 +27,22 @@ import pytest
 from repro.batch.driver import compile_one
 from repro.core.compile import CompilerPolicy
 from repro.core.display import disassemble
-from repro.machine import WARP
+from repro.machine import SIMPLE, WARP, MachineDescription, make_custom
 from repro.workloads import LIVERMORE_KERNELS, USER_PROGRAMS, generate_suite
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "code_digests.json"
 
-CONFIGURATIONS = {
-    "heuristic": CompilerPolicy(),
-    "exact": CompilerPolicy(scheduler_backend="exact"),
-    "no_pipeline": CompilerPolicy(pipeline=False),
-    "overlapped_ifs": CompilerPolicy(serialize_ifs=False),
+WIDE2 = make_custom(
+    "wide2", {"fadd": 2, "fmul": 2, "alu": 2, "mem": 2, "seq": 1}
+)
+
+CONFIGURATIONS: dict[str, tuple[MachineDescription, CompilerPolicy]] = {
+    "heuristic": (WARP, CompilerPolicy()),
+    "exact": (WARP, CompilerPolicy(scheduler_backend="exact")),
+    "no_pipeline": (WARP, CompilerPolicy(pipeline=False)),
+    "overlapped_ifs": (WARP, CompilerPolicy(serialize_ifs=False)),
+    "simple": (SIMPLE, CompilerPolicy()),
+    "wide2": (WIDE2, CompilerPolicy()),
 }
 
 
@@ -45,10 +55,12 @@ def programs() -> list[tuple[str, str]]:
     )
 
 
-def digests(policy: CompilerPolicy) -> dict[str, str]:
+def digests(
+    machine: MachineDescription, policy: CompilerPolicy
+) -> dict[str, str]:
     out = {}
     for name, source in programs():
-        result = compile_one(name, source, WARP, policy)
+        result = compile_one(name, source, machine, policy)
         assert result.ok, result.error
         compiled = result.compiled
         text = disassemble(compiled.code) + "\n" + compiled.report()
@@ -59,7 +71,7 @@ def digests(policy: CompilerPolicy) -> dict[str, str]:
 @pytest.mark.parametrize("configuration", sorted(CONFIGURATIONS))
 def test_emitted_code_matches_the_golden_digests(configuration):
     expected = json.loads(DIGESTS.read_text())[configuration]
-    got = digests(CONFIGURATIONS[configuration])
+    got = digests(*CONFIGURATIONS[configuration])
     assert len(got) == 98
     moved = sorted(name for name in got if got[name] != expected.get(name))
     assert not moved, f"emitted code moved under {configuration}: {moved}"
@@ -68,6 +80,9 @@ def test_emitted_code_matches_the_golden_digests(configuration):
 
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
-    table = {name: digests(policy) for name, policy in CONFIGURATIONS.items()}
+    table = {
+        name: digests(*configuration)
+        for name, configuration in CONFIGURATIONS.items()
+    }
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, table.values()))} digests to {DIGESTS}")
