@@ -2,9 +2,10 @@
 
 Every benchmark regenerates one of the paper's tables or figures.  The
 reproduced table is registered with :func:`report_table`, written to
-``benchmarks/results/<name>.txt``, and echoed in the pytest terminal
-summary, so ``pytest benchmarks/ --benchmark-only`` shows both the timing
-of the reproduction and the reproduced numbers themselves.
+``benchmarks/results/<name>.txt`` (on full runs only: a sliced run leaves
+the committed results alone), and echoed in the pytest terminal summary,
+so ``pytest benchmarks/ --benchmark-only`` shows both the timing of the
+reproduction and the reproduced numbers themselves.
 """
 
 from __future__ import annotations
@@ -19,23 +20,29 @@ _TABLES: list[tuple[str, str]] = []
 BATCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4") or 4)
 
 
+def _slice_limit() -> int:
+    return int(os.environ.get("REPRO_SUITE_SLICE", "0") or 0)
+
+
 def suite_slice():
     """The 72-program suite, or the first ``REPRO_SUITE_SLICE`` programs
     when that variable is set (the CI smoke pass runs a 12-program slice)."""
     from repro.workloads import generate_suite
 
     programs = generate_suite()
-    limit = int(os.environ.get("REPRO_SUITE_SLICE", "0") or 0)
+    limit = _slice_limit()
     return programs[:limit] if limit else programs
 
 
 def report_table(name: str, title: str, lines: list[str]) -> str:
-    """Register a reproduced table/figure for the terminal summary and
-    persist it under ``benchmarks/results/``."""
+    """Register a reproduced table/figure for the terminal summary and,
+    unless ``REPRO_SUITE_SLICE`` cuts the suite, persist it under
+    ``benchmarks/results/``."""
     text = "\n".join([title, "-" * len(title), *lines, ""])
     _TABLES.append((name, text))
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    (_RESULTS_DIR / f"{name}.txt").write_text(text)
+    if not _slice_limit():
+        _RESULTS_DIR.mkdir(exist_ok=True)
+        (_RESULTS_DIR / f"{name}.txt").write_text(text)
     return text
 
 

@@ -32,7 +32,7 @@ from repro.deps.build import DependenceOptions
 from repro.frontend import parse_with_policy
 from repro.ir.cse import eliminate_common_subexpressions
 from repro.ir.interp import run_program
-from repro.ir.stmts import ForLoop, IfStmt, Program, Stmt
+from repro.ir.stmts import Program
 from repro.ir.verify import verify_program
 from repro.machine import WARP
 from repro.machine.description import MachineDescription
@@ -42,18 +42,6 @@ from repro.simulator.executor import memory_diffs, run_code
 DIFFERENTIAL = "differential"
 DIVERGENCE = "execution_divergence"
 CRASH = "crash"
-
-
-def _innermost_loops(stmts: list[Stmt]) -> list[ForLoop]:
-    loops: list[ForLoop] = []
-    for stmt in stmts:
-        if isinstance(stmt, ForLoop):
-            inner = _innermost_loops(stmt.body)
-            loops.extend(inner if inner else [stmt])
-        elif isinstance(stmt, IfStmt):
-            loops.extend(_innermost_loops(stmt.then_body))
-            loops.extend(_innermost_loops(stmt.else_body))
-    return loops
 
 
 def audit_loop_schedules(
@@ -77,7 +65,7 @@ def audit_loop_schedules(
     options = DependenceOptions(
         independent_arrays=policy.independent_arrays
     )
-    for position, loop in enumerate(_innermost_loops(program.body)):
+    for position, loop in enumerate(program.inner_loops()):
         label = f"{where}:loop{position}"
         with fresh_uid_scope():
             lg = build_reduced_loop_graph(

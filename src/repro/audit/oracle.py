@@ -64,11 +64,11 @@ def audit_modulo_resources(schedule: KernelSchedule) -> list[Violation]:
     violations: list[Violation] = []
     s = schedule.ii
     rows: dict[tuple[int, str], int] = defaultdict(int)
-    for offset, resource, amount in schedule.machine.branch_reservation:
+    for offset, resource, amount in schedule.machine.branch_reservation.cells:
         rows[(s - 1 + offset) % s, resource] += amount
     for node in schedule.graph.nodes:
         time = schedule.times[node.index]
-        for offset, resource, amount in node.reservation:
+        for offset, resource, amount in node.reservation.cells:
             rows[(time + offset) % s, resource] += amount
     for (row, resource), amount in sorted(rows.items()):
         limit = schedule.machine.units(resource)
@@ -133,11 +133,11 @@ def audit_window(
     branch = schedule.machine.branch_reservation
     usage: dict[tuple[int, str], int] = defaultdict(int)
     for i in range(iterations):
-        for offset, resource, amount in branch:
+        for offset, resource, amount in branch.cells:
             usage[i * s + s - 1 + offset, resource] += amount
         for node in graph.nodes:
             time = flat(node.index, i)
-            for offset, resource, amount in node.reservation:
+            for offset, resource, amount in node.reservation.cells:
                 usage[time + offset, resource] += amount
     for (cycle, resource), amount in sorted(usage.items()):
         limit = schedule.machine.units(resource)
@@ -165,7 +165,7 @@ def audit_block_schedule(schedule: BlockSchedule) -> list[Violation]:
     usage: dict[tuple[int, str], int] = defaultdict(int)
     for node in schedule.graph.nodes:
         time = schedule.times[node.index]
-        for offset, resource, amount in node.reservation:
+        for offset, resource, amount in node.reservation.cells:
             usage[time + offset, resource] += amount
     for (cycle, resource), amount in sorted(usage.items()):
         limit = schedule.machine.units(resource)

@@ -43,11 +43,6 @@ class TraceReport:
     compensation_ops: int      # bookkeeping copies at trace exits/entries
     code_size: int             # trace + off-trace + compensation (ops)
 
-    @property
-    def throughput_cycles(self) -> float:
-        """Cycles per iteration when the main trace is always taken."""
-        return float(self.trace_length)
-
 
 def _split_trace(stmts: list[Stmt]) -> tuple[list[Operation], int, int]:
     """Follow THEN arms; return (main-trace ops, off-trace op count,

@@ -168,7 +168,7 @@ def schedule_component(
     cells: dict[tuple[int, str], int] = {}
     for node in component:
         shift = offsets[node.index]
-        for offset, resource, amount in node.reservation:
+        for offset, resource, amount in node.reservation.cells:
             key = (offset + shift, resource)
             cells[key] = cells.get(key, 0) + amount
     reservation = ReservationTable.from_cells(cells)

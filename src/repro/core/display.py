@@ -50,7 +50,7 @@ def format_modulo_table(schedule: KernelSchedule) -> str:
     usage: dict[tuple[int, str], int] = defaultdict(int)
     for node in schedule.graph.nodes:
         time = schedule.times[node.index]
-        for offset, resource, amount in node.reservation:
+        for offset, resource, amount in node.reservation.cells:
             usage[((time + offset) % schedule.ii, resource)] += amount
     header = "slot | " + " ".join(f"{r:>5s}" for r in resources)
     lines = [header, "-" * len(header)]

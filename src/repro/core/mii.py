@@ -48,20 +48,15 @@ def resource_mii(
     ``extra_uses`` accounts for per-iteration overhead outside the
     dependence graph — in particular the loop-back branch, which holds the
     machine's :attr:`~repro.machine.MachineDescription.branch_reservation`
-    once per initiated iteration.  Each node's use is read off its
-    packed reservation, summed by resource index; ties between equally
-    bound resources break by name.
+    once per initiated iteration.  Each node's use is summed off its
+    reservation's own cells, by resource name; a resource the machine
+    lacks raises ``KeyError``.  Ties between equally bound resources break
+    by name.
     """
-    names = machine.resource_names
-    used_by_rid = [0] * len(names)
-    for node in nodes:
-        cells = machine.packed(node.reservation).cells
-        for _offset, rid, amount, _limit in cells:
-            used_by_rid[rid] += amount
     totals: dict[str, int] = dict(extra_uses or {})
-    for rid, amount in enumerate(used_by_rid):
-        if amount:
-            totals[names[rid]] = totals.get(names[rid], 0) + amount
+    for node in nodes:
+        for _offset, resource, amount in node.reservation.cells:
+            totals[resource] = totals.get(resource, 0) + amount
     bound, critical = 1, ""
     for resource, used in sorted(totals.items()):
         need = math.ceil(used / machine.units(resource))

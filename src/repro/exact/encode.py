@@ -214,13 +214,13 @@ class ModuloCnf:
     def _encode_resources(self) -> None:
         s = self.s
         branch: dict[tuple[int, str], int] = {}
-        for offset, resource, amount in self.machine.branch_reservation:
+        for offset, resource, amount in self.machine.branch_reservation.cells:
             key = ((s - 1 + offset) % s, resource)
             branch[key] = branch.get(key, 0) + amount
         rows: dict[tuple[int, str], list[int]] = {}
         for v, node in enumerate(self._nodes):
             lo, hi = self._windows[v]
-            for offset, resource, amount in node.reservation:
+            for offset, resource, amount in node.reservation.cells:
                 for t in range(lo, hi + 1):
                     key = ((t + offset) % s, resource)
                     rows.setdefault(key, []).extend(

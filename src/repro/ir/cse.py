@@ -19,6 +19,7 @@ from collections import defaultdict
 
 from repro.ir.operands import Operand, Reg
 from repro.ir.ops import Opcode, Operation
+from repro.ir.scan import collect_defs
 from repro.ir.stmts import ForLoop, IfStmt, Program, Stmt
 
 #: Opcodes safe to value-number: pure, deterministic, operand-only.
@@ -114,7 +115,7 @@ class _Cse:
                     self.run_stmts(stmt.else_body),
                 )
                 out.append(new)
-                for reg in _defined_regs(new.then_body) | _defined_regs(new.else_body):
+                for reg in collect_defs(new.then_body) | collect_defs(new.else_body):
                     self.replace.pop(reg, None)
                     self._invalidate(table, reg)
             elif isinstance(stmt, ForLoop):
@@ -126,7 +127,7 @@ class _Cse:
                     stmt.step,
                 )
                 out.append(new)
-                for reg in _defined_regs(new.body) | {stmt.var}:
+                for reg in collect_defs(new.body) | {stmt.var}:
                     self.replace.pop(reg, None)
                     self._invalidate(table, reg)
             else:
@@ -157,12 +158,6 @@ class _Cse:
             self.replace.pop(op.dest, None)
             self._invalidate(table, op.dest)
         return [op.with_operands(op.dest, srcs)]
-
-
-def _defined_regs(stmts: list[Stmt]) -> set[Reg]:
-    from repro.ir.scan import collect_defs
-
-    return collect_defs(stmts)
 
 
 def _single_def_regs(program: Program) -> set[Reg]:

@@ -6,7 +6,7 @@ from typing import Iterator
 
 from repro.ir.operands import Reg
 from repro.ir.ops import Operation
-from repro.ir.stmts import ForLoop, IfStmt, Program, Stmt
+from repro.ir.stmts import ForLoop, IfStmt, Stmt
 
 
 def walk_operations(stmts: list[Stmt]) -> Iterator[Operation]:
@@ -55,11 +55,3 @@ def collect_defs(stmts: list[Stmt]) -> set[Reg]:
             defs.update(collect_defs(stmt.then_body))
             defs.update(collect_defs(stmt.else_body))
     return defs
-
-
-def count_flops(program: Program) -> dict[str, int]:
-    """Static per-opcode floating-point operation counts."""
-    counts: dict[str, int] = {}
-    for op in walk_operations(program.body):
-        counts[op.opcode.value] = counts.get(op.opcode.value, 0) + 1
-    return counts

@@ -9,7 +9,6 @@ systolic array used throughout Lam's PLDI'88 evaluation.
 
 from repro.machine.resources import Resource, ReservationTable, ResourceUse
 from repro.machine.description import MachineDescription, OpClass
-from repro.machine.packed import PackedReservation
 from repro.machine.warp import WARP, make_warp
 from repro.machine.simple import SIMPLE, make_simple, make_custom
 
@@ -22,7 +21,6 @@ __all__ = [
     "ReservationTable",
     "MachineDescription",
     "OpClass",
-    "PackedReservation",
     "WARP",
     "make_warp",
     "SIMPLE",

@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.machine.packed import PackedReservation
 from repro.machine.resources import ReservationTable, Resource
 
 
@@ -51,19 +50,13 @@ class MachineDescription:
         flop_opcodes: frozenset[str] = frozenset(),
     ) -> None:
         self.name = name
+        # Units per resource name, in description order: every resource
+        # check looks a reservation cell's name up here.
         self.resources: dict[str, int] = {}
         for res in resources:
             if res.name in self.resources:
                 raise ValueError(f"duplicate resource {res.name!r}")
             self.resources[res.name] = res.count
-        # Interned resource identities: every resource gets a dense index
-        # (description order) so the scheduler's hot paths deal in small
-        # integers instead of name strings.
-        self.resource_names: tuple[str, ...] = tuple(self.resources)
-        self.resource_index: dict[str, int] = {
-            rname: rid for rid, rname in enumerate(self.resource_names)
-        }
-        self.unit_counts: tuple[int, ...] = tuple(self.resources.values())
         self.op_classes = dict(op_classes)
         # The most cycles one operation's reservation spans, so how far an
         # emitted instruction's resource use reaches past its own cycle.
@@ -75,7 +68,7 @@ class MachineDescription:
         self.clock_mhz = clock_mhz
         self.flop_opcodes = flop_opcodes
         for cls in self.op_classes.values():
-            for _, resource, amount in cls.reservation:
+            for _, resource, amount in cls.reservation.cells:
                 if resource not in self.resources:
                     raise ValueError(
                         f"op class {cls.name!r} uses unknown resource {resource!r}"
@@ -101,7 +94,7 @@ class MachineDescription:
             "op_classes": {
                 name: {
                     "latency": cls.latency,
-                    "reservation": list(cls.reservation),
+                    "reservation": list(cls.reservation.cells),
                 }
                 for name, cls in sorted(self.op_classes.items())
             },
@@ -132,30 +125,10 @@ class MachineDescription:
         """What the loop-back ``cjump`` holds: one use per kernel iteration,
         issued at the kernel's last modulo row.
 
-        The op class's own table is returned, so every scheduler shares one
-        object and :meth:`packed` compiles it once.
+        The op class's own table is returned, so every scheduler shares
+        one object.
         """
         return self.op_class("cjump").reservation
-
-    def packed(self, reservation: ReservationTable) -> PackedReservation:
-        """``reservation`` compiled to this machine's integer layout.
-
-        The table keeps its own packing in its ``packing`` slot, as
-        ``(machine, PackedReservation)``: the first call for a machine
-        compiles and stores it, and later calls read it back.  The hot
-        paths (the modulo reservation table and the resource grid)
-        read the slot inline and call this only on a miss.  A table
-        packed for another machine is repacked and its slot overwritten,
-        so two machines alternating on one table each get their own
-        packing.  Filling the slot is one attribute store, so thread
-        workers sharing a machine at worst both compile the same table.
-        """
-        machine, packed = reservation.packing
-        if machine is self:
-            return packed
-        packed = PackedReservation.compile(reservation, self)
-        reservation.packing = (self, packed)
-        return packed
 
     def is_flop(self, opcode: str) -> bool:
         """Whether ``opcode`` counts as one floating-point operation when

@@ -5,6 +5,9 @@ The scheduler never reasons about functional units directly; it reasons about
 ``mem``) and *reservation tables* that say, for each cycle relative to an
 operation's issue time, how many units of each resource the operation holds.
 
+A :class:`ReservationTable` is the one form of a reservation: a sorted
+tuple of ``(time, resource, amount)`` cells keyed by resource *name*, which
+the schedulers check against a machine's resource counts as they read it.
 Reservation tables compose: the table of a hierarchically reduced construct
 (an IF or an inner loop) is built by shifting and combining the tables of its
 components (Lam 1988, section 3).
@@ -51,24 +54,18 @@ class ResourceUse:
             raise ValueError(f"resource use needs amount >= 1, got {self.amount}")
 
 
-#: The ``packing`` of a table no machine has packed.
-_UNPACKED = (None, None)
-
-
 class ReservationTable:
     """A sparse map ``(time, resource) -> units held``.
 
-    Immutable by convention: every table's cells are assigned once, when
-    it is built, and all combinators return new tables.
-
-    ``packing`` holds ``(machine, PackedReservation)`` once a scheduler
-    has compiled the table for a machine (see
-    :meth:`repro.machine.description.MachineDescription.packed`), and
-    ``(None, None)`` before.  It is derived state: a pickled or copied
-    table leaves it behind.
+    ``cells`` holds the map once, as a sorted tuple of ``(time, resource,
+    amount)`` triples with positive amounts, and ``length`` the number of
+    cycles spanned (1 + last occupied relative time).  Both are set when
+    the table is built and never change: every combinator returns a new
+    table.  Resources are plain names; the schedulers check them against
+    a machine's :attr:`~repro.machine.MachineDescription.resources`.
     """
 
-    __slots__ = ("_cells", "length", "packing")
+    __slots__ = ("cells", "length")
 
     def __init__(self, uses: Iterable[ResourceUse] = ()) -> None:
         cells: dict[tuple[int, str], int] = {}
@@ -77,14 +74,19 @@ class ReservationTable:
             cells[key] = cells.get(key, 0) + use.amount
         self._set_cells(cells)
 
-    def _set_cells(self, cells: dict[tuple[int, str], int]) -> None:
-        self._cells = cells
-        #: Number of cycles spanned (1 + last occupied relative time).
-        self.length = 1 + max(cells)[0] if cells else 0
-        self.packing = _UNPACKED
+    def _set_cells(self, cells: Mapping[tuple[int, str], int]) -> None:
+        self.cells: tuple[tuple[int, str, int], ...] = tuple(sorted(
+            (time, resource, amount)
+            for (time, resource), amount in cells.items()
+            if amount > 0
+        ))
+        self.length = 1 + self.cells[-1][0] if self.cells else 0
+
+    def _cell_map(self) -> dict[tuple[int, str], int]:
+        return {(time, resource): amount for time, resource, amount in self.cells}
 
     def __reduce__(self) -> tuple:
-        return (ReservationTable.from_cells, (self._cells,))
+        return (ReservationTable.from_cells, (self._cell_map(),))
 
     @classmethod
     def single(cls, resource: str, time: int = 0, amount: int = 1) -> "ReservationTable":
@@ -94,37 +96,50 @@ class ReservationTable:
     @classmethod
     def from_cells(cls, cells: Mapping[tuple[int, str], int]) -> "ReservationTable":
         table = cls.__new__(cls)
-        table._set_cells({k: v for k, v in cells.items() if v > 0})
+        table._set_cells(cells)
         return table
 
     # -- inspection ---------------------------------------------------------
 
     def __iter__(self) -> Iterator[tuple[int, str, int]]:
-        for (time, resource), amount in sorted(self._cells.items()):
-            yield time, resource, amount
+        return iter(self.cells)
 
     def __bool__(self) -> bool:
-        return bool(self._cells)
+        return bool(self.cells)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReservationTable):
             return NotImplemented
-        return self._cells == other._cells
+        return self.cells == other.cells
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._cells.items()))
+        return hash(self.cells)
 
     def amount_at(self, time: int, resource: str) -> int:
-        return self._cells.get((time, resource), 0)
+        for cell_time, cell_resource, amount in self.cells:
+            if cell_time == time and cell_resource == resource:
+                return amount
+        return 0
 
     def resources(self) -> set[str]:
-        return {resource for _, resource in self._cells}
+        return {resource for _, resource, _ in self.cells}
 
     def total_use(self, resource: str) -> int:
         """Total unit-cycles of ``resource`` held (drives the resource bound
         on the initiation interval)."""
-        return sum(
-            amount for (_, res), amount in self._cells.items() if res == resource
+        return sum(amount for _, res, amount in self.cells if res == resource)
+
+    def modulo_cells(self, s: int) -> tuple[tuple[int, str, int], ...]:
+        """The cells folded onto ``s`` modulo rows, as ``(row, resource,
+        amount)`` with amounts summed per row and resource: two cells
+        ``s`` apart hold their unit in the same row (Lam 1988, section
+        2.1)."""
+        folded: dict[tuple[int, str], int] = {}
+        for time, resource, amount in self.cells:
+            key = (time % s, resource)
+            folded[key] = folded.get(key, 0) + amount
+        return tuple(
+            (row, resource, amount) for (row, resource), amount in folded.items()
         )
 
     # -- combinators --------------------------------------------------------
@@ -134,13 +149,14 @@ class ReservationTable:
         if delta == 0:
             return self
         return ReservationTable.from_cells(
-            {(time + delta, res): amt for (time, res), amt in self._cells.items()}
+            {(time + delta, res): amt for time, res, amt in self.cells}
         )
 
     def merged(self, other: "ReservationTable") -> "ReservationTable":
         """Summed usage: both patterns active simultaneously."""
-        cells = dict(self._cells)
-        for key, amount in other._cells.items():
+        cells = self._cell_map()
+        for time, resource, amount in other.cells:
+            key = (time, resource)
             cells[key] = cells.get(key, 0) + amount
         return ReservationTable.from_cells(cells)
 
@@ -150,8 +166,9 @@ class ReservationTable:
         This is the combinator for hierarchically reduced conditionals: the
         reduced node's table is the max of the THEN and ELSE branch tables.
         """
-        cells = dict(self._cells)
-        for key, amount in other._cells.items():
+        cells = self._cell_map()
+        for time, resource, amount in other.cells:
+            key = (time, resource)
             cells[key] = max(cells.get(key, 0), amount)
         return ReservationTable.from_cells(cells)
 
@@ -162,12 +179,12 @@ class ReservationTable:
         loop must not be overlapped with outside operations, so all its
         resources are marked as consumed (Lam 1988, section 3.2).
         """
-        cells = dict(self._cells)
+        cells = self._cell_map()
         for time in range(length):
             for name, count in resources.items():
                 cells[(time, name)] = count
         return ReservationTable.from_cells(cells)
 
     def __repr__(self) -> str:
-        cells = ", ".join(f"t{t}:{r}x{a}" for t, r, a in self)
+        cells = ", ".join(f"t{t}:{r}x{a}" for t, r, a in self.cells)
         return f"ReservationTable({cells})"

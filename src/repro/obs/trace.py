@@ -8,7 +8,6 @@ threads each see their own observer and never contend on shared state.
 from __future__ import annotations
 
 import contextvars
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -84,9 +83,6 @@ class CompileObserver:
             "counters": dict(sorted(self.counters.items())),
             "events": [event.to_dict() for event in self.events],
         }
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class PhaseSpan:

@@ -137,7 +137,7 @@ class VLIWSimulator:
             self._commit_due()
             if isinstance(region, BlockRegion):
                 for instr in region.instructions:
-                    self._step(instr, base=0, wrap=None)
+                    self._step(instr, base=0)
             elif isinstance(region, SequentialLoopRegion):
                 passes = self._passes(region.passes)
                 for _ in range(passes):
@@ -169,15 +169,15 @@ class VLIWSimulator:
         passes = self._passes(region.passes)
         total = region.started_in_prolog + passes * region.unroll
         for instr in region.prolog:
-            self._step(instr, base=0, wrap=None)
+            self._step(instr, base=0)
         for p in range(passes):
             base = p * region.unroll
             for instr in region.kernel:
-                self._step(instr, base=base, wrap=None)
+                self._step(instr, base=base)
         for instr in region.epilog:
-            self._step(instr, base=total, wrap=None)
+            self._step(instr, base=total)
 
-    def _step(self, instr: WideInstruction, base: int, wrap) -> None:
+    def _step(self, instr: WideInstruction, base: int) -> None:
         if self.cycle >= self.max_cycles:
             raise SimulationError(f"exceeded {self.max_cycles} cycles")
         self._commit_due()

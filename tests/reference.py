@@ -6,10 +6,11 @@ shipped fast paths to.
   concrete intervals built on it, the oracle for
   :class:`repro.deps.paths.SymbolicPaths` (its dense matrices and its
   direct recurrence bound).
-* :class:`DictModuloReservationTable` — the name-keyed modulo reservation
-  table, the differential oracle for the integer-packed
-  :class:`repro.core.mrt.ModuloReservationTable`, and
-  :class:`DictResourceGrid`, the oracle for its non-modulo counterpart
+* :class:`DictModuloReservationTable` — a modulo reservation table that
+  sums each placement into one ``{resource: usage}`` dict per row, the
+  differential oracle for :class:`repro.core.mrt.ModuloReservationTable`'s
+  per-resource free units, and :class:`DictResourceGrid`, one such dict
+  per absolute cycle, the oracle for its non-modulo counterpart
   :class:`repro.core.mrt.ResourceGrid`.
 * :func:`reference_list_schedule` — the list scheduler with a Kahn
   topological pass for heights and a ready list re-sorted before every

@@ -1,9 +1,9 @@
 """A compiled program pickles to bytes that do not depend on what the
 process compiled before it.
 
-Reservation tables keep their packing in a slot that pickling leaves
-behind, and the machine keeps no packing memo, so neither the machine nor
-the op-class tables a compiled program reaches carry per-process state.
+A reservation table holds only its sorted cells and its length, both set
+when it is built, and pickles by value, so neither the machine nor the
+op-class tables a compiled program reaches carry per-process state.
 Each count runs in a fresh interpreter with a fixed hash seed.
 """
 

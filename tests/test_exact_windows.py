@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro.exact.backend
-from repro.audit.differential import _innermost_loops, audit_loop_schedules
+from repro.audit.differential import audit_loop_schedules
 from repro.audit.generate import GraphConfig, random_dep_graph
 from repro.batch.driver import compile_one
 from repro.core.compile import CompilerPolicy
@@ -82,7 +82,7 @@ def _program_loops():
     graphs = []
     for name, source in sources:
         program, _ = parse_program(source)
-        for i, loop in enumerate(_innermost_loops(program.body)):
+        for i, loop in enumerate(program.inner_loops()):
             with fresh_uid_scope():
                 lg = build_reduced_loop_graph(loop, WARP)
             graphs.append((f"{name}.{i}", lg.graph, WARP))
@@ -289,7 +289,7 @@ class TestAdmittedLoops:
     )
     def test_compiles_exactly_and_runs(self, name, source):
         program, _ = parse_program(source)
-        loops = _innermost_loops(program.body)
+        loops = program.inner_loops()
         assert loops
         for loop in loops:
             with fresh_uid_scope():

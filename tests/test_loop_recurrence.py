@@ -10,7 +10,6 @@ backend scheduled reports ``None``, as its ``mii`` does.
 
 import pytest
 
-from repro.audit.differential import _innermost_loops
 from repro.batch.driver import compile_one
 from repro.core.compile import CompilerPolicy
 from repro.core.reduction import build_reduced_loop_graph, fresh_uid_scope
@@ -38,7 +37,7 @@ def _reference_flags(compiled):
         independent_arrays=compiled.policy.independent_arrays
     )
     flags = []
-    for loop in _innermost_loops(compiled.program.body):
+    for loop in compiled.program.inner_loops():
         with fresh_uid_scope():
             lg = build_reduced_loop_graph(
                 loop, WARP, options,

@@ -137,6 +137,54 @@ class TestReservationTable:
         assert tables["from_cells"].length == 1  # zero cells are dropped
         assert tables["saturated"].length == 7
 
+    def test_cells_are_sorted_positive_triples(self):
+        a = ReservationTable(
+            [ResourceUse(3, "mem"), ResourceUse(0, "fadd", 2),
+             ResourceUse(0, "alu"), ResourceUse(3, "mem")]
+        )
+        b = ReservationTable([ResourceUse(1, "alu", 2), ResourceUse(0, "seq")])
+        tables = [
+            a, b, a.shifted(2), a.merged(b), a.union_max(b),
+            a.saturated({"seq": 1, "alu": 2}, 4),
+            ReservationTable.from_cells({(2, "alu"): 1, (0, "mem"): 0}),
+        ]
+        for table in tables:
+            assert isinstance(table.cells, tuple)
+            assert list(table.cells) == sorted(table.cells)
+            for time, resource, amount in table.cells:
+                assert isinstance(time, int) and time >= 0
+                assert isinstance(resource, str)
+                assert isinstance(amount, int) and amount > 0
+            assert len({(t, r) for t, r, _ in table.cells}) == len(table.cells)
+        assert a.cells == ((0, "alu", 1), (0, "fadd", 2), (3, "mem", 2))
+
+    def test_equal_tables_built_differently_compare_and_hash_equal(self):
+        a = ReservationTable([ResourceUse(2, "mem"), ResourceUse(0, "alu")])
+        b = ReservationTable.single("alu").merged(
+            ReservationTable.single("mem", time=2)
+        )
+        c = ReservationTable.from_cells({(2, "mem"): 1, (0, "alu"): 1})
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert a != ReservationTable.single("alu")
+
+    def test_pickled_and_copied_tables_equal_the_original(self):
+        import copy
+        import pickle
+
+        table = ReservationTable(
+            [ResourceUse(0, "alu"), ResourceUse(2, "mem", 2)]
+        ).union_max(ReservationTable.single("fadd", time=1))
+        for clone in (
+            pickle.loads(pickle.dumps(table)),
+            copy.copy(table),
+            copy.deepcopy(table),
+        ):
+            assert clone == table
+            assert clone.cells == table.cells
+            assert clone.length == table.length
+            assert hash(clone) == hash(table)
+
 
 class TestOpClass:
     def test_negative_latency_rejected(self):
@@ -219,54 +267,3 @@ class TestMachineDescription:
         assert "fadd" in FLOP_OPCODES
         assert "flt" not in FLOP_OPCODES
         assert "load" not in FLOP_OPCODES
-
-
-class TestPackedMemo:
-    def test_concurrent_eviction_never_raises(self):
-        # Thread workers share machines and op-class tables.  A table's
-        # packing slot is its only memo, and a machine other than the one
-        # it holds evicts it by overwriting.  Two threads alternating two
-        # machines on one shared table overwrite it over and over; neither
-        # may fail, and every packing returned must be its machine's own.
-        import sys
-        import threading
-
-        from repro.machine.packed import PackedReservation
-
-        warp = make_warp()
-        wide = make_custom(
-            "wide", {"fadd": 2, "fmul": 1, "alu": 2, "mem": 1, "seq": 1}
-        )
-        shared = ReservationTable.single("alu")
-        expected = {
-            machine: PackedReservation.compile(shared, machine).cells
-            for machine in (warp, wide)
-        }
-        errors = []
-        start = threading.Barrier(2, timeout=10)
-
-        def drive(order):
-            try:
-                start.wait()
-                for _ in range(20000):
-                    for machine in order:
-                        packed = machine.packed(shared)
-                        assert packed.cells == expected[machine]
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=drive, args=(order,))
-                for order in ((warp, wide), (wide, warp))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []

@@ -1,18 +1,20 @@
-"""Differential tests for the integer-packed modulo reservation table.
+"""Differential tests for the modulo reservation table.
 
-:class:`ModuloReservationTable` (flat counts over interned resources)
+:class:`ModuloReservationTable` (per resource name, the units still free
+in each modulo row, checked against a pattern's own sorted ``cells``)
 must be behaviourally identical to the test-side
-:class:`reference.DictModuloReservationTable`, the name-keyed table it
-replaced: the same placements and refusals, ``place`` raising exactly
-where the reference's does, and ``place_earliest`` answering and placing
-as the reference's ``earliest_fit`` followed by ``place`` does.  A
-hypothesis test runs random interleavings of both placements against
-both tables side by side; the machines include multi-capacity resources,
-so counts above one are exercised too.  Patterns may be longer than the
-interval, so two cells of one unit can share a modulo row.  A second
-oracle, :func:`~repro.audit.oracle.audit_modulo_resources`, re-derives
-the rows from the placements alone, so the reference cannot share a
-defect with the table unnoticed.
+:class:`reference.DictModuloReservationTable`, which sums each placement
+into one ``{resource: usage}`` dict per row: the same placements and
+refusals, ``place`` raising exactly where the reference's does, and
+``place_earliest`` answering and placing as the reference's
+``earliest_fit`` followed by ``place`` does.  A hypothesis test runs
+random interleavings of both placements against both tables side by
+side; the machines include multi-capacity resources, so counts above one
+are exercised too.  Patterns may be longer than the interval, so two
+cells of one unit can share a modulo row.  A second oracle,
+:func:`~repro.audit.oracle.audit_modulo_resources`, re-derives the rows
+from the placements alone, so the reference cannot share a defect with
+the table unnoticed.
 """
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.audit.oracle import audit_modulo_resources
-from repro.core.mrt import ModuloReservationTable
+from repro.core.mrt import ModuloReservationTable, ResourceGrid
 from repro.core.schedule import KernelSchedule
 from repro.deps.graph import DepGraph, DepNode
 from repro.machine import WARP, make_custom
@@ -176,78 +178,38 @@ def test_refused_place_leaves_table_untouched():
     assert mrt.place_earliest(ReservationTable.single("alu"), 0, 0) == 0
 
 
-class TestPackingSlot:
-    """A reservation table keeps its own packing for one machine at a
-    time: the schedulers read it with no call, and a second machine
-    repacks into the slot."""
+class TestUnknownResource:
+    """Both tables check a pattern's cells by name against the machine's
+    resources: a cell naming a resource the machine lacks raises
+    ``KeyError`` and records nothing."""
 
-    def test_a_table_packs_once_per_machine(self, monkeypatch):
-        from repro.machine.packed import PackedReservation
+    PATTERN = ReservationTable(
+        [ResourceUse(0, "alu", 1), ResourceUse(1, "vector", 1)]
+    )
 
-        compiled = []
-        original = PackedReservation.compile.__func__
+    def test_modulo_table_raises(self):
+        mrt = ModuloReservationTable(WARP, 3)
+        with pytest.raises(KeyError):
+            mrt.place_earliest(self.PATTERN, 0)
+        with pytest.raises(KeyError):
+            mrt.place(self.PATTERN, 1)
+        assert all(mrt.usage(row, "alu") == 0 for row in range(3))
 
-        def counting(cls, table, machine):
-            compiled.append(machine)
-            return original(cls, table, machine)
+    def test_modulo_table_raises_where_nothing_fits(self):
+        # Every row's alu is taken, so no slot is ever probed past the
+        # first cell; the unknown resource is still refused.
+        mrt = ModuloReservationTable(WARP, 1)
+        mrt.place(ReservationTable.single("alu"), 0)
+        with pytest.raises(KeyError):
+            mrt.place_earliest(self.PATTERN, 0)
+        with pytest.raises(KeyError):
+            mrt.place_earliest(self.PATTERN, 4, 3)
 
-        monkeypatch.setattr(
-            PackedReservation, "compile", classmethod(counting)
-        )
-        table = ReservationTable(
-            [ResourceUse(0, "alu", 1), ResourceUse(1, "mem", 1)]
-        )
-        assert table.packing == (None, None)
-        mrt = ModuloReservationTable(WARP, 5)
-        for time in range(5):
-            mrt.place_earliest(table, time, time)
-        mrt.place_earliest(table, 0)
-        assert WARP.packed(table) is WARP.packed(table)
-        assert compiled == [WARP]
-        assert table.packing[0] is WARP
-
-    def test_alternating_machines_each_get_their_own_packing(self):
-        # Two alus on MULTI, one on WARP: the same table fits twice in one
-        # row of MULTI's table and once in WARP's, whichever machine
-        # packed the table last.
-        table = ReservationTable.single("alu")
-        warp_mrt = ModuloReservationTable(WARP, 1)
-        multi_mrt = ModuloReservationTable(MULTI, 1)
-        warp_ref = DictModuloReservationTable(WARP, 1)
-        multi_ref = DictModuloReservationTable(MULTI, 1)
-        for _ in range(3):
-            for mrt, ref in ((warp_mrt, warp_ref), (multi_mrt, multi_ref)):
-                assert mrt.place_earliest(table, 0, 0) == ref.place_earliest(
-                    table, 0, 0
-                )
-                assert table.packing[0] is mrt.machine
-        assert warp_mrt.usage(0, "alu") == 1
-        assert multi_mrt.usage(0, "alu") == 2
-        assert MULTI.packed(table).cells != WARP.packed(table).cells
-
-    def test_an_unpickled_or_copied_table_has_no_packing(self):
-        import copy
-        import pickle
-
-        table = ReservationTable(
-            [ResourceUse(0, "alu", 1), ResourceUse(2, "mem", 1)]
-        )
-        WARP.packed(table)
-        assert table.packing[0] is WARP
-        for clone in (
-            pickle.loads(pickle.dumps(table)),
-            copy.copy(table),
-            copy.deepcopy(table),
-        ):
-            assert clone == table
-            assert clone.length == table.length
-            assert clone.packing == (None, None)
-        # The packing leaves no trace in the pickle.
-        unpacked = ReservationTable(
-            ResourceUse(time, resource, amount)
-            for time, resource, amount in table
-        )
-        assert pickle.dumps(table) == pickle.dumps(unpacked)
+    def test_resource_grid_raises(self):
+        grid = ResourceGrid(WARP)
+        with pytest.raises(KeyError):
+            grid.place_earliest(self.PATTERN, 0)
+        assert grid.place_earliest(ReservationTable.single("alu"), 0) == 0
 
 
 # ``out[i] := a[i] + b[i]`` under a condition: reduced without

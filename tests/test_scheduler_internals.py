@@ -156,7 +156,7 @@ def test_list_schedule_matches_reference(dag, s, emitted):
                 assert times[j] >= times[i] + weight
         if s:
             for row in range(s):
-                for resource in WARP.resource_names:
+                for resource in WARP.resources:
                     assert table.usage(row, resource) == reference.usage(
                         row, resource
                     )
